@@ -413,8 +413,11 @@ let client_cmd addr analyze sets appends stats shutdown monitor interval frames
   let print_result j =
     let rel = Serve.Client.relation_of_response j in
     print_string (Relation.to_string (Relation.sorted rel));
-    Printf.printf "(%d rows in %.3fms%s)\n" (Serve.Client.rows_n j)
+    Printf.printf "(%d rows in %.3fms%s%s)\n" (Serve.Client.rows_n j)
       (Serve.Client.ms j)
+      (match Obs.Json.member "plan" j with
+       | Some (Obs.Json.Str p) -> ", plan " ^ p
+       | _ -> "")
       (if Serve.Client.cached j then ", cached" else "");
     match Obs.Json.member "trace" j with
     | Some t -> print_string (Obs.Span.to_text (Obs.Span.of_json t))
@@ -730,9 +733,10 @@ let no_maintain_flag =
   Arg.(
     value & flag
     & info [ "no-maintain" ]
-        ~doc:"Disable incremental result maintenance: appends drop affected \
-              result-cache entries instead of folding the delta into their \
-              algebraic partial state.")
+        ~doc:"Disable incremental result maintenance: result-cache misses \
+              run the engine instead of answering from shared algebraic \
+              partial state, and appends drop affected result-cache entries \
+              instead of folding the delta into that state.")
 
 let set_arg =
   Arg.(

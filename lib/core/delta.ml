@@ -20,6 +20,13 @@
    row, and the SELECT list is evaluated with aggregates substituted by
    their final columns.
 
+   The partial state does not depend on the iceberg threshold, nor on how
+   SELECT combines the aggregates: it is one [state] per partials query,
+   keyed by that query's normalized text (aggregates in canonical order),
+   and any number of views ([t]) finalize it — each compiles only its own
+   SELECT list and HAVING.  A new threshold over a known shape is answered
+   by a fresh view over the existing state, without running the join.
+
    Holistic aggregates (COUNT DISTINCT), subqueries, WITH, DISTINCT and
    ORDER BY/LIMIT have no delta rule here — [supported] refuses them and
    the server falls back to full recompute. *)
@@ -29,17 +36,23 @@ open Relalg
 
 type aggkind = K_count | K_sum | K_min | K_max | K_avg
 
+type state = {
+  s_catalog : Catalog.t;
+  s_pq : Ast.query;  (* the partials query; its FROM/WHERE drive the delta step *)
+  s_key : string;  (* normalized text of [s_pq] *)
+  s_tables : string list;  (* distinct base tables, normalized *)
+  s_aggs : (Ast.agg * aggkind * int) list;  (* agg, kind, first partial slot *)
+  s_ncols : int;  (* partial slots per group *)
+  s_ng : int;  (* group-key width *)
+  s_merge : (Value.t -> Value.t -> Value.t) array;
+  s_tbl : Value.t array Row.Tbl.t;  (* group key -> partials *)
+  s_max_groups : int;
+}
+
+(* A view: one query's finalization, compiled once against the lambda
+   schema of its state. *)
 type t = {
-  d_catalog : Catalog.t;
-  d_query : Ast.query;
-  d_tables : string list;  (* distinct base tables, normalized *)
-  d_aggs : (Ast.agg * aggkind * int) list;  (* agg, kind, first partial slot *)
-  d_ncols : int;  (* partial slots per group *)
-  d_ng : int;  (* group-key width *)
-  d_merge : (Value.t -> Value.t -> Value.t) array;
-  d_tbl : Value.t array Row.Tbl.t;  (* group key -> partials *)
-  d_max_groups : int;
-  (* finalization, compiled once against the lambda schema *)
+  d_state : state;
   d_out_schema : Schema.t;
   d_out_fns : (Row.t -> Value.t) array;
   d_phi : (Row.t -> bool) option;
@@ -179,25 +192,41 @@ let partials_query (q : Ast.query) laid =
     distinct = false;
   }
 
-let fold_partials t rel =
-  let ng = t.d_ng in
+(* The distinct aggregates in a canonical order (by their SQL text), so
+   queries that list the same aggregates differently share one layout. *)
+let canonical_aggs q =
+  let text a = Pretty.scalar (Ast.S_agg a) in
+  List.sort (fun a b -> compare (text a) (text b)) (query_aggs q)
+
+(* The layout and normalized partials query of a supported query. *)
+let shape q =
+  let laid, ncols = agg_layout (canonical_aggs q) in
+  let pq = partials_query q laid in
+  (laid, ncols, pq, Pretty.query pq)
+
+let partials_key catalog q =
+  if not (supported catalog q) then None
+  else match shape q with (_, _, _, key) -> Some key | exception _ -> None
+
+let fold_partials st rel =
+  let ng = st.s_ng in
   Relation.iter
     (fun row ->
       let key = Array.sub row 0 ng in
-      let part = Array.sub row ng t.d_ncols in
-      match Row.Tbl.find_opt t.d_tbl key with
-      | None -> Row.Tbl.replace t.d_tbl key part
+      let part = Array.sub row ng st.s_ncols in
+      match Row.Tbl.find_opt st.s_tbl key with
+      | None -> Row.Tbl.replace st.s_tbl key part
       | Some acc ->
-        for i = 0 to t.d_ncols - 1 do
-          acc.(i) <- t.d_merge.(i) acc.(i) part.(i)
+        for i = 0 to st.s_ncols - 1 do
+          acc.(i) <- st.s_merge.(i) acc.(i) part.(i)
         done)
     rel;
-  if Row.Tbl.length t.d_tbl > t.d_max_groups then
+  if Row.Tbl.length st.s_tbl > st.s_max_groups then
     raise (Unsupported_delta "group count above maintenance cap")
 
 (* ---- finalization (the Λ step over maintained partials) ---- *)
 
-let finals_of t (part : Value.t array) =
+let finals_of st (part : Value.t array) =
   Array.of_list
     (List.map
        (fun (_, kind, slot) ->
@@ -209,17 +238,18 @@ let finals_of t (part : Value.t array) =
             | Value.Int n ->
               Value.Float (Value.to_float part.(slot) /. float_of_int n)
             | _ -> raise (Unsupported_delta "avg count partial not an int")))
-       t.d_aggs)
+       st.s_aggs)
 
 let result t =
+  let st = t.d_state in
   let out = ref [] in
   Row.Tbl.iter
     (fun key part ->
-      let lambda = Array.append key (finals_of t part) in
+      let lambda = Array.append key (finals_of st part) in
       let keep = match t.d_phi with None -> true | Some phi -> phi lambda in
       if keep then
         out := Array.map (fun f -> f lambda) t.d_out_fns :: !out)
-    t.d_tbl;
+    st.s_tbl;
   Relation.make t.d_out_schema (Array.of_list !out)
 
 (* ---- building ---- *)
@@ -267,36 +297,50 @@ let compile_output catalog (q : Ast.query) laid =
   in
   (Schema.of_cols out_cols, Array.of_list out_fns, phi)
 
+let compile_view st q =
+  let out_schema, out_fns, phi = compile_output st.s_catalog q st.s_aggs in
+  { d_state = st; d_out_schema = out_schema; d_out_fns = out_fns; d_phi = phi }
+
+let view st (q : Ast.query) =
+  if partials_key st.s_catalog q <> Some st.s_key then None
+  else
+    match compile_view st q with
+    | t -> Some t
+    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+    | exception _ -> None
+
+(* The view is compiled before the partials query runs, so a query whose
+   SELECT or HAVING cannot be finalized costs no execution. *)
 let init ?(max_groups = 200_000) catalog (q : Ast.query) =
   if not (supported catalog q) then None
   else
     match
-      let laid, ncols = agg_layout (query_aggs q) in
-      let out_schema, out_fns, phi = compile_output catalog q laid in
-      let t =
+      let laid, ncols, pq, key = shape q in
+      let st =
         {
-          d_catalog = catalog;
-          d_query = q;
-          d_tables = Ast.tables_of_query q;
-          d_aggs = laid;
-          d_ncols = ncols;
-          d_ng = List.length q.Ast.group_by;
-          d_merge = merge_fns laid ncols;
-          d_tbl = Row.Tbl.create 256;
-          d_max_groups = max_groups;
-          d_out_schema = out_schema;
-          d_out_fns = out_fns;
-          d_phi = phi;
+          s_catalog = catalog;
+          s_pq = pq;
+          s_key = key;
+          s_tables = Ast.tables_of_query q;
+          s_aggs = laid;
+          s_ncols = ncols;
+          s_ng = List.length q.Ast.group_by;
+          s_merge = merge_fns laid ncols;
+          s_tbl = Row.Tbl.create 256;
+          s_max_groups = max_groups;
         }
       in
-      fold_partials t (Binder.run catalog (partials_query q laid));
+      let t = compile_view st q in
+      fold_partials st (Binder.run catalog pq);
       t
     with
     | t -> Some t
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception _ -> None
 
-let tables t = t.d_tables
+let state t = t.d_state
+let state_tables st = st.s_tables
+let tables t = state_tables t.d_state
 
 (* ---- the delta step ---- *)
 
@@ -369,12 +413,12 @@ let from_for_run (q : Ast.query) ~table ~old_name ~delta_name ~m =
       | item -> item)
     q.Ast.from
 
-let apply ?(max_delta_frac = 0.5) t ~table ~delta =
+let fold ?(max_delta_frac = 0.5) st ~table ~delta =
   let table = norm table in
-  if not (List.mem table t.d_tables) then Ok `Revalidated
+  if not (List.mem table st.s_tables) then Ok `Revalidated
   else
     try
-      let catalog = t.d_catalog in
+      let catalog = st.s_catalog in
       let tbl = Catalog.find catalog table in
       let n = Relation.cardinality tbl.Catalog.rel in
       let dn = Relation.cardinality delta in
@@ -388,7 +432,7 @@ let apply ?(max_delta_frac = 0.5) t ~table ~delta =
               | Ast.T_table (nm, a) when String.equal (norm nm) table ->
                 Some (Option.value a ~default:nm)
               | _ -> None)
-            t.d_query.Ast.from
+            st.s_pq.Ast.from
         in
         let k = List.length occurrences in
         (* per-occurrence delta views, pre-filtered by that occurrence's
@@ -397,7 +441,7 @@ let apply ?(max_delta_frac = 0.5) t ~table ~delta =
         let filtered =
           List.map
             (fun alias ->
-              match local_pred catalog t.d_query ~alias ~table with
+              match local_pred catalog st.s_pq ~alias ~table with
               | None -> drows
               | Some p -> Array.of_seq (Seq.filter p (Array.to_seq drows)))
             occurrences
@@ -422,7 +466,6 @@ let apply ?(max_delta_frac = 0.5) t ~table ~delta =
                 add_temp old_name
                   (Relation.make schema
                      (Array.sub (Relation.rows tbl.Catalog.rel) 0 old_len));
-              let laid = t.d_aggs in
               let joined = ref 0 in
               List.iteri
                 (fun i rows ->
@@ -435,14 +478,13 @@ let apply ?(max_delta_frac = 0.5) t ~table ~delta =
                         Catalog.remove_table catalog delta_name;
                         temps := List.filter (fun n -> n <> delta_name) !temps)
                       (fun () ->
-                        let pq = partials_query t.d_query laid in
                         let pq =
-                          { pq with
+                          { st.s_pq with
                             Ast.from =
-                              from_for_run t.d_query ~table ~old_name
+                              from_for_run st.s_pq ~table ~old_name
                                 ~delta_name ~m }
                         in
-                        fold_partials t (Binder.run catalog pq))
+                        fold_partials st (Binder.run catalog pq))
                   end)
                 filtered;
               Ok (`Incremental !joined))
@@ -453,4 +495,7 @@ let apply ?(max_delta_frac = 0.5) t ~table ~delta =
     | Unsupported_delta msg -> Error msg
     | e -> Error (Printexc.to_string e)
 
-let groups t = Row.Tbl.length t.d_tbl
+let apply ?max_delta_frac t ~table ~delta =
+  fold ?max_delta_frac t.d_state ~table ~delta
+
+let groups t = Row.Tbl.length t.d_state.s_tbl

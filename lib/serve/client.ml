@@ -8,7 +8,6 @@ module Json = Obs.Json
 module P = Protocol
 
 type t = {
-  fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
   mutable next_id : int;
@@ -41,13 +40,15 @@ let connect (addr : P.addr) =
     | Some (Json.Num n) -> int_of_float n
     | _ -> 0
   in
-  { fd; ic; oc; next_id = 1; session }
+  { ic; oc; next_id = 1; session }
 
 let session t = t.session
 
-let close t =
-  close_out_noerr t.oc;
-  try Unix.close t.fd with _ -> ()
+(* Closing the output channel closes the descriptor; [ic] shares it and is
+   left unclosed, so the descriptor is closed exactly once.  A second close
+   could hit a descriptor another thread has just opened under the same
+   number. *)
+let close t = close_out_noerr t.oc
 
 (* Send one request and block for its response.  Raises {!Server_error} on
    an [ok:false] response, so call sites read straight-line. *)

@@ -36,6 +36,14 @@
      (telescoping delta joins) or revalidated (every delta row refuted by
      occurrence-local predicates); only entries without a delta rule — or
      whose delta step fails — are dropped and recomputed on next demand.
+   - the PARTIALS registry (one per layout catalog) maps the normalized
+     text of a query's §6 partials query — FROM / WHERE / GROUP BY and the
+     partial aggregates, no HAVING — to its maintained partial state.  A
+     cacheable miss over a registered shape is answered by finalizing that
+     state for the query's own SELECT and HAVING (a new iceberg threshold
+     runs no join at all); a miss over a new shape builds the state once
+     and answers from it.  Result entries share the state they were
+     answered from, and an append folds each distinct state exactly once.
 
    Correctness of both tiers leans on every base-data mutation going
    through [append] under the exclusive lock, and on the temp-table
@@ -97,8 +105,8 @@ type config = {
   result_cache_cap : int;
   max_rows : int option;  (* rows per response; None = all *)
   maintain : bool;
-      (* maintain cached results incrementally across appends (build §6
-         algebraic partial state per cached query; fold deltas in) *)
+      (* answer cacheable misses from shared §6 algebraic partial state
+         and maintain cached results incrementally across appends *)
   metrics_addr : P.addr option;
       (* optional plain-HTTP listener answering every request with the
          Prometheus text exposition of the metrics registry *)
@@ -215,7 +223,15 @@ type cached_result = {
   cr_layout : [ `Row | `Column ];
   cr_tables : string list;  (* normalized base tables the query reads *)
   mutable cr_stamps : (string * Catalog.stamp) list;  (* per-table epochs *)
-  cr_state : Core.Delta.t option;  (* §6 partials, when the query has a delta rule *)
+  cr_state : Core.Delta.t option;
+      (* view over shared §6 partials, when the query has a delta rule *)
+}
+
+(* A registered partial state and the stamps it is current at.  Written
+   only under the exclusive lock (appends fold it); readers finalize it. *)
+type partials_entry = {
+  ps_state : Core.Delta.state;
+  mutable ps_stamps : (string * Catalog.stamp) list;
 }
 
 type conn = {
@@ -241,6 +257,8 @@ type t = {
   catalogs : ([ `Row | `Column ] * Catalog.t) list;
   plan_cache : plan_entry Cache.Lru.t;
   result_cache : cached_result Cache.Lru.t;
+  partials : ([ `Row | `Column ] * partials_entry Cache.Lru.t) list;
+      (* one registry per layout catalog, keyed by partials-query text *)
   lock : Rwlock.t;
   queue : job Queue.t;
   q_mu : Mutex.t;
@@ -274,6 +292,9 @@ let c_maint_incremental = Obs.Metrics.counter "serve.maint_incremental"
 let c_maint_revalidate = Obs.Metrics.counter "serve.maint_revalidate"
 let c_maint_recompute = Obs.Metrics.counter "serve.maint_recompute"
 let c_plan_refreshed = Obs.Metrics.counter "serve.plan_refreshed"
+let c_partials_hit = Obs.Metrics.counter "serve.partials_hit"
+let c_partials_build = Obs.Metrics.counter "serve.partials_build"
+let c_partials_shared = Obs.Metrics.counter "serve.partials_shared"
 let h_query_ms = Obs.Metrics.histogram "serve.query_ms"
 let h_maint_ms = Obs.Metrics.histogram "serve.maint_ms"
 let h_queue_wait_ms = Obs.Metrics.histogram "serve.queue_wait_ms"
@@ -306,6 +327,20 @@ let catalog_for t layout =
   match List.assoc_opt layout t.catalogs with
   | Some c -> c
   | None -> snd (List.hd t.catalogs)
+
+let partials_for t layout =
+  match List.assoc_opt layout t.partials with
+  | Some r -> r
+  | None -> snd (List.hd t.partials)
+
+let partials_entries t =
+  List.fold_left (fun n (_, r) -> n + Cache.Lru.length r) 0 t.partials
+
+(* The stamps of [tables] now, or None when one is gone. *)
+let stamps_now cat tables =
+  match Catalog.stamps cat tables with
+  | exception _ -> None
+  | now -> Some now
 
 let fresh_session t =
   let sid = Atomic.fetch_and_add t.next_sid 1 in
@@ -484,21 +519,64 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
             Obs.Metrics.incr c_result_hit;
             `Hit cr.cr_fields
           | None ->
-            if (not instrument) && session.use_result_cache then
-              Obs.Metrics.incr c_result_miss;
+            let cacheable = (not instrument) && session.use_result_cache in
+            if cacheable then Obs.Metrics.incr c_result_miss;
             let span = Obs.Span.enter ~session_id:session.sid "serve.query" in
             Obs.Span.note span
               (Printf.sprintf "rid=%d queue_ms=%.3f" rid wait_ms);
-            let exec () =
+            (* A cacheable miss over a shape with a delta rule is answered
+               from its §6 partial state: the registered one when current,
+               else one built now — the cache entry needs it anyway, so the
+               engine never runs.  Under the read lock registry entries are
+               only added or replaced, never mutated, so two concurrent
+               builds of one shape just leave one state unregistered; the
+               result entry answered from it still folds it on appends. *)
+            let from_partials () =
+              if not (cacheable && t.config.maintain && not exclusive) then None
+              else
+                match Core.Delta.partials_key cat ast with
+                | None -> None
+                | Some pkey ->
+                  let registry = partials_for t session.layout in
+                  let registered =
+                    match Cache.Lru.find registry pkey with
+                    | Some pe
+                      when stamps_now cat (Core.Delta.state_tables pe.ps_state)
+                           = Some pe.ps_stamps ->
+                      Core.Delta.view pe.ps_state ast
+                    | _ -> None
+                  in
+                  (match registered with
+                   | Some v ->
+                     Obs.Metrics.incr c_partials_hit;
+                     Some v
+                   | None ->
+                     let built =
+                       Obs.Span.with_span ~parent:span "serve.delta_init"
+                         (fun _ -> Core.Delta.init cat ast)
+                     in
+                     Option.iter
+                       (fun v ->
+                         let st = Core.Delta.state v in
+                         match stamps_now cat (Core.Delta.state_tables st) with
+                         | Some stamps ->
+                           Obs.Metrics.incr c_partials_build;
+                           Cache.Lru.put registry pkey
+                             { ps_state = st; ps_stamps = stamps }
+                         | None -> ())
+                       built;
+                     built)
+            in
+            let engine () =
               (* Plan caching needs a stable prepared plan; analyze (and a
                  sampled trace) wants a fresh instrumented run and CTE
                  queries re-register temps per run, so all three bypass. *)
               if instrument || exclusive || not session.use_plan_cache then begin
-                let rel, report =
+                let rel, _report =
                   Core.Runner.run ~span ~analyze:instrument ~tech:session.tech
                     ~workers:session.workers ~transfer:session.transfer cat ast
                 in
-                (rel, Some report, `Bypass)
+                (rel, `Bypass)
               end
               else begin
                 let prepare () =
@@ -529,15 +607,38 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
                 (match status with
                 | `Hit -> Obs.Metrics.incr c_plan_hit
                 | `Miss -> Obs.Metrics.incr c_plan_miss);
-                let rel, report = Core.Runner.run_prepared ~span entry.pe_prepared in
-                (rel, Some report, status)
+                let rel, _report = Core.Runner.run_prepared ~span entry.pe_prepared in
+                (rel, status)
               end
+            in
+            let exec () =
+              match from_partials () with
+              | Some v ->
+                let rel =
+                  Obs.Span.with_span ~parent:span "serve.delta_result" (fun _ ->
+                      Core.Delta.result v)
+                in
+                (rel, Some v, `Partials)
+              | None ->
+                let rel, status = engine () in
+                (rel, None, status)
             in
             (match exec () with
             | exception e ->
               Obs.Span.finish span;
               `Err (Printexc.to_string e)
-            | rel, _report, status ->
+            | rel, view, status ->
+              let plan_s =
+                match status with
+                | `Hit -> "hit"
+                | `Miss -> "miss"
+                | `Bypass -> "bypass"
+                | `Partials -> "partials"
+              in
+              let rows = P.relation_to_json ?max_rows:t.config.max_rows rel in
+              (* [ms], [serve.query_ms] and the slow-query log cover the
+                 whole path before the reply: state build, execution or
+                 finalization, and encoding. *)
               Obs.Span.finish span;
               let ms = span.Obs.Span.dur_ms in
               Obs.Metrics.observe h_query_ms ms;
@@ -546,12 +647,6 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
               bump_session session ~ms
                 ~plan_hit:(status = `Hit)
                 ~result_hit:false slice;
-              let plan_s =
-                match status with
-                | `Hit -> "hit"
-                | `Miss -> "miss"
-                | `Bypass -> "bypass"
-              in
               let slow =
                 match session.slow_ms with Some th -> ms >= th | None -> false
               in
@@ -567,31 +662,26 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
                      ~sampled session span)
               end;
               let fields =
-                P.relation_to_json ?max_rows:t.config.max_rows rel
+                rows
                 @ [ ("ms", Json.Num ms); ("plan", Json.Str plan_s) ]
                 @ (if analyze then [ ("trace", Obs.Span.to_json span) ] else [])
               in
-              if (not instrument) && session.use_result_cache then begin
+              if cacheable then begin
                 let tables =
                   List.filter (Catalog.mem cat)
                     (Sqlfront.Ast.tables_of_query ast)
                 in
-                (* Delta state costs one partials-query execution now and
-                   buys O(Δ ⋈ rest) maintenance on every later append;
-                   queries without a delta rule (CTEs, DISTINCT, holistic
-                   aggregates, …) get [None] and are dropped on append. *)
-                let state =
-                  if t.config.maintain && not exclusive then
-                    Core.Delta.init cat ast
-                  else None
-                in
+                (* [view] is the partial state the answer came from; queries
+                   without a delta rule (CTEs, DISTINCT, holistic
+                   aggregates, …) or with maintenance off get [None] and
+                   are dropped on append. *)
                 Cache.Lru.put t.result_cache key
                   {
                     cr_fields = fields;
                     cr_layout = session.layout;
                     cr_tables = tables;
                     cr_stamps = Catalog.stamps cat tables;
-                    cr_state = state;
+                    cr_state = view;
                   }
               end;
               `Fresh fields))
@@ -678,8 +768,28 @@ let handle_append t conn ~id table rows =
         (* Maintain the result cache.  Entries that don't read the table
            keep their payload and stamps untouched; entries with delta
            state fold the append in (or prove it can't change the result);
-           the rest drop and recompute on next demand. *)
+           the rest drop and recompute on next demand.  Entries share
+           partial states, so each distinct state folds exactly once —
+           memoized by identity — and every entry sharing it re-finalizes
+           from the folded state.  A failed fold drops every sharer. *)
         let t_norm = String.lowercase_ascii table in
+        let folds = ref [] in
+        let fold st =
+          match List.assq_opt st !folds with
+          | Some f -> (f, false)
+          | None ->
+            let t0 = Unix.gettimeofday () in
+            let outcome = Core.Delta.fold st ~table ~delta in
+            let f = (outcome, (Unix.gettimeofday () -. t0) *. 1000., ref 0) in
+            folds := (st, f) :: !folds;
+            (f, true)
+        in
+        (* Maintenance time per entry: its own re-finalization, plus the
+           fold for the entry that triggered it. *)
+        let observe_maint ms =
+          Obs.Metrics.observe h_maint_ms ms;
+          Obs.Rolling.observe r_maint_ms ms
+        in
         let maint_inc = ref 0 and maint_reval = ref 0 in
         let dropped =
           Cache.Lru.retain t.result_cache (fun _ cr ->
@@ -688,34 +798,62 @@ let handle_append t conn ~id table rows =
                 let keep =
                   match cr.cr_state with
                   | None -> false
-                  | Some st ->
-                    let t0 = Unix.gettimeofday () in
-                    (match Core.Delta.apply st ~table ~delta with
+                  | Some v ->
+                    let (outcome, fold_ms, sharers), first =
+                      fold (Core.Delta.state v)
+                    in
+                    incr sharers;
+                    (match outcome with
+                    | Error _ -> false
                     | Ok outcome ->
+                      let t0 = Unix.gettimeofday () in
                       (match outcome with
                       | `Revalidated -> incr maint_reval
                       | `Incremental _ ->
-                        let rel = Core.Delta.result st in
-                        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+                        let rel = Core.Delta.result v in
+                        let ms =
+                          fold_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
+                        in
                         cr.cr_fields <-
                           P.relation_to_json ?max_rows:t.config.max_rows rel
                           @ [ ("ms", Json.Num ms);
                               ("plan", Json.Str "maintained") ];
                         incr maint_inc);
-                      let maint_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-                      Obs.Metrics.observe h_maint_ms maint_ms;
-                      Obs.Rolling.observe r_maint_ms maint_ms;
-                      true
-                    | Error _ -> false)
+                      observe_maint
+                        ((if first then fold_ms else 0.)
+                        +. ((Unix.gettimeofday () -. t0) *. 1000.));
+                      true)
                 in
                 (if keep then
                    match
-                     Catalog.stamps (catalog_for t cr.cr_layout) cr.cr_tables
+                     stamps_now (catalog_for t cr.cr_layout) cr.cr_tables
                    with
-                   | exception _ -> ()
-                   | st -> cr.cr_stamps <- st);
+                   | Some st -> cr.cr_stamps <- st
+                   | None -> ());
                 keep)
         in
+        (* Registered states no entry shares fold too, so the next fresh
+           threshold over their shape still finds them current. *)
+        List.iter
+          (fun (layout, registry) ->
+            let cat = catalog_for t layout in
+            ignore
+              (Cache.Lru.retain registry (fun _ pe ->
+                   let tables = Core.Delta.state_tables pe.ps_state in
+                   if not (List.mem t_norm tables) then true
+                   else
+                     let (outcome, fold_ms, _), first = fold pe.ps_state in
+                     if first then observe_maint fold_ms;
+                     match (outcome, stamps_now cat tables) with
+                     | Ok _, Some st ->
+                       pe.ps_stamps <- st;
+                       true
+                     | _ -> false)))
+          t.partials;
+        let shared =
+          List.length (List.filter (fun (_, (_, _, n)) -> !n > 1) !folds)
+        in
+        Obs.Metrics.add c_partials_shared shared;
         (!plans_refreshed, !maint_inc, !maint_reval, dropped))
   with
   | exception Failure m -> send_error conn ~id ~code:"bad_request" m
@@ -786,6 +924,17 @@ let lru_stats_json (s : Cache.Lru.stats) ~hits ~misses =
       ("entries", Json.Num (float_of_int s.Cache.Lru.s_len));
     ]
 
+(* The partials registries: answers from a registered state, states built
+   on a miss, states one append folded for more than one entry. *)
+let partials_json t =
+  Json.Obj
+    [
+      ("hits", Json.Num (float_of_int (Obs.Metrics.read c_partials_hit)));
+      ("builds", Json.Num (float_of_int (Obs.Metrics.read c_partials_build)));
+      ("shared", Json.Num (float_of_int (Obs.Metrics.read c_partials_shared)));
+      ("entries", Json.Num (float_of_int (partials_entries t)));
+    ]
+
 let session_stats_json s =
   Mutex.lock s.s_mu;
   let j =
@@ -854,6 +1003,7 @@ let handle_stats t conn ~id =
             ( "plans_refreshed",
               Json.Num (float_of_int (Obs.Metrics.read c_plan_refreshed)) );
           ] );
+      ("partials", partials_json t);
       ("sessions", Json.Arr (List.map session_stats_json sessions));
       ("session", Json.Num (float_of_int conn.session.sid));
     ]
@@ -928,6 +1078,7 @@ let handle_metrics t conn ~id =
         lru_stats_json (Cache.Lru.stats t.result_cache)
           ~hits:(Obs.Metrics.read c_result_hit)
           ~misses:(Obs.Metrics.read c_result_miss) );
+      ("partials", partials_json t);
       ("session", Json.Num (float_of_int conn.session.sid));
     ]
 
@@ -991,6 +1142,7 @@ let prometheus_text t =
   gauge "serve_result_cache_entries" (float_of_int result_stats.Cache.Lru.s_len);
   gauge "serve_result_cache_evictions"
     (float_of_int result_stats.Cache.Lru.s_evictions);
+  gauge "serve_partials_entries" (float_of_int (partials_entries t));
   let sessions = sessions_sorted t in
   gauge "serve_sessions" (float_of_int (List.length sessions));
   List.iter
@@ -1217,8 +1369,13 @@ let reader_loop t conn =
             send_error conn ~id ~code:"error" "server shutting down")))
   done;
   drop_session t conn.session;
-  (try close_out_noerr conn.oc with _ -> ());
-  try Unix.close conn.fd with _ -> ()
+  (* Close the descriptor exactly once, through the channel: a second
+     [Unix.close] could hit a descriptor another thread has just opened
+     under the same number.  The lock keeps a worker mid-response off the
+     channel while it closes. *)
+  Mutex.lock conn.w_mu;
+  close_out_noerr conn.oc;
+  Mutex.unlock conn.w_mu
 
 let accept_loop t =
   let finished = ref false in
@@ -1276,6 +1433,10 @@ let start ?(config = default_config) catalogs =
       catalogs;
       plan_cache = Cache.Lru.create config.plan_cache_cap;
       result_cache = Cache.Lru.create config.result_cache_cap;
+      partials =
+        List.map
+          (fun (layout, _) -> (layout, Cache.Lru.create config.result_cache_cap))
+          catalogs;
       lock = Rwlock.create ();
       queue = Queue.create ();
       q_mu = Mutex.create ();

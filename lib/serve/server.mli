@@ -19,7 +19,10 @@
     ({!Core.Runner.refresh_prepared}), result entries for unrelated tables
     survive untouched, and entries with §6 algebraic partial state
     ({!Core.Delta}) are folded forward or revalidated — only entries
-    without a delta rule drop and recompute on next demand. *)
+    without a delta rule drop and recompute on next demand.  Partial
+    states are shared per query shape: a new iceberg threshold over a
+    registered shape is answered by finalizing its state, without running
+    the join. *)
 
 type config = {
   listen : Protocol.addr;
@@ -29,10 +32,12 @@ type config = {
   result_cache_cap : int;
   max_rows : int option;  (** rows per query response; [None] = all *)
   maintain : bool;
-      (** maintain cached results incrementally across appends: each cached
-          query with a delta rule keeps §6 algebraic partials (one extra
-          partials-query execution when first cached) so appends cost
-          O(delta join) instead of a recompute *)
+      (** maintain cached results incrementally across appends: a cacheable
+          miss over a query with a delta rule is answered from the §6
+          algebraic partial state of its shape (built once, then shared by
+          every threshold and SELECT variant of it, in a registry capped at
+          [result_cache_cap] per layout), and appends fold each state once
+          at O(delta join) instead of a recompute *)
   metrics_addr : Protocol.addr option;
       (** optional plain-HTTP listener answering every request with the
           Prometheus text exposition of the metrics registries (cumulative

@@ -220,6 +220,76 @@ let test_delta_oversized () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "oversized delta must be refused")
 
+(* Views sharing one state: threshold and SELECT variants of one shape
+   have one partials key; each view finalizes the state for its own
+   SELECT and HAVING, and one fold of an append serves them all. *)
+let test_delta_shared_views () =
+  let catalog = basket_catalog () in
+  let shape = " FROM basket i1, basket i2 WHERE i1.bid = i2.bid GROUP BY i1.item" in
+  let variants =
+    [ basket_sql;
+      "SELECT i1.item" ^ shape ^ " HAVING COUNT(*) >= 3";
+      "SELECT i1.item, COUNT(*) AS n" ^ shape ^ " HAVING COUNT(*) < 3" ]
+  in
+  let key sql = Core.Delta.partials_key catalog (parse sql) in
+  List.iter
+    (fun sql ->
+      Alcotest.(check (option string)) ("same shape: " ^ sql) (key basket_sql)
+        (key sql))
+    variants;
+  let other_where =
+    "SELECT i1.item, COUNT(*) FROM basket i1, basket i2 WHERE i1.bid = i2.bid \
+     AND i1.bid < 3 GROUP BY i1.item HAVING COUNT(*) >= 2"
+  in
+  let other_aggs =
+    "SELECT i1.item, COUNT(*)" ^ shape ^ " HAVING SUM(i2.bid) >= 2"
+  in
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) ("different shape: " ^ sql) true
+        (key sql <> key basket_sql))
+    [ other_where; other_aggs ];
+  Alcotest.(check (option string)) "DISTINCT has no key" None
+    (key "SELECT DISTINCT item FROM basket");
+  let v0 =
+    match Core.Delta.init catalog (parse basket_sql) with
+    | Some v -> v
+    | None -> Alcotest.fail "basket_sql must have a delta rule"
+  in
+  let st = Core.Delta.state v0 in
+  Alcotest.(check bool) "a view of another shape is refused" true
+    (Core.Delta.view st (parse other_aggs) = None);
+  let views =
+    List.map
+      (fun sql ->
+        match Core.Delta.view st (parse sql) with
+        | Some v -> (sql, v)
+        | None -> Alcotest.failf "no view for %s" sql)
+      variants
+  in
+  let check_views what =
+    List.iter
+      (fun (sql, v) ->
+        check_bag
+          (Printf.sprintf "%s: %s" what sql)
+          (Core.Runner.run_baseline catalog (parse sql))
+          (Core.Delta.result v))
+      views
+  in
+  check_views "fresh views";
+  let schema = (Catalog.find catalog "basket").Catalog.rel.Relation.schema in
+  List.iter
+    (fun fresh ->
+      Catalog.append_rows catalog "basket" fresh;
+      (match
+         Core.Delta.fold st ~table:"basket" ~delta:(Relation.make schema fresh)
+       with
+       | Ok _ -> ()
+       | Error m -> Alcotest.failf "fold failed: %s" m);
+      check_views "after one fold")
+    [ [| row [ iv 1; sv "z" ]; row [ iv 1; sv "w" ] |];
+      [| row [ iv 7; sv "a" ]; row [ iv 7; sv "b" ]; row [ iv 7; sv "z" ] |] ]
+
 (* Differential fuzz: random iceberg self-joins maintained across random
    append bursts, each checkpoint bag-compared against a recompute. *)
 let test_delta_fuzz () =
@@ -323,6 +393,7 @@ let suite =
     Alcotest.test_case "delta revalidate" `Quick test_delta_revalidate;
     Alcotest.test_case "delta oversized" `Quick test_delta_oversized;
     Alcotest.test_case "delta fuzz" `Quick test_delta_fuzz;
+    Alcotest.test_case "delta shared views" `Quick test_delta_shared_views;
     Alcotest.test_case "refresh prepared" `Quick test_refresh_prepared;
     Alcotest.test_case "refresh prepared unrelated" `Quick
       test_refresh_prepared_unrelated;

@@ -259,6 +259,11 @@ let test_append_maintenance () =
   with_server [ (`Row, basket_catalog ()); (`Column, basket_catalog ()) ]
     (fun addr ->
       let c = Serve.Client.connect addr in
+      (* an engine run (result cache off) leaves a prepared plan behind;
+         cached answers come from partial state and prepare none *)
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool false) ]);
+      ignore (Serve.Client.query c basket_sql);
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool true) ]);
       ignore (Serve.Client.query c basket_sql);
       let r2 = Serve.Client.query c basket_sql in
       Alcotest.(check bool) "warm before append" true (Serve.Client.cached r2);
@@ -619,6 +624,10 @@ let test_metrics_op () =
       let r2 = Serve.Client.query c basket_sql in
       Alcotest.(check bool) "second is a result-cache hit" true
         (Serve.Client.cached r2);
+      (* the cached answer came from partial state; an engine run (result
+         cache off) fills the plan cache *)
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool false) ]);
+      ignore (Serve.Client.query c basket_sql);
       (* every query response carries its request id *)
       (match (Json.member "rid" r1, Json.member "rid" r2) with
        | Some (Json.Num a), Some (Json.Num b) ->
@@ -641,6 +650,14 @@ let test_metrics_op () =
       let counters = obj m "counters" in
       Alcotest.(check bool) "serve.queries counted" true
         (num counters "serve.queries" >= 2.);
+      Alcotest.(check bool) "the first answer built a partial state" true
+        (num counters "serve.partials_build" >= 1.);
+      Alcotest.(check bool) "partials hits exported" true
+        (num counters "serve.partials_hit" >= 0.);
+      Alcotest.(check bool) "partials sharing exported" true
+        (num counters "serve.partials_shared" >= 0.);
+      Alcotest.(check bool) "partials registry reported" true
+        (num (obj m "partials") "entries" >= 1.);
       let hists = obj m "histograms" in
       let qms = obj hists "serve.query_ms" in
       Alcotest.(check bool) "histogram count moved" true
@@ -725,6 +742,10 @@ let test_metrics_http () =
           "serve_plan_cache_entries";
           "serve_result_cache_entries";
           "serve_appends_total";
+          "serve_partials_hit_total";
+          "serve_partials_build_total";
+          "serve_partials_shared_total";
+          "serve_partials_entries 1";
           "serve_session_queries{session=" ])
 
 let read_jsonl path =
@@ -810,6 +831,217 @@ let test_trace_sampling () =
     records;
   Sys.remove path
 
+(* ---- connection churn (descriptors closed exactly once) ---- *)
+
+(* Regression for the double close: [Client.close] and the server's reader
+   loop each closed a connection's descriptor twice, so the second close
+   could hit a descriptor another thread had just opened.  Threads open and
+   close connections while one session keeps querying; nothing may fail. *)
+let test_connection_churn () =
+  with_server [ (`Row, basket_catalog ()) ] (fun addr ->
+      let stop = Atomic.make false in
+      let failures = Array.make 4 None in
+      let querier =
+        Thread.create
+          (fun () ->
+            try
+              let c = Serve.Client.connect addr in
+              let n = ref 0 in
+              while (not (Atomic.get stop)) || !n < 20 do
+                let r = Serve.Client.query c basket_sql in
+                if Serve.Client.rows_n r < 1 then failwith "lost rows";
+                incr n
+              done;
+              Serve.Client.close c
+            with e -> failures.(0) <- Some (Printexc.to_string e))
+          ()
+      in
+      let churners =
+        List.init 3 (fun i ->
+            Thread.create
+              (fun () ->
+                try
+                  for _ = 1 to 40 do
+                    let c = Serve.Client.connect addr in
+                    Serve.Client.ping c;
+                    Serve.Client.close c
+                  done
+                with e -> failures.(i + 1) <- Some (Printexc.to_string e))
+              ())
+      in
+      List.iter Thread.join churners;
+      Atomic.set stop true;
+      Thread.join querier;
+      Array.iter
+        (function Some m -> Alcotest.failf "connection churn: %s" m | None -> ())
+        failures)
+
+(* ---- shared partial state: a family of thresholds and SELECT lists ---- *)
+
+(* Rows of table [m]: join key [g], group key [k], a float [x] with NULLs
+   and a NaN (in one join group only), and an int [y] that reaches max_int
+   and min_int in some groups. *)
+let family_row i =
+  [ iv (i mod 4);
+    iv ((i mod 3) + if i mod 10 = 9 then 3 else 0);
+    (if i mod 7 = 0 then Value.Null
+     else if i = 11 then fv Float.nan
+     else fv (float_of_int i *. 0.5));
+    (if i mod 13 = 0 then iv max_int
+     else if i mod 17 = 1 then iv min_int
+     else if i mod 6 = 2 then Value.Null
+     else iv (i - 20)) ]
+
+let family_catalog rows =
+  let catalog = Catalog.create () in
+  Catalog.add_table catalog "m" (rel [ "g"; "k"; "x"; "y" ] rows);
+  catalog
+
+(* One partials shape — the self-join on [g] grouped by [a.g, a.k] with
+   COUNT, SUM and AVG over [b.x] and MIN/MAX over [b.y] — under different
+   SELECT lists and HAVING thresholds. *)
+let family_variants =
+  let from = " FROM m a, m b WHERE a.g = b.g GROUP BY a.g, a.k" in
+  [ "SELECT a.g, a.k, COUNT(*), SUM(b.x), AVG(b.x), MIN(b.y), MAX(b.y)" ^ from
+    ^ " HAVING COUNT(*) >= 30";
+    "SELECT a.k, MAX(b.y), MIN(b.y), COUNT(*)" ^ from
+    ^ " HAVING AVG(b.x) > 9.4 AND SUM(b.x) < 400";
+    "SELECT a.g, AVG(b.x) AS mean" ^ from
+    ^ " HAVING COUNT(*) >= 20 AND MIN(b.y) < 0 AND MAX(b.y) > 0 AND SUM(b.x) \
+       > 0";
+    "SELECT a.k, a.g, COUNT(*) AS n, SUM(b.x)" ^ from
+    ^ " HAVING MAX(b.y) >= MIN(b.y) AND AVG(b.x) >= 0" ]
+
+(* The expected relation as the wire carries it: NaN travels as null, and
+   integers beyond 2^53 as floats. *)
+let wire_rel rel =
+  Relation.map_rows rel.Relation.schema
+    (Array.map (fun v ->
+         P.value_of_json (Json.of_string (Json.to_string (P.value_to_json v)))))
+    rel
+
+let partials_counter stats name =
+  match Json.member "partials" stats with
+  | Some p ->
+    (match Json.member name p with
+     | Some (Json.Num x) -> int_of_float x
+     | _ -> Alcotest.failf "stats partials lacks %s" name)
+  | None -> Alcotest.fail "stats has no partials object"
+
+let test_partials_family () =
+  let base = List.init 40 family_row in
+  let col_catalog = family_catalog base in
+  Catalog.set_all_layouts col_catalog `Column;
+  with_server [ (`Row, family_catalog base); (`Column, col_catalog) ]
+    (fun addr ->
+      let c = Serve.Client.connect addr in
+      let check_all what rows ~cached =
+        let want = family_catalog rows in
+        List.iter
+          (fun layout ->
+            ignore (Serve.Client.set c [ ("layout", Json.Str layout) ]);
+            List.iteri
+              (fun i sql ->
+                let r = Serve.Client.query c sql in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s variant %d cached" what layout i)
+                  cached (Serve.Client.cached r);
+                check_wire_bag
+                  (Printf.sprintf "%s %s variant %d" what layout i)
+                  (wire_rel
+                     (Core.Runner.run_baseline want (Sqlfront.Parser.parse sql)))
+                  r)
+              family_variants)
+          [ "row"; "column" ]
+      in
+      let stats0 = Serve.Client.stats c in
+      (* first round: one state per layout, built once, the rest answered
+         from it *)
+      List.iter
+        (fun layout ->
+          ignore (Serve.Client.set c [ ("layout", Json.Str layout) ]);
+          List.iter
+            (fun sql ->
+              Alcotest.(check string) "answered from partial state" "partials"
+                (plan_of (Serve.Client.query c sql)))
+            family_variants)
+        [ "row"; "column" ];
+      let stats1 = Serve.Client.stats c in
+      let moved stats0 stats1 name =
+        partials_counter stats1 name - partials_counter stats0 name
+      in
+      let nv = List.length family_variants in
+      Alcotest.(check int) "one build per layout" 2 (moved stats0 stats1 "builds");
+      Alcotest.(check int) "every other variant hits" (2 * (nv - 1))
+        (moved stats0 stats1 "hits");
+      check_all "warm" base ~cached:true;
+      (* three bursts with NULLs, a NaN and boundary integers *)
+      let rows = ref base in
+      List.iteri
+        (fun b burst ->
+          let fresh = List.map (fun i -> family_row (100 + (10 * b) + i)) burst in
+          let before = Serve.Client.stats c in
+          let resp =
+            Serve.Client.append c "m"
+              (List.map
+                 (fun r -> Json.Arr (List.map P.value_to_json r))
+                 fresh)
+          in
+          let after = Serve.Client.stats c in
+          Alcotest.(check int) "every entry maintained" (2 * nv)
+            (int_field resp "incremental");
+          Alcotest.(check int) "nothing dropped" 0 (int_field resp "invalidated");
+          (* one shared state per layout, each folded once *)
+          Alcotest.(check int) "one shared fold per layout" 2
+            (moved before after "shared");
+          rows := !rows @ fresh;
+          check_all (Printf.sprintf "burst %d" b) !rows ~cached:true)
+        [ [ 0; 1; 2 ]; [ 3; 4 ]; [ 5; 6; 7; 8 ] ];
+      (* a delta over half the table fails the fold: every sharer drops,
+         and the next answers rebuild from scratch *)
+      let big = List.init 80 (fun i -> family_row (200 + i)) in
+      let resp =
+        Serve.Client.append c "m"
+          (List.map (fun r -> Json.Arr (List.map P.value_to_json r)) big)
+      in
+      Alcotest.(check int) "failed fold drops every sharer" (2 * nv)
+        (int_field resp "invalidated");
+      Alcotest.(check int) "nothing maintained" 0 (int_field resp "maintained");
+      rows := !rows @ big;
+      let before = Serve.Client.stats c in
+      check_all "after failed fold" !rows ~cached:false;
+      let after = Serve.Client.stats c in
+      Alcotest.(check int) "rebuilt once per layout" 2
+        (moved before after "builds");
+      (* instrumented and uncached runs still go through the engine *)
+      let sql = List.hd family_variants in
+      let want =
+        wire_rel
+          (Core.Runner.run_baseline (family_catalog !rows)
+             (Sqlfront.Parser.parse sql))
+      in
+      let engine what r =
+        Alcotest.(check bool) (what ^ " not cached") false (Serve.Client.cached r);
+        Alcotest.(check bool)
+          (what ^ " ran the engine")
+          true
+          (List.mem (plan_of r) [ "miss"; "hit"; "bypass" ]);
+        check_wire_bag what want r
+      in
+      engine "analyze" (Serve.Client.query ~analyze:true c sql);
+      ignore (Serve.Client.set c [ ("trace_sample", Json.Num 1.) ]);
+      engine "sampled" (Serve.Client.query c sql);
+      ignore
+        (Serve.Client.set c
+           [ ("trace_sample", Json.Num 0.); ("result_cache", Json.Bool false) ]);
+      let r1 = Serve.Client.query c sql in
+      let r2 = Serve.Client.query c sql in
+      engine "uncached" r1;
+      engine "uncached repeat" r2;
+      Alcotest.(check string) "uncached plans" "miss" (plan_of r1);
+      Alcotest.(check string) "uncached reuses the plan" "hit" (plan_of r2);
+      Serve.Client.close c)
+
 let suite =
   [
     Alcotest.test_case "lru basic" `Quick test_lru_basic;
@@ -834,4 +1066,6 @@ let suite =
     Alcotest.test_case "prometheus http exporter" `Quick test_metrics_http;
     Alcotest.test_case "slow-query log" `Quick test_slow_log;
     Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
+    Alcotest.test_case "connection churn" `Quick test_connection_churn;
+    Alcotest.test_case "partials family" `Quick test_partials_family;
   ]
