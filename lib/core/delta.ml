@@ -39,7 +39,6 @@ type aggkind = K_count | K_sum | K_min | K_max | K_avg
 type state = {
   s_catalog : Catalog.t;
   s_pq : Ast.query;  (* the partials query; its FROM/WHERE drive the delta step *)
-  s_key : string;  (* normalized text of [s_pq] *)
   s_tables : string list;  (* distinct base tables, normalized *)
   s_aggs : (Ast.agg * aggkind * int) list;  (* agg, kind, first partial slot *)
   s_ncols : int;  (* partial slots per group *)
@@ -198,15 +197,17 @@ let canonical_aggs q =
   let text a = Pretty.scalar (Ast.S_agg a) in
   List.sort (fun a b -> compare (text a) (text b)) (query_aggs q)
 
-(* The layout and normalized partials query of a supported query. *)
+(* The layout and partials query of a supported query. *)
 let shape q =
   let laid, ncols = agg_layout (canonical_aggs q) in
-  let pq = partials_query q laid in
-  (laid, ncols, pq, Pretty.query pq)
+  (laid, ncols, partials_query q laid)
 
 let partials_key catalog q =
   if not (supported catalog q) then None
-  else match shape q with (_, _, _, key) -> Some key | exception _ -> None
+  else
+    match shape q with
+    | _, _, pq -> Some (Pretty.query pq)
+    | exception _ -> None
 
 let fold_partials st rel =
   let ng = st.s_ng in
@@ -301,11 +302,16 @@ let compile_view st q =
   let out_schema, out_fns, phi = compile_output st.s_catalog q st.s_aggs in
   { d_state = st; d_out_schema = out_schema; d_out_fns = out_fns; d_phi = phi }
 
+(* The partials query itself is compared, not just its key: a view must
+   never finalize a state built for another WHERE. *)
 let view st (q : Ast.query) =
-  if partials_key st.s_catalog q <> Some st.s_key then None
+  if not (supported st.s_catalog q) then None
   else
-    match compile_view st q with
-    | t -> Some t
+    match
+      let _, _, pq = shape q in
+      if compare pq st.s_pq = 0 then Some (compile_view st q) else None
+    with
+    | t -> t
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception _ -> None
 
@@ -315,12 +321,11 @@ let init ?(max_groups = 200_000) catalog (q : Ast.query) =
   if not (supported catalog q) then None
   else
     match
-      let laid, ncols, pq, key = shape q in
+      let laid, ncols, pq = shape q in
       let st =
         {
           s_catalog = catalog;
           s_pq = pq;
-          s_key = key;
           s_tables = Ast.tables_of_query q;
           s_aggs = laid;
           s_ncols = ncols;

@@ -46,9 +46,10 @@ val init : ?max_groups:int -> Relalg.Catalog.t -> Sqlfront.Ast.query -> t option
     the query uncached-maintained. *)
 
 val view : state -> Sqlfront.Ast.query -> t option
-(** A view of an existing state for a query with the same {!partials_key};
-    compiles only the SELECT list and HAVING, runs nothing.  [None] when
-    the keys differ or compilation fails. *)
+(** A view of an existing state for a query with the same partials query
+    (compared structurally, not only by {!partials_key}); compiles only the
+    SELECT list and HAVING, runs nothing.  [None] when the partials queries
+    differ or compilation fails. *)
 
 val state : t -> state
 (** The state a view finalizes (shared with every other view of it). *)

@@ -832,8 +832,10 @@ let handle_append t conn ~id table rows =
                    | None -> ());
                 keep)
         in
-        (* Registered states no entry shares fold too, so the next fresh
-           threshold over their shape still finds them current. *)
+        (* A registered state stays only if a cached entry shared it and
+           its fold succeeded above.  States no entry shares are not folded:
+           they drop, and the next fresh threshold over their shape
+           rebuilds one. *)
         List.iter
           (fun (layout, registry) ->
             let cat = catalog_for t layout in
@@ -842,10 +844,10 @@ let handle_append t conn ~id table rows =
                    let tables = Core.Delta.state_tables pe.ps_state in
                    if not (List.mem t_norm tables) then true
                    else
-                     let (outcome, fold_ms, _), first = fold pe.ps_state in
-                     if first then observe_maint fold_ms;
-                     match (outcome, stamps_now cat tables) with
-                     | Ok _, Some st ->
+                     match
+                       (List.assq_opt pe.ps_state !folds, stamps_now cat tables)
+                     with
+                     | Some (Ok _, _, _), Some st ->
                        pe.ps_stamps <- st;
                        true
                      | _ -> false)))

@@ -14,9 +14,25 @@ let cmp_str = function
   | Relalg.Expr.Gt -> ">"
   | Relalg.Expr.Ge -> ">="
 
+(* Constants print without loss, so the text of a query identifies it: the
+   server keys its plan, result and partials caches by this text.  A float
+   takes the fewest significant digits that read back to the same value
+   ([Value.to_string]'s [%g] keeps only six); a string doubles its quotes,
+   as the lexer expects. *)
+let float_str x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p x in
+      if p >= 17 || float_of_string s = x then s else go (p + 1)
+    in
+    go 15
+
 let const_str v =
   match v with
-  | Relalg.Value.Str s -> "'" ^ s ^ "'"
+  | Relalg.Value.Str s ->
+    "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | Relalg.Value.Float x -> float_str x
   | _ -> Relalg.Value.to_string v
 
 let rec scalar = function

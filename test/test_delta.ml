@@ -290,6 +290,28 @@ let test_delta_shared_views () =
     [ [| row [ iv 1; sv "z" ]; row [ iv 1; sv "w" ] |];
       [| row [ iv 7; sv "a" ]; row [ iv 7; sv "b" ]; row [ iv 7; sv "z" ] |] ]
 
+(* Two WHERE constants that a six-digit [%g] prints alike select different
+   rows; they must not share a state. *)
+let test_delta_keys_lossless () =
+  let catalog = basket_catalog () in
+  let sql c =
+    "SELECT i1.item, COUNT(*) FROM basket i1, basket i2 WHERE i1.bid = i2.bid \
+     AND i1.bid < " ^ c ^ " GROUP BY i1.item HAVING COUNT(*) >= 1"
+  in
+  let above = sql "2.0000001" and below = sql "1.9999999" in
+  let key s = Core.Delta.partials_key catalog (parse s) in
+  Alcotest.(check bool) "keys differ" true (key above <> key below);
+  let v =
+    match Core.Delta.init catalog (parse above) with
+    | Some v -> v
+    | None -> Alcotest.fail "delta rule expected"
+  in
+  Alcotest.(check bool) "no view over the other WHERE" true
+    (Core.Delta.view (Core.Delta.state v) (parse below) = None);
+  check_bag "state answers its own WHERE"
+    (Core.Runner.run_baseline catalog (parse above))
+    (Core.Delta.result v)
+
 (* Differential fuzz: random iceberg self-joins maintained across random
    append bursts, each checkpoint bag-compared against a recompute. *)
 let test_delta_fuzz () =
@@ -394,6 +416,7 @@ let suite =
     Alcotest.test_case "delta oversized" `Quick test_delta_oversized;
     Alcotest.test_case "delta fuzz" `Quick test_delta_fuzz;
     Alcotest.test_case "delta shared views" `Quick test_delta_shared_views;
+    Alcotest.test_case "delta keys lossless" `Quick test_delta_keys_lossless;
     Alcotest.test_case "refresh prepared" `Quick test_refresh_prepared;
     Alcotest.test_case "refresh prepared unrelated" `Quick
       test_refresh_prepared_unrelated;

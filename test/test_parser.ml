@@ -117,6 +117,18 @@ let structure =
         match Parser.parse_scalar "1 + 2 * 3" with
         | Ast.S_binop (Relalg.Expr.Add, _, Ast.S_binop (Relalg.Expr.Mul, _, _)) -> ()
         | _ -> Alcotest.fail "bad precedence");
+    t "constants print without loss" (fun () ->
+        (* floats that [%g] prints alike, and a quote inside a string *)
+        let sql =
+          "SELECT a FROM t WHERE b < 2.0000001 AND c < 1.9999999 AND d = \
+           1234567.5 AND e = 'it''s'"
+        in
+        let q = Parser.parse sql in
+        Alcotest.(check bool) "reparses to the same query" true
+          (Parser.parse (Pretty.query q) = q);
+        Alcotest.(check bool) "distinct floats print apart" true
+          (Pretty.query (Parser.parse "SELECT a FROM t WHERE b < 2.0000001")
+          <> Pretty.query (Parser.parse "SELECT a FROM t WHERE b < 1.9999999")));
     t "NOT binds predicates" (fun () ->
         match Parser.parse_pred "NOT a = 1 AND b = 2" with
         | Ast.P_and (Ast.P_not _, _) -> ()

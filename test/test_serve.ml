@@ -620,10 +620,28 @@ let test_prepared_statements () =
 let test_metrics_op () =
   with_server [ (`Row, basket_catalog ()) ] (fun addr ->
       let c = Serve.Client.connect addr in
+      let counter m name =
+        match Json.member "counters" m with
+        | Some cs ->
+          (match Json.member name cs with
+           | Some (Json.Num x) -> x
+           | _ -> Alcotest.failf "metrics counters missing %s" name)
+        | None -> Alcotest.fail "metrics missing counters"
+      in
+      let m0 = Serve.Client.metrics c in
       let r1 = Serve.Client.query c basket_sql in
       let r2 = Serve.Client.query c basket_sql in
       Alcotest.(check bool) "second is a result-cache hit" true
         (Serve.Client.cached r2);
+      (* a second threshold of the same text is answered from the state the
+         first built; an append then folds that state once for both *)
+      let basket_sql3 =
+        String.sub basket_sql 0 (String.length basket_sql - 1) ^ "3"
+      in
+      Alcotest.(check string) "second threshold from partials" "partials"
+        (plan_of (Serve.Client.query c basket_sql3));
+      ignore
+        (Serve.Client.append c "basket" [ Json.Arr [ Json.Num 1.; Json.Str "z" ] ]);
       (* the cached answer came from partial state; an engine run (result
          cache off) fills the plan cache *)
       ignore (Serve.Client.set c [ ("result_cache", Json.Bool false) ]);
@@ -650,12 +668,13 @@ let test_metrics_op () =
       let counters = obj m "counters" in
       Alcotest.(check bool) "serve.queries counted" true
         (num counters "serve.queries" >= 2.);
+      let moved name = counter m name -. counter m0 name in
       Alcotest.(check bool) "the first answer built a partial state" true
-        (num counters "serve.partials_build" >= 1.);
-      Alcotest.(check bool) "partials hits exported" true
-        (num counters "serve.partials_hit" >= 0.);
-      Alcotest.(check bool) "partials sharing exported" true
-        (num counters "serve.partials_shared" >= 0.);
+        (moved "serve.partials_build" >= 1.);
+      Alcotest.(check bool) "the second threshold hit it" true
+        (moved "serve.partials_hit" >= 1.);
+      Alcotest.(check bool) "the append folded it once for both entries" true
+        (moved "serve.partials_shared" >= 1.);
       Alcotest.(check bool) "partials registry reported" true
         (num (obj m "partials") "entries" >= 1.);
       let hists = obj m "histograms" in
@@ -1042,6 +1061,26 @@ let test_partials_family () =
       Alcotest.(check string) "uncached reuses the plan" "hit" (plan_of r2);
       Serve.Client.close c)
 
+(* Fresh texts whose WHERE constants a six-digit [%g] prints alike select
+   different rows: the second must not be answered from the first's state. *)
+let test_partials_lossless_key () =
+  let sql c =
+    "SELECT i1.item, COUNT(*) FROM basket i1, basket i2 WHERE i1.bid = i2.bid \
+     AND i1.bid < " ^ c ^ " GROUP BY i1.item HAVING COUNT(*) >= 1"
+  in
+  with_server [ (`Row, basket_catalog ()) ] (fun addr ->
+      let c = Serve.Client.connect addr in
+      List.iter
+        (fun k ->
+          let r = Serve.Client.query c (sql k) in
+          Alcotest.(check bool) (k ^ " not cached") false (Serve.Client.cached r);
+          check_wire_bag k
+            (Core.Runner.run_baseline (basket_catalog ())
+               (Sqlfront.Parser.parse (sql k)))
+            r)
+        [ "2.0000001"; "1.9999999" ];
+      Serve.Client.close c)
+
 let suite =
   [
     Alcotest.test_case "lru basic" `Quick test_lru_basic;
@@ -1068,4 +1107,5 @@ let suite =
     Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
     Alcotest.test_case "connection churn" `Quick test_connection_churn;
     Alcotest.test_case "partials family" `Quick test_partials_family;
+    Alcotest.test_case "partials lossless key" `Quick test_partials_lossless_key;
   ]
