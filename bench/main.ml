@@ -1031,7 +1031,8 @@ let vec () =
   let vector_engaged, vevals, skipped, scanned =
     match rep_vec.Core.Runner.nljp_stats with
     | Some s ->
-      ( s.Core.Nljp.vector_on, s.Core.Nljp.vector_evals,
+      ( (match s.Core.Nljp.access with Core.Nljp.A_vector _ -> true | _ -> false),
+        s.Core.Nljp.vector_evals,
         s.Core.Nljp.inner_blocks_skipped, s.Core.Nljp.inner_blocks_scanned )
     | None -> (false, 0, 0, 0)
   in

@@ -5,8 +5,9 @@
    outer/inner split and its memo/prune configuration
    ([Optimizer.pick_memprune] via [Optimizer.decide]), the inner-side access
    path in priority order (hash probe ≻ vectorized column probe ≻ sorted
-   inner index ≻ row scan, [Nljp.plan_access]) and the cost model's estimate
-   of the baseline physical plan ([Cost.explain]).
+   inner index ≻ row scan, [Nljp.choose_access] — the decision
+   [Nljp.execute] runs) and the cost model's estimate of the baseline
+   physical plan ([Cost.explain]).
 
    [Optimizer.decide] with [adaptive:false] only analyzes — Qspec analysis,
    subsumption derivation and [Nljp.build] are static — so nothing of the
@@ -24,14 +25,7 @@ let add_block b title body =
   |> List.iter (fun line -> if line <> "" then Buffer.add_string b ("  " ^ line ^ "\n"))
 
 let explain_block ~tech ~nljp_config catalog (q : Ast.query) b =
-  (* Mirrors Runner.run_block's shape gate: queries outside the iceberg form
-     run as the baseline plan. *)
-  let optimizable =
-    q.Ast.having <> None
-    && List.length q.Ast.from >= 2
-    && List.for_all (function Ast.T_table _ -> true | _ -> false) q.Ast.from
-    && (tech.Optimizer.apriori || tech.Optimizer.memo || tech.Optimizer.pruning)
-  in
+  let optimizable = Optimizer.iceberg_shape ~tech q in
   let decision =
     if not optimizable then None
     else
@@ -62,7 +56,7 @@ let explain_block ~tech ~nljp_config catalog (q : Ast.query) b =
         Buffer.add_string b
           (Printf.sprintf "NLJP outer side: {%s}\n" (String.concat ", " aliases));
         add_block b "NLJP component queries:" (Nljp.describe op);
-        let access, access_notes = Nljp.plan_access op in
+        let access, access_notes = Nljp.choose_access op in
         Buffer.add_string b
           ("inner access path: " ^ Nljp.access_to_string access ^ "\n");
         List.iter

@@ -24,6 +24,22 @@ let default_config =
     workers = 1;
   }
 
+(* The inner side's access path for Q_R(b), as [choose_access] decided it:
+   each case carries what [execute] builds its structure from. *)
+type access =
+  | A_hash of (Schema.col * Expr.t) list
+  | A_vector of Colprobe.verdict
+  | A_index of { col : Schema.col; op : Expr.cmp; bound : Expr.t }
+  | A_scan
+
+let access_to_string = function
+  | A_hash probes ->
+    let n = List.length probes in
+    Printf.sprintf "hash probe (%d equality conjunct%s)" n (if n = 1 then "" else "s")
+  | A_vector _ -> "vectorized column probe (zone-map skipping)"
+  | A_index { col; _ } -> Printf.sprintf "sorted inner index on %s" (Qspec.col_name col)
+  | A_scan -> "row scan"
+
 type stats = {
   mutable outer_rows : int;
   mutable inner_evals : int;
@@ -34,7 +50,7 @@ type stats = {
   mutable cache_bytes : int;
   mutable pruning_on : bool;
   mutable memo_on : bool;
-  mutable vector_on : bool;
+  mutable access : access;
   mutable vector_evals : int;
   mutable vector_fallbacks : int;
   mutable inner_blocks_skipped : int;
@@ -54,7 +70,7 @@ let fresh_stats () =
     cache_bytes = 0;
     pruning_on = false;
     memo_on = false;
-    vector_on = false;
+    access = A_scan;
     vector_evals = 0;
     vector_fallbacks = 0;
     inner_blocks_skipped = 0;
@@ -492,6 +508,73 @@ let shared_cache_rows sc =
   ( (match sc.sc_prune with Some p -> Prune_cache.length p | None -> 0),
     match sc.sc_memo with Some m -> Row.Tbl.length m | None -> 0 )
 
+(* J_L's positions in [outer], the binding schema they project, and Θ
+   resolved against that binding and [inner]. *)
+let binding_theta catalog (spec : Qspec.t) ~outer ~inner =
+  let jl_idx =
+    List.map (fun c -> Schema.index_of_col outer c) spec.Qspec.left.Qspec.join_cols
+  in
+  let binding = Schema.project outer jl_idx in
+  (jl_idx, binding,
+   Expr.canonicalize (Schema.append binding inner) (Qspec.theta_expr catalog spec))
+
+(* The inner access path for Q_R(b), in priority order: hash probe on the
+   equality Θ conjuncts [r_col = f(b)] (what the paper gets from PostgreSQL
+   preparing Q_R once) ≻ vectorized column probe (it subsumes the sorted
+   index: its zone-map tests restrict the scan block-wise, for every probe
+   at once) ≻ sorted inner index on a Θ bound (the BT configuration) ≻ row
+   scan.  Decided from the spec, the
+   inner base table and the config alone — no side query is materialized —
+   so [execute] runs it and EXPLAIN prints it.  The notes say why the
+   vector path was rejected. *)
+let choose_access op =
+  let { catalog; spec; overrides; config; _ } = op in
+  let right = spec.Qspec.right in
+  let r_schema = right.Qspec.schema in
+  let _, binding, theta =
+    binding_theta catalog spec ~outer:spec.Qspec.left.Qspec.schema ~inner:r_schema
+  in
+  let probes =
+    List.filter_map
+      (fun conj ->
+        Option.map
+          (fun (i, cmp, f) -> (Schema.nth r_schema i, cmp, f))
+          (Compile.inner_probe ~binding ~inner:r_schema conj))
+      (Expr.conjuncts theta)
+  in
+  let eqs =
+    List.filter_map
+      (fun (c, cmp, f) -> if cmp = Expr.Eq then Some (c, f) else None)
+      probes
+  in
+  let vector =
+    if not config.vector then Error "disabled by configuration"
+    else if eqs <> [] then Error "equality Θ conjunct uses the hash probe path"
+    else
+      match right.Qspec.tables with
+      | [ (_, alias) ] when List.mem_assoc alias overrides ->
+        Error "inner FROM item is overridden (a-priori reducer)"
+      | [ _ ] when right.Qspec.local <> [] ->
+        Error "inner-side local predicates materialize a row relation"
+      | [ (tname, _) ] ->
+        let rel = (Catalog.find catalog tname).Catalog.rel in
+        if Relation.layout rel <> `Column then Error "inner side is not column-primary"
+        else
+          Colprobe.check ~binding ~inner:r_schema ~store:(Relation.cstore rel) ~theta
+            ~aggs:(List.map Binder.agg_func op.all_aggs)
+      | _ -> Error "inner side joins several tables"
+  in
+  let access =
+    match eqs, vector with
+    | _ :: _, _ -> A_hash eqs
+    | [], Ok v -> A_vector v
+    | [], Error _ ->
+      (match List.find_opt (fun (_, cmp, _) -> cmp <> Expr.Eq) probes with
+       | Some (col, op, bound) when config.inner_index -> A_index { col; op; bound }
+       | _ -> A_scan)
+  in
+  (access, match vector with Error r -> [ "vector off: " ^ r ] | Ok _ -> [])
+
 let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
   let stats = op.stats in
@@ -565,8 +648,8 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
       with _ -> None
   in
   let l_schema = l_rel.Relation.schema and r_schema = r_rel.Relation.schema in
-  let jl_idx =
-    List.map (fun c -> Schema.index_of_col l_schema c) left_side.Qspec.join_cols
+  let jl_idx, binding_schema, theta =
+    binding_theta catalog spec ~outer:l_schema ~inner:r_schema
   in
   (* Optional Q_B exploration order (an ORDER BY on the binding query).
      [`Auto] wants the most-subsuming bindings first so the cache fills with
@@ -605,12 +688,6 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
     | `Default | `Auto -> l_rel
     | `Asc dim -> by dim false
     | `Desc dim -> by dim true
-  in
-  let binding_schema = Schema.project l_schema jl_idx in
-  let theta =
-    Expr.canonicalize
-      (Schema.append binding_schema r_schema)
-      (Qspec.theta_expr catalog spec)
   in
   let theta_ok = Compile.join_pred binding_schema r_schema theta in
   let gl_idx =
@@ -671,129 +748,49 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
       spec.Qspec.select
   in
   let out_schema = Schema.of_cols (List.map snd out_items) in
-  (* Inner-side access paths for Q_R(b).  Equality Θ conjuncts between a
-     bare inner column and a binding expression become a hash-index probe
-     (what the paper gets from PostgreSQL preparing Q_R once); with the BT
-     configuration, an inequality conjunct additionally gives a sorted-index
-     range restriction. *)
-  let bare_r = function
-    | Expr.Col c ->
-      (match Schema.index_of_col r_schema c with
-       | i -> Some i
-       | exception Schema.Unknown_column _ -> None
-       | exception Schema.Ambiguous_column _ -> None)
+  let access, access_notes = choose_access op in
+  stats.access <- access;
+  stats.notes <- stats.notes @ access_notes;
+  Option.iter
+    (fun s -> Obs.Span.note s ("inner access path: " ^ access_to_string access))
+    span;
+  let colprobe =
+    match access with
+    | A_vector v -> Some (Colprobe.build v ~inner:(Relation.cstore r_rel) ~gr_idx)
     | _ -> None
   in
-  let binding_only e =
-    List.for_all
-      (fun c ->
-        match Schema.index_of_col binding_schema c with
-        | _ -> true
-        | exception Schema.Unknown_column _ -> false
-        | exception Schema.Ambiguous_column _ -> false)
-      (Expr.columns e)
-  in
-  let eq_probes =
-    List.filter_map
-      (fun conj ->
-        match conj with
-        | Expr.Cmp (Expr.Eq, a, b) ->
-          (match bare_r a, bare_r b with
-           | Some ridx, _ when binding_only b -> Some (ridx, Compile.scalar binding_schema b)
-           | _, Some ridx when binding_only a -> Some (ridx, Compile.scalar binding_schema a)
-           | _ -> None)
-        | _ -> None)
-      (Expr.conjuncts theta)
-  in
-  let inner_hash =
-    match eq_probes with
-    | [] -> None
-    | probes ->
-      let idx = Index.Hash.build r_rel (List.map fst probes) in
-      let fs = Array.of_list (List.map snd probes) in
-      let key_of b = Array.map (fun f -> f b) fs in
-      Some (idx, key_of)
-  in
-  (* Vectorized inner path (Colprobe): engaged when no equality conjunct
-     feeds the hash probe, the inner side is column-primary, and the whole
-     inner query compiles to parameterized probes + typed aggregation
-     kernels.  It subsumes the sorted index: the zone-map tests restrict
-     the scan per binding block-wise, for every probe at once. *)
-  let colprobe, vector_reason =
-    if not config.vector then (None, Some "disabled by configuration")
-    else if inner_hash <> None then
-      (None, Some "equality Θ conjunct uses the hash probe path")
-    else if Relation.layout r_rel <> `Column then
-      (None, Some "inner side is not column-primary")
-    else begin
-      (* Transferred filters on inner-side columns also ride the vectorized
-         path: resolved to inner schema indices, they refute blocks against
-         the filter's observed range and cull selected rows by membership
-         (composing with the per-binding zone probes).  The inner side was
-         already semi-join-reduced at scan time, so this is cheap backstop
-         work — it matters when a filter's name didn't resolve on the base
-         scan (e.g. the side query renamed columns). *)
-      let extra =
-        List.concat_map
-          (fun (alias, fs) ->
-            if not (List.mem alias right_side.Qspec.aliases) then []
-            else
-              List.filter_map
-                (fun (col, bl) ->
-                  match Schema.index_of r_schema ~q:alias col with
-                  | i -> Some (i, bl)
-                  | exception Schema.Unknown_column _ -> None
-                  | exception Schema.Ambiguous_column _ -> None)
-                fs)
-          transfer
-      in
-      match
-        Colprobe.build ~extra ~binding:binding_schema
-          ~inner:(Relation.cstore r_rel) ~theta ~gr_idx
-          ~aggs:(List.map (fun (a, _) -> Binder.agg_func a) agg_mapping)
-      with
-      | Ok cp -> (Some cp, None)
-      | Error r -> (None, Some r)
-    end
-  in
-  stats.vector_on <- colprobe <> None;
-  (match vector_reason with
-   | Some r -> stats.notes <- stats.notes @ [ "vector off: " ^ r ]
-   | None -> ());
   (* Force the inner side's row view now, on this domain, when a row-path
      access method will run inside worker domains ([eval_inner] must not
      race on the lazy row cache).  The vectorized path never touches rows. *)
   if colprobe = None then ignore (Relation.rows r_rel : Row.t array);
-  let inner_index =
-    if (not config.inner_index) || colprobe <> None then None
-    else
-      List.find_map
-        (fun conj ->
-          match conj with
-          | Expr.Cmp (cmp_op, a, b) ->
-            let mk ridx bound_e op =
-              let idx = Index.Sorted.build r_rel [ ridx ] in
-              let f = Compile.scalar binding_schema bound_e in
-              let bound b =
-                match op with
-                | Expr.Le -> (None, Some (f b, `Inclusive))
-                | Expr.Lt -> (None, Some (f b, `Strict))
-                | Expr.Ge -> (Some (f b, `Inclusive), None)
-                | Expr.Gt -> (Some (f b, `Strict), None)
-                | Expr.Eq -> (Some (f b, `Inclusive), Some (f b, `Inclusive))
-                | Expr.Ne -> (None, None)
-              in
-              Some (idx, bound)
-            in
-            (match cmp_op with
-             | Expr.Eq -> None (* handled by the hash probe *)
-             | _ ->
-               (match bare_r a, bare_r b with
-                | Some ridx, _ when binding_only b -> mk ridx b cmp_op
-                | _, Some ridx when binding_only a -> mk ridx a (Expr.flip_cmp cmp_op)
-                | _ -> None))
-          | _ -> None)
-        (Expr.conjuncts theta)
+  (* The inner rows a binding's Q_R(b) considers, through the chosen path;
+     the vector path's row fallback scans them all. *)
+  let candidates : Row.t -> (Row.t -> unit) -> unit =
+    match access with
+    | A_hash probes ->
+      let idx =
+        Index.Hash.build r_rel
+          (List.map (fun (c, _) -> Schema.index_of_col r_schema c) probes)
+      in
+      let fs =
+        Array.of_list (List.map (fun (_, e) -> Compile.scalar binding_schema e) probes)
+      in
+      fun b k -> List.iter k (Index.Hash.probe idx (Array.map (fun f -> f b) fs))
+    | A_index { col; op; bound } ->
+      let idx = Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ] in
+      let f = Compile.scalar binding_schema bound in
+      fun b k ->
+        let lo, hi =
+          match op with
+          | Expr.Le -> (None, Some (f b, `Inclusive))
+          | Expr.Lt -> (None, Some (f b, `Strict))
+          | Expr.Ge -> (Some (f b, `Inclusive), None)
+          | Expr.Gt -> (Some (f b, `Strict), None)
+          | Expr.Eq -> (Some (f b, `Inclusive), Some (f b, `Inclusive))
+          | Expr.Ne -> (None, None)
+        in
+        Index.Sorted.iter_range idx ~lo ~hi k
+    | A_vector _ | A_scan -> fun _ k -> Relation.iter k r_rel
   in
   (* Pruning setup. *)
   let pruning_active = config.pruning && op.prune_reason = None in
@@ -904,12 +901,7 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
         List.iter2 (fun c st -> c.Agg.step st rrow) compiled states
       end
     in
-    (match inner_hash, inner_index with
-     | Some (idx, key_of), _ -> List.iter consider (Index.Hash.probe idx (key_of b))
-     | None, Some (idx, bound) ->
-       let lo, hi = bound b in
-       Index.Sorted.iter_range idx ~lo ~hi consider
-     | None, None -> Relation.iter consider r_rel);
+    candidates b consider;
     List.rev_map
       (fun v ->
         let states = Row.Tbl.find parts v in
@@ -1469,16 +1461,9 @@ let delta_refresh op shared ~table ~delta =
     if Array.length drows = 0 then `Kept
     else begin
       Obs.Metrics.add m_delta_refreshes 1;
-      let l_schema = left_side.Qspec.schema
-      and r_schema = right_side.Qspec.schema in
-      let jl_idx =
-        List.map (fun c -> Schema.index_of_col l_schema c) left_side.Qspec.join_cols
-      in
-      let binding_schema = Schema.project l_schema jl_idx in
-      let theta =
-        Expr.canonicalize
-          (Schema.append binding_schema r_schema)
-          (Qspec.theta_expr catalog spec)
+      let r_schema = right_side.Qspec.schema in
+      let _, binding_schema, theta =
+        binding_theta catalog spec ~outer:left_side.Qspec.schema ~inner:r_schema
       in
       let probes, gates, _exact =
         Compile.param_probes ~binding:binding_schema ~inner:r_schema theta
@@ -1583,164 +1568,3 @@ let delta_refresh op shared ~table ~delta =
 let side_queries op =
   ( Qspec.side_query ~overrides:op.overrides op.spec.Qspec.left,
     Qspec.side_query ~overrides:op.overrides op.spec.Qspec.right )
-
-(* ---- static access-path planning (EXPLAIN) ----
-
-   Mirror of [execute]'s inner access decision — hash probe (equality Θ
-   conjunct) ≻ vectorized column probe ≻ sorted inner index ≻ row scan —
-   computed from the side schemas and catalog layout facts alone, without
-   materializing either side query.  Where the runtime decision depends on
-   materialized data (a filtered scan of a columnar table currently yields
-   a row relation, an override replaces the inner FROM item), the mirror
-   predicts the degradation and says why in its notes. *)
-
-type access =
-  | A_hash of int
-  | A_vector
-  | A_index of string
-  | A_scan
-
-let access_to_string = function
-  | A_hash n ->
-    Printf.sprintf "hash probe (%d equality conjunct%s)" n
-      (if n = 1 then "" else "s")
-  | A_vector -> "vectorized column probe (zone-map skipping)"
-  | A_index c -> Printf.sprintf "sorted inner index on %s" c
-  | A_scan -> "row scan"
-
-let plan_access op =
-  let { catalog; spec; overrides; config; _ } = op in
-  let notes = ref [] in
-  let note n = if not (List.mem n !notes) then notes := !notes @ [ n ] in
-  try
-    let left_side = spec.Qspec.left and right_side = spec.Qspec.right in
-    let l_schema = left_side.Qspec.schema
-    and r_schema = right_side.Qspec.schema in
-    let jl_idx =
-      List.map (fun c -> Schema.index_of_col l_schema c) left_side.Qspec.join_cols
-    in
-    let binding_schema = Schema.project l_schema jl_idx in
-    let theta =
-      Expr.canonicalize
-        (Schema.append binding_schema r_schema)
-        (Qspec.theta_expr catalog spec)
-    in
-    let bare_r = function
-      | Expr.Col c ->
-        (match Schema.index_of_col r_schema c with
-         | i -> Some i
-         | exception Schema.Unknown_column _ -> None
-         | exception Schema.Ambiguous_column _ -> None)
-      | _ -> None
-    in
-    let binding_only e =
-      List.for_all
-        (fun c ->
-          match Schema.index_of_col binding_schema c with
-          | _ -> true
-          | exception Schema.Unknown_column _ -> false
-          | exception Schema.Ambiguous_column _ -> false)
-        (Expr.columns e)
-    in
-    let conjs = Expr.conjuncts theta in
-    let eq_probes =
-      List.filter_map
-        (fun conj ->
-          match conj with
-          | Expr.Cmp (Expr.Eq, a, b) ->
-            (match bare_r a, bare_r b with
-             | Some ridx, _ when binding_only b -> Some ridx
-             | _, Some ridx when binding_only a -> Some ridx
-             | _ -> None)
-          | _ -> None)
-        conjs
-    in
-    if eq_probes <> [] then (A_hash (List.length eq_probes), !notes)
-    else begin
-      let inner_columnar =
-        match right_side.Qspec.tables with
-        | [ (tname, alias) ] ->
-          if List.mem_assoc alias overrides then begin
-            note "vector off: inner FROM item is overridden (a-priori reducer)";
-            false
-          end
-          else if right_side.Qspec.local <> [] then begin
-            note
-              "vector off: inner-side local predicates materialize a row relation";
-            false
-          end
-          else (
-            match Relation.layout (Catalog.find catalog tname).Catalog.rel with
-            | `Column -> true
-            | _ ->
-              note "vector off: inner side is not column-primary";
-              false)
-        | _ ->
-          note "vector off: inner side joins several tables";
-          false
-      in
-      let vector_ok =
-        if not config.vector then begin
-          note "vector off: disabled by configuration";
-          false
-        end
-        else if not inner_columnar then false
-        else begin
-          let _, _, exact =
-            Compile.param_probes ~binding:binding_schema ~inner:r_schema theta
-          in
-          if not exact then begin
-            note "vector off: Θ has conjuncts outside the r_col-vs-binding shape";
-            false
-          end
-          else
-            List.for_all
-              (fun f ->
-                match (f : Agg.func) with
-                | Agg.Count_star -> true
-                | Agg.Count_distinct _ ->
-                  note "vector off: COUNT(DISTINCT) has no bounded kernel state";
-                  false
-                | Agg.Count e | Agg.Sum e | Agg.Min e | Agg.Max e | Agg.Avg e ->
-                  (match e with
-                   | Expr.Col c ->
-                     (match f with
-                      | Agg.Count _ -> true
-                      | _ ->
-                        if col_numeric catalog spec c then true
-                        else begin
-                          note
-                            ("vector off: " ^ Agg.to_string f
-                           ^ ": input column is not numeric");
-                          false
-                        end)
-                   | _ ->
-                     note
-                       ("vector off: " ^ Agg.to_string f
-                      ^ " ranges over a computed expression");
-                     false))
-              (List.map Binder.agg_func op.all_aggs)
-        end
-      in
-      if vector_ok then (A_vector, !notes)
-      else if not config.inner_index then (A_scan, !notes)
-      else
-        let idx =
-          List.find_map
-            (fun conj ->
-              match conj with
-              | Expr.Cmp (Expr.Eq, _, _) -> None
-              | Expr.Cmp (_, a, b) ->
-                (match bare_r a, bare_r b with
-                 | Some ridx, _ when binding_only b -> Some ridx
-                 | _, Some ridx when binding_only a -> Some ridx
-                 | _ -> None)
-              | _ -> None)
-            conjs
-        in
-        (match idx with
-         | Some ridx -> (A_index (Qspec.col_name (Schema.nth r_schema ridx)), !notes)
-         | None -> (A_scan, !notes))
-    end
-  with e ->
-    (A_scan, !notes @ [ "access-path planning degraded: " ^ Printexc.to_string e ])

@@ -58,6 +58,28 @@ type config = {
 
 val default_config : config
 
+(** The inner side's access path for Q_R(b), as {!choose_access} decided it.
+    [execute] builds its structure from this value, EXPLAIN prints it and
+    [stats.access] records it, so the three cannot disagree. *)
+type access =
+  | A_hash of (Relalg.Schema.col * Relalg.Expr.t) list
+      (** hash-index probe: one (inner column, binding key expression) per
+          equality Θ conjunct *)
+  | A_vector of Relalg.Colprobe.verdict
+      (** vectorized column probe: the inner query {!Relalg.Colprobe.check}
+          accepted *)
+  | A_index of {
+      col : Relalg.Schema.col;
+      op : Relalg.Expr.cmp;
+      bound : Relalg.Expr.t;
+    }
+      (** sorted inner index on [col], ranged per binding by [col op bound] *)
+  | A_scan
+
+(** [access_to_string a] is the text after [inner access path: ] in EXPLAIN,
+    reports and the [execute] span. *)
+val access_to_string : access -> string
+
 type stats = {
   mutable outer_rows : int;
   mutable inner_evals : int;
@@ -68,7 +90,7 @@ type stats = {
   mutable cache_bytes : int;
   mutable pruning_on : bool;
   mutable memo_on : bool;
-  mutable vector_on : bool;  (** the vectorized inner loop was used *)
+  mutable access : access;  (** the inner access path the last run used *)
   mutable vector_evals : int;  (** inner evals served by it *)
   mutable vector_fallbacks : int;
       (** evals the vectorized path abandoned mid-flight
@@ -123,14 +145,14 @@ val execute :
     materializations and the probe loop (with its counter slice); with
     [estimate] additionally, each side span carries the cost model's
     cardinality estimate and the loop span an [est_distinct_bindings]
-    counter, for EXPLAIN ANALYZE's estimate-vs-actual accounting.
+    counter, for EXPLAIN ANALYZE's estimate-vs-actual accounting.  The
+    [span] itself gets the [inner access path: …] note EXPLAIN prints.
 
     [transfer] supplies predicate-transfer Bloom filters per FROM alias
     (see {!Transfer}): each side's filters are passed to that side's plan
     execution as per-plan state — never during binding, so a-priori
-    reducer subqueries always see unfiltered inputs — and the inner side's
-    filters additionally compose with the vectorized probe path.  Filters
-    must be sound semi-join reductions: dropping a row may only remove
+    reducer subqueries always see unfiltered inputs.  Filters must be
+    sound semi-join reductions: dropping a row may only remove
     tuples that join nothing in the final result.
 
     [shared] plugs in a cross-query cache tier (see {!shared_cache}); a
@@ -187,18 +209,10 @@ val op_stats : t -> stats
 (** The Q_B / Q_R component queries as materialized (overrides applied). *)
 val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
 
-(** The inner-side access path, in [execute]'s priority order: hash probe
-    on equality Θ conjuncts ≻ vectorized column probe ≻ sorted inner index
-    on a Θ bound ≻ row scan. *)
-type access =
-  | A_hash of int  (** equality conjuncts feeding the hash-index probe *)
-  | A_vector
-  | A_index of string  (** sorted inner index on this column *)
-  | A_scan
-
-val access_to_string : access -> string
-
-(** Statically mirror [execute]'s access-path decision — no side query is
-    materialized, so this is safe for EXPLAIN.  The notes say why faster
-    paths were rejected (mirroring [stats.notes]'s wording). *)
-val plan_access : t -> access * string list
+(** Decide the inner access path, in priority order: hash probe on
+    equality Θ conjuncts ≻ vectorized column probe ≻ sorted inner index on
+    a Θ bound ≻ row scan.  Reads only the spec, the inner base table and
+    the config — no side query is materialized — so EXPLAIN can call it;
+    [execute] runs what it returns.  The notes say why the vector path was
+    rejected (the [vector off: …] lines of [stats.notes]). *)
+val choose_access : t -> access * string list

@@ -10,6 +10,12 @@ let only = function
   | `Memo -> { no_techniques with memo = true }
   | `Pruning -> { no_techniques with pruning = true }
 
+let iceberg_shape ~tech (q : Ast.query) =
+  q.Ast.having <> None
+  && List.length q.Ast.from >= 2
+  && List.for_all (function Ast.T_table _ -> true | _ -> false) q.Ast.from
+  && (tech.apriori || tech.memo || tech.pruning)
+
 type apriori_rewrite = {
   considered : string list;
   reduced : string list;

@@ -9,6 +9,11 @@ val all_techniques : technique
 val no_techniques : technique
 val only : [ `Apriori | `Memo | `Pruning ] -> technique
 
+(** The shape the optimizer handles: a HAVING over a join of two or more
+    base tables, with at least one technique of [tech] on.  Queries outside
+    it run as the baseline plan. *)
+val iceberg_shape : tech:technique -> Sqlfront.Ast.query -> bool
+
 type apriori_rewrite = {
   considered : string list;  (** the T_L whose analysis found the reducer *)
   reduced : string list;  (** Ť: aliases actually wrapped *)

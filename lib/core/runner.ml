@@ -325,13 +325,7 @@ and run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
   in
   (* Queries outside the iceberg shape (single table, no HAVING, …) run
      directly on the baseline engine. *)
-  let optimizable =
-    q.Ast.having <> None
-    && List.length q.Ast.from >= 2
-    && List.for_all (function Ast.T_table _ -> true | _ -> false) q.Ast.from
-    && (tech.Optimizer.apriori || tech.Optimizer.memo || tech.Optimizer.pruning)
-  in
-  if not optimizable then fallback []
+  if not (Optimizer.iceberg_shape ~tech q) then fallback []
   else if
     memo_strategy = `Static_rewrite && tech.Optimizer.memo
     && not tech.Optimizer.pruning
@@ -490,15 +484,8 @@ let prepare ?(tech = Optimizer.all_techniques) ?(nljp_config = Nljp.default_conf
   in
   (* Same gate as [run_block]; CTE queries go direct — their temp-table
      registration needs the full per-call lifecycle. *)
-  let optimizable =
-    q.Ast.with_defs = []
-    && q.Ast.having <> None
-    && List.length q.Ast.from >= 2
-    && List.for_all (function Ast.T_table _ -> true | _ -> false) q.Ast.from
-    && (tech.Optimizer.apriori || tech.Optimizer.memo || tech.Optimizer.pruning)
-  in
   let kind =
-    if not optimizable then P_direct
+    if not (q.Ast.with_defs = [] && Optimizer.iceberg_shape ~tech q) then P_direct
     else
       match Optimizer.decide ~transfer catalog q ~tech ~nljp_config with
       | exception Qspec.Unsupported _ -> P_direct
@@ -712,12 +699,17 @@ let report_to_string rep =
             pad s.Nljp.outer_rows s.Nljp.inner_evals s.Nljp.pruned s.Nljp.memo_hits
             (s.Nljp.prune_cache_rows + s.Nljp.memo_cache_rows)
             (s.Nljp.cache_bytes / 1024));
-       if s.Nljp.vector_on then
-         Buffer.add_string b
-           (Printf.sprintf
-              "%svectorized inner loop: evals=%d blocks skipped=%d scanned=%d\n"
-              pad s.Nljp.vector_evals s.Nljp.inner_blocks_skipped
-              s.Nljp.inner_blocks_scanned);
+       Buffer.add_string b
+         (Printf.sprintf "%sinner access path: %s\n" pad
+            (Nljp.access_to_string s.Nljp.access));
+       (match s.Nljp.access with
+        | Nljp.A_vector _ ->
+          Buffer.add_string b
+            (Printf.sprintf
+               "%svectorized inner loop: evals=%d blocks skipped=%d scanned=%d\n"
+               pad s.Nljp.vector_evals s.Nljp.inner_blocks_skipped
+               s.Nljp.inner_blocks_scanned)
+        | _ -> ());
        List.iter (fun n -> Buffer.add_string b (pad ^ "note: " ^ n ^ "\n")) s.Nljp.notes
      | None -> ());
     List.iter (fun n -> Buffer.add_string b (pad ^ n ^ "\n")) rep.notes;

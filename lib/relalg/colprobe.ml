@@ -22,7 +22,7 @@
 
 open Column
 
-(* A block whose physical column type deviates from what [build] verified
+(* A block whose physical column type deviates from what [check] verified
    (all-numeric for aggregate inputs, all-dict for dictionary grouping).
    Unreachable for today's immutable cstores, but instead of aborting the
    process the evaluator raises and NLJP degrades to the row path, surfacing
@@ -114,22 +114,11 @@ type grouping =
   | G_dict of int * Dict.t  (* group on dictionary codes, decode at finalize *)
   | G_generic of int array  (* per-row key over these columns *)
 
-(* A transferred Bloom filter on one inner column (predicate transfer,
-   DESIGN.md §11): blocks whose zone map misses the filter's observed range
-   are refuted like a zone probe, surviving rows must pass membership.
-   Dict-coded columns precompute a per-dictionary pass table at build. *)
-type bloom_filter = {
-  bf_col : int;
-  bf_bloom : Bloom.t;
-  bf_dict_pass : bool array option;
-}
-
 type t = {
   cs : Cstore.t;
   probes : Compile.param_probe array;
   zops : Zmap.cmp array;  (* probe ops translated for the zone maps *)
   gates : (Row.t -> bool) array;  (* binding-only conjuncts of Θ *)
-  extra : bloom_filter array;  (* binding-independent transferred filters *)
   grouping : grouping;
   kernels : kernel array;
   scratch_len : int;  (* largest block *)
@@ -165,8 +154,13 @@ let numeric_col cs ci =
 
 let dict_col cs ci = Cstore.col_kind cs ci = Cstore.K_dict
 
-let build ~extra ~binding ~inner:cs ~theta ~gr_idx ~aggs =
-  let schema = Cstore.schema cs in
+type verdict = {
+  v_probes : Compile.param_probe list;
+  v_gates : (Row.t -> bool) list;
+  v_kernels : kernel list;
+}
+
+let check ~binding ~inner:schema ~store:cs ~theta ~aggs =
   let probes, gates, exact = Compile.param_probes ~binding ~inner:schema theta in
   if not exact then Error "Θ has conjuncts outside the r_col-vs-binding shape"
   else begin
@@ -180,26 +174,18 @@ let build ~extra ~binding ~inner:cs ~theta ~gr_idx ~aggs =
       | _ -> None
     in
     let kernel_of (f : Agg.func) =
-      match f with
-      | Agg.Count_star -> Ok K_count_star
-      | Agg.Count e ->
-        (match col_of e with
-         | Some i -> Ok (K_count i)
-         | None -> Error (Agg.to_string f ^ " ranges over a computed expression"))
-      | Agg.Sum _ | Agg.Min _ | Agg.Max _ | Agg.Avg _ ->
-        (match col_of (Option.get (Agg.input_expr f)) with
-         | None -> Error (Agg.to_string f ^ " ranges over a computed expression")
-         | Some i ->
-           if not (numeric_col cs i) then
-             Error (Agg.to_string f ^ ": input column is not numeric in every block")
-           else
-             Ok
-               (match f with
-                | Agg.Sum _ -> K_sum i
-                | Agg.Min _ -> K_min i
-                | Agg.Max _ -> K_max i
-                | _ -> K_avg i))
-      | Agg.Count_distinct _ -> Error "COUNT(DISTINCT) has no bounded kernel state"
+      match f, Option.map col_of (Agg.input_expr f) with
+      | Agg.Count_star, _ -> Ok K_count_star
+      | Agg.Count_distinct _, _ -> Error "COUNT(DISTINCT) has no bounded kernel state"
+      | _, (None | Some None) ->
+        Error (Agg.to_string f ^ " ranges over a computed expression")
+      | Agg.Count _, Some (Some i) -> Ok (K_count i)
+      | _, Some (Some i) when not (numeric_col cs i) ->
+        Error (Agg.to_string f ^ ": input column is not numeric in every block")
+      | Agg.Sum _, Some (Some i) -> Ok (K_sum i)
+      | Agg.Min _, Some (Some i) -> Ok (K_min i)
+      | Agg.Max _, Some (Some i) -> Ok (K_max i)
+      | _, Some (Some i) -> Ok (K_avg i)
     in
     let rec mk_kernels acc = function
       | [] -> Ok (List.rev acc)
@@ -208,45 +194,32 @@ let build ~extra ~binding ~inner:cs ~theta ~gr_idx ~aggs =
          | Ok k -> mk_kernels (k :: acc) rest
          | Error e -> Error e)
     in
-    match mk_kernels [] aggs with
-    | Error e -> Error e
-    | Ok kernels ->
-      let grouping =
-        match gr_idx with
-        | [] -> G_single
-        | [ g ] when dict_col cs g ->
-          (match Cstore.dict cs g with
-           | Some d -> G_dict (g, d)
-           | None -> G_generic [| g |])
-        | gs -> G_generic (Array.of_list gs)
-      in
-      Ok
-        {
-          cs;
-          probes = Array.of_list probes;
-          zops =
-            Array.of_list
-              (List.map (fun p -> Compile.zmap_cmp p.Compile.pp_op) probes);
-          gates = Array.of_list gates;
-          extra =
-            Array.of_list
-              (List.map
-                 (fun (ci, bl) ->
-                   let dict_pass =
-                     match Cstore.dict cs ci with
-                     | Some d ->
-                       Some
-                         (Array.init (Dict.size d) (fun code ->
-                              Bloom.mem bl (Value.Str (Dict.get d code))))
-                     | None -> None
-                   in
-                   { bf_col = ci; bf_bloom = bl; bf_dict_pass = dict_pass })
-                 extra);
-          grouping;
-          kernels = Array.of_list kernels;
-          scratch_len = Cstore.max_block_length cs;
-        }
+    Result.map
+      (fun kernels -> { v_probes = probes; v_gates = gates; v_kernels = kernels })
+      (mk_kernels [] aggs)
   end
+
+let build v ~inner:cs ~gr_idx =
+  let grouping =
+    match gr_idx with
+    | [] -> G_single
+    | [ g ] when dict_col cs g ->
+      (match Cstore.dict cs g with
+       | Some d -> G_dict (g, d)
+       | None -> G_generic [| g |])
+    | gs -> G_generic (Array.of_list gs)
+  in
+  {
+    cs;
+    probes = Array.of_list v.v_probes;
+    zops =
+      Array.of_list
+        (List.map (fun p -> Compile.zmap_cmp p.Compile.pp_op) v.v_probes);
+    gates = Array.of_list v.v_gates;
+    grouping;
+    kernels = Array.of_list v.v_kernels;
+    scratch_len = Cstore.max_block_length cs;
+  }
 
 (* ---- per-evaluation scratch ---- *)
 
@@ -342,7 +315,7 @@ let step_minmax_float smaller ks g v =
     if (if smaller then c < 0 else c > 0) then ks.fsum.(g) <- v
 
 (* Iterate (group, value) over the selection for a numeric column; null
-   rows are skipped.  The build check guarantees int or float blocks;
+   rows are skipped.  [check] guarantees int or float blocks;
    anything else aborts the vectorized path (see [Fallback]). *)
 let iter_num (blk : Cstore.block) ci sel gids n ~fi ~ff =
   match blk.Cstore.cols.(ci) with
@@ -416,13 +389,6 @@ let eval t b =
                   t.zops.(pi) consts.(pi))
         then refuted := true
       done;
-      Array.iter
-        (fun bf ->
-          if
-            (not !refuted)
-            && not (Bloom.range_may_match bf.bf_bloom zm.(bf.bf_col))
-          then refuted := true)
-        t.extra;
       if !refuted then incr skipped
       else begin
         incr scanned;
@@ -436,22 +402,6 @@ let eval t b =
                   (row_test t.cs blk p.Compile.pp_col p.Compile.pp_op consts.(pi))
             end
           done;
-          Array.iter
-            (fun bf ->
-              if !n > 0 then begin
-                let test =
-                  match bf.bf_dict_pass, blk.Cstore.cols.(bf.bf_col) with
-                  | Some pass, Cstore.C_dict (codes, bm) ->
-                    (match bm with
-                     | None -> fun i -> pass.(codes.(i))
-                     | Some bm ->
-                       fun i -> (not (Bitset.get bm i)) && pass.(codes.(i)))
-                  | _ ->
-                    fun i -> Bloom.mem bf.bf_bloom (Cstore.value_at t.cs blk bf.bf_col i)
-                in
-                n := Cstore.sel_refine sel !n test
-              end)
-            t.extra;
           let n = !n in
           if n > 0 then begin
             (match t.grouping with

@@ -39,7 +39,7 @@ val row_test :
 type t
 
 (** Raised by [eval] when a block's physical layout contradicts what
-    [build] verified (e.g. a non-numeric block under a SUM kernel).
+    {!check} verified (e.g. a non-numeric block under a SUM kernel).
     Unreachable for immutable cstores, but callers (NLJP) catch it and
     degrade to the row path rather than abort. *)
 exception Fallback of string
@@ -53,25 +53,29 @@ type outcome = {
   blocks_scanned : int;
 }
 
-(** [build ~binding ~inner ~theta ~gr_idx ~aggs] compiles the inner query,
-    or explains why it cannot run vectorized: Θ has conjuncts outside the
-    probe/gate shape, an aggregate ranges over a computed expression or a
-    non-numeric column, or COUNT(DISTINCT) appears.  [gr_idx] are G_R's
-    column indices in [inner]'s schema; [theta] resolves columns like
-    [Compile.join_pred binding inner].
+(** What {!check} proved about an inner query: its probes, gates and
+    aggregation kernels.  Only a verdict can be built into a [t]. *)
+type verdict
 
-    [extra] attaches transferred Bloom filters (column index, filter) —
-    [[]] for none: binding-independent semi-join reductions that compose
-    with the per-binding zone probes — a block misses when its zone map
-    falls outside a filter's observed range, and selected rows must pass
-    membership (dict-coded columns via a pass table precomputed here). *)
-val build :
-  extra:(int * Column.Bloom.t) list ->
+(** [check ~binding ~inner ~store ~theta ~aggs] decides whether the inner
+    query can run vectorized, or says why not: Θ has conjuncts outside the
+    probe/gate shape ([Compile.param_probes] is not exact), an aggregate
+    ranges over a computed expression or a column that is not numeric in
+    every block of [store] (by [Cstore.col_kind]), or COUNT(DISTINCT)
+    appears.  [theta] and the aggregates resolve columns against [inner],
+    whose column [i] is column [i] of [store]; [theta] resolves like
+    [Compile.join_pred binding inner]. *)
+val check :
   binding:Schema.t ->
-  inner:Column.Cstore.t ->
+  inner:Schema.t ->
+  store:Column.Cstore.t ->
   theta:Expr.t ->
-  gr_idx:int list ->
   aggs:Agg.func list ->
-  (t, string) result
+  (verdict, string) result
+
+(** [build v ~inner ~gr_idx] compiles a checked inner query over [inner],
+    the store [check] inspected (or one with the same column kinds).
+    [gr_idx] are G_R's column indices. *)
+val build : verdict -> inner:Column.Cstore.t -> gr_idx:int list -> t
 
 val eval : t -> Row.t -> outcome

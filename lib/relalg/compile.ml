@@ -218,7 +218,16 @@ let pred schema e = pr schema (fold_constants e)
    at all. *)
 type param_probe = { pp_col : int; pp_op : Expr.cmp; pp_val : Row.t -> Value.t }
 
-let param_probes ~binding ~inner e =
+let binding_only ~binding e =
+  List.for_all
+    (fun c ->
+      match Schema.index_of_col binding c with
+      | _ -> true
+      | exception Schema.Unknown_column _ -> false
+      | exception Schema.Ambiguous_column _ -> false)
+    (Expr.columns e)
+
+let inner_probe ~binding ~inner conj =
   let bare_inner = function
     | Expr.Col c ->
       (match Schema.index_of_col inner c with
@@ -227,33 +236,23 @@ let param_probes ~binding ~inner e =
        | exception Schema.Ambiguous_column _ -> None)
     | _ -> None
   in
-  let binding_only e =
-    List.for_all
-      (fun c ->
-        match Schema.index_of_col binding c with
-        | _ -> true
-        | exception Schema.Unknown_column _ -> false
-        | exception Schema.Ambiguous_column _ -> false)
-      (Expr.columns e)
-  in
+  match conj with
+  | Expr.Cmp (op, a, b) ->
+    (match bare_inner a, bare_inner b with
+     | Some i, _ when binding_only ~binding b -> Some (i, op, b)
+     | _, Some i when binding_only ~binding a -> Some (i, flip_cmp op, a)
+     | _ -> None)
+  | _ -> None
+
+let param_probes ~binding ~inner e =
   let probes = ref [] and gates = ref [] and exact = ref true in
   List.iter
     (fun conj ->
-      match conj with
-      | Expr.Const (Value.Bool true) -> ()
-      | Expr.Cmp (op, a, b) when bare_inner a <> None && binding_only b ->
-        probes :=
-          { pp_col = Option.get (bare_inner a); pp_op = op; pp_val = scalar binding b }
-          :: !probes
-      | Expr.Cmp (op, a, b) when bare_inner b <> None && binding_only a ->
-        probes :=
-          {
-            pp_col = Option.get (bare_inner b);
-            pp_op = flip_cmp op;
-            pp_val = scalar binding a;
-          }
-          :: !probes
-      | conj when binding_only conj -> gates := pred binding conj :: !gates
+      match conj, inner_probe ~binding ~inner conj with
+      | Expr.Const (Value.Bool true), _ -> ()
+      | _, Some (i, op, f) ->
+        probes := { pp_col = i; pp_op = op; pp_val = scalar binding f } :: !probes
+      | _, None when binding_only ~binding conj -> gates := pred binding conj :: !gates
       | _ -> exact := false)
     (Expr.conjuncts (fold_constants e));
   (List.rev !probes, List.rev !gates, !exact)

@@ -66,6 +66,13 @@ val zmap_cmp : Expr.cmp -> Column.Zmap.cmp
     (nothing was left unconverted). *)
 val zone_probes : Schema.t -> Expr.t -> zone_probe list * bool
 
+(** [inner_probe ~binding ~inner conj] reads [conj] as [inner.(i) op f],
+    with [f] over the binding alone, and returns [(i, op, f)] — [op]
+    flipped when [conj] is written [f op r_col].  [None] for any other
+    shape.  Column names resolve like [join_pred binding inner]. *)
+val inner_probe :
+  binding:Schema.t -> inner:Schema.t -> Expr.t -> (int * Expr.cmp * Expr.t) option
+
 (** A parameterized probe [r_col op f(binding)]: the comparison constant is
     recomputed per binding by [pp_val], so the same compiled probe skips
     different blocks for different bindings (per-binding data skipping). *)

@@ -121,8 +121,7 @@ let check_vector seed =
 (* Clustered inner table in small blocks: block-local key ranges are tight,
    so the per-binding zone-map probes refute most blocks for a selective
    window. *)
-let clustered_catalog () =
-  let catalog = Catalog.create () in
+let clustered_catalog ?(catalog = Catalog.create ()) () =
   let n = 2000 in
   let schema = Schema.of_names [ "k"; "x" ] in
   let rows =
@@ -153,7 +152,9 @@ let test_skipping () =
   match rep.Runner.nljp_stats with
   | None -> Alcotest.fail "no NLJP stats"
   | Some s ->
-    Alcotest.(check bool) "vectorized" true s.Nljp.vector_on;
+    Alcotest.(check string)
+      "vectorized" "vectorized column probe (zone-map skipping)"
+      (Nljp.access_to_string s.Nljp.access);
     Alcotest.(check bool) "evals served by kernels" true (s.Nljp.vector_evals > 0);
     Alcotest.(check bool)
       "zone maps skipped blocks per binding" true
@@ -172,7 +173,9 @@ let test_disabled_note () =
   match rep.Runner.nljp_stats with
   | None -> Alcotest.fail "no NLJP stats"
   | Some s ->
-    Alcotest.(check bool) "not vectorized" false s.Nljp.vector_on;
+    Alcotest.(check string)
+      "not vectorized" "sorted inner index on R.k"
+      (Nljp.access_to_string s.Nljp.access);
     Alcotest.(check bool)
       "reason surfaced in notes" true
       (List.exists
@@ -191,10 +194,91 @@ let test_hash_precedence () =
   match rep.Runner.nljp_stats with
   | None -> Alcotest.fail "no NLJP stats"
   | Some s ->
-    Alcotest.(check bool) "hash probe wins" false s.Nljp.vector_on;
+    Alcotest.(check string)
+      "hash probe wins" "hash probe (1 equality conjunct)"
+      (Nljp.access_to_string s.Nljp.access);
     Alcotest.(check bool)
       "reason names the hash path" true
       (List.exists (fun n -> contains n "hash probe") s.Nljp.notes)
+
+(* EXPLAIN and execution read one access decision: over the paper's query
+   families and the range-window query, every layout × workers × transfer ×
+   config cell must print the path the run then used — and the grid must
+   reach all four paths. *)
+let test_explain_agrees () =
+  let catalog () =
+    let c = Catalog.create () in
+    ignore (Workload.Baseball.register c ~rows:150 ~seed:2017);
+    ignore (Workload.Baseball.register_unpivoted c ~rows:60 ~seed:2017);
+    ignore (Workload.Basket.register c ~baskets:80 ~items:12 ~avg_size:4 ~seed:7);
+    clustered_catalog ~catalog:c ()
+  in
+  let queries =
+    [ Workload.Queries.skyband ~k:20 ();
+      Workload.Queries.skyband_avg ~k:20 ();
+      Workload.Queries.pairs ~c:2 ~k:20 ();
+      Workload.Queries.complex ~threshold:2;
+      Workload.Queries.complex_filtered ~threshold:1 ();
+      Workload.Queries.listing1 ~threshold:3;
+      clustered_sql ]
+  in
+  let configs =
+    [ Nljp.default_config;
+      { Nljp.default_config with Nljp.vector = false };
+      { Nljp.default_config with Nljp.inner_index = false } ]
+  in
+  let rec executed (rep : Runner.report) =
+    List.concat_map (fun (_, r) -> executed r) rep.Runner.cte_reports
+    @ match rep.Runner.nljp_stats with Some s -> [ s.Nljp.access ] | None -> []
+  in
+  let explained text =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"inner access path: " l)
+      (List.map String.trim (String.split_on_char '\n' text))
+  in
+  let seen = Hashtbl.create 4 in
+  let saved_force = !Optimizer.transfer_force in
+  Fun.protect ~finally:(fun () -> Optimizer.transfer_force := saved_force)
+  @@ fun () ->
+  List.iter
+    (fun layout ->
+      let c = catalog () in
+      Catalog.set_all_layouts c layout;
+      List.iter
+        (fun sql ->
+          let q = Sqlfront.Parser.parse sql in
+          List.iter
+            (fun nljp_config ->
+              let predicted = explained (Explain.query ~nljp_config c q) in
+              List.iter
+                (fun (workers, transfer) ->
+                  Optimizer.transfer_force := transfer;
+                  let _, rep = Runner.run ~nljp_config ~workers ~transfer c q in
+                  let ran = executed rep in
+                  if rep.Runner.transfer <> None then Hashtbl.replace seen "transfer" ();
+                  List.iter
+                    (fun a ->
+                      Hashtbl.replace seen
+                        (match a with
+                         | Nljp.A_hash _ -> "hash"
+                         | Nljp.A_vector _ -> "vector"
+                         | Nljp.A_index _ -> "index"
+                         | Nljp.A_scan -> "scan")
+                        ())
+                    ran;
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s (workers=%d transfer=%b)" sql workers transfer)
+                    predicted
+                    (List.map
+                       (fun a -> "inner access path: " ^ Nljp.access_to_string a)
+                       ran))
+                [ (1, false); (1, true); (2, false); (2, true) ])
+            configs)
+        queries)
+    [ `Row; `Column ];
+  List.iter
+    (fun path -> Alcotest.(check bool) ("grid reaches " ^ path) true (Hashtbl.mem seen path))
+    [ "hash"; "vector"; "index"; "scan"; "transfer" ]
 
 (* A probe whose binding column is a string compared against the numeric
    inner key: the typed kernels cannot specialize the comparison, so it runs
@@ -329,6 +413,8 @@ let suite =
       test_disabled_note;
     Alcotest.test_case "equality conjuncts keep the hash probe path" `Quick
       test_hash_precedence;
+    Alcotest.test_case "EXPLAIN prints the access path execution runs" `Quick
+      test_explain_agrees;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"vectorized inner loop agrees with the row oracle"
          ~count:40
