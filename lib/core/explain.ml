@@ -24,6 +24,26 @@ let add_block b title body =
   String.split_on_char '\n' body
   |> List.iter (fun line -> if line <> "" then Buffer.add_string b ("  " ^ line ^ "\n"))
 
+(* The plan line of each distinct reducer query a rewrite binds (one per
+   wrapped table, projected onto its columns), as [Runner.run] would run it:
+   the same shape gate and decision, without executing. *)
+let reducer_plan_lines ~tech ~nljp_config catalog (rw : Optimizer.apriori_rewrite) =
+  let line q =
+    let decision =
+      if not (Optimizer.iceberg_shape ~tech q) then None
+      else
+        try Some (Optimizer.decide ~adaptive:false catalog q ~tech ~nljp_config)
+        with Qspec.Unsupported _ -> None
+    in
+    Runner.reducer_label q ^ ": " ^ Runner.decision_plan_line decision
+  in
+  List.filter_map
+    (function
+      | _, Ast.T_subquery ({ Ast.where = Some (Ast.P_in (_, red)); _ }, _) -> Some (line red)
+      | _ -> None)
+    rw.Optimizer.replacements
+  |> List.sort_uniq String.compare
+
 let explain_block ~tech ~nljp_config catalog (q : Ast.query) b =
   let optimizable = Optimizer.iceberg_shape ~tech q in
   let decision =
@@ -48,7 +68,9 @@ let explain_block ~tech ~nljp_config catalog (q : Ast.query) b =
          add_block b
            (Printf.sprintf "a-priori reducer on {%s}:"
               (String.concat ", " rw.Optimizer.reduced))
-           rw.Optimizer.reducer_sql)
+           (String.concat "\n"
+              (rw.Optimizer.reducer_sql
+              :: reducer_plan_lines ~tech ~nljp_config catalog rw)))
        d.Optimizer.apriori_rewrites;
      (match d.Optimizer.nljp with
       | None -> Buffer.add_string b "NLJP: not applicable; executes as baseline plan\n"

@@ -24,12 +24,19 @@ let default_config =
     workers = 1;
   }
 
+type index_source = Catalog_index of Index.Sorted.t | Built_per_execution
+
 (* The inner side's access path for Q_R(b), as [choose_access] decided it:
    each case carries what [execute] builds its structure from. *)
 type access =
   | A_hash of (Schema.col * Expr.t) list
   | A_vector of Colprobe.verdict
-  | A_index of { col : Schema.col; op : Expr.cmp; bound : Expr.t }
+  | A_index of {
+      col : Schema.col;
+      op : Expr.cmp;
+      bound : Expr.t;
+      source : index_source;
+    }
   | A_scan
 
 let access_to_string = function
@@ -37,7 +44,11 @@ let access_to_string = function
     let n = List.length probes in
     Printf.sprintf "hash probe (%d equality conjunct%s)" n (if n = 1 then "" else "s")
   | A_vector _ -> "vectorized column probe (zone-map skipping)"
-  | A_index { col; _ } -> Printf.sprintf "sorted inner index on %s" (Qspec.col_name col)
+  | A_index { col; source; _ } ->
+    Printf.sprintf "sorted inner index on %s (%s)" (Qspec.col_name col)
+      (match source with
+       | Catalog_index _ -> "catalog"
+       | Built_per_execution -> "built per execution")
   | A_scan -> "row scan"
 
 type stats = {
@@ -94,6 +105,7 @@ let m_prune_cache_rows = Obs.Metrics.counter "nljp.prune_cache_rows"
 let m_memo_cache_rows = Obs.Metrics.counter "nljp.memo_cache_rows"
 let m_cache_bytes = Obs.Metrics.counter "nljp.cache_bytes"
 let m_waves = Obs.Metrics.counter "nljp.waves"
+let m_index_builds = Obs.Metrics.counter "nljp.index_builds"
 
 type t = {
   catalog : Catalog.t;
@@ -523,10 +535,19 @@ let binding_theta catalog (spec : Qspec.t) ~outer ~inner =
    preparing Q_R once) ≻ vectorized column probe (it subsumes the sorted
    index: its zone-map tests restrict the scan block-wise, for every probe
    at once) ≻ sorted inner index on a Θ bound (the BT configuration) ≻ row
-   scan.  Decided from the spec, the
-   inner base table and the config alone — no side query is materialized —
-   so [execute] runs it and EXPLAIN prints it.  The notes say why the
-   vector path was rejected. *)
+   scan.  Decided from the spec, the inner base table, its catalog indexes
+   and the config alone — no side query is materialized — so [execute]
+   runs it and EXPLAIN prints it.  The notes say why the vector path was
+   rejected.
+
+   The sorted index is the catalog's own when Q_R is a bare base table (one
+   table, no local predicate, no a-priori override): Q_R's rows are then the
+   table's rows at the same positions.  A transferred Bloom filter cannot
+   narrow such a side in a way that matters — it only drops rows that match
+   no binding, and Θ is tested on every candidate.  Any other inner side
+   gets an index built per execution.  The catalog index is read at each
+   call, never kept in a prepared operator, so appends (which rebuild it)
+   are seen. *)
 let choose_access op =
   let { catalog; spec; overrides; config; _ } = op in
   let right = spec.Qspec.right in
@@ -569,13 +590,35 @@ let choose_access op =
     | _ :: _, _ -> A_hash eqs
     | [], Ok v -> A_vector v
     | [], Error _ ->
-      (match List.find_opt (fun (_, cmp, _) -> cmp <> Expr.Eq) probes with
-       | Some (col, op, bound) when config.inner_index -> A_index { col; op; bound }
-       | _ -> A_scan)
+      (* no equality conjunct: every probe is a range bound *)
+      let catalog_index col =
+        match right.Qspec.tables with
+        | [ (tname, alias) ]
+          when right.Qspec.local = [] && not (List.mem_assoc alias overrides) ->
+          Catalog.sorted_index_on (Catalog.find catalog tname) col.Schema.name
+        | _ -> None
+      in
+      (* a bound the catalog indexes wins; else the first bound, indexed
+         per execution *)
+      let indexed =
+        List.find_map
+          (fun (col, op, bound) ->
+            Option.map
+              (fun idx -> A_index { col; op; bound; source = Catalog_index idx })
+              (catalog_index col))
+          probes
+      in
+      if not config.inner_index then A_scan
+      else
+        match indexed, probes with
+        | Some a, _ -> a
+        | None, (col, op, bound) :: _ ->
+          A_index { col; op; bound; source = Built_per_execution }
+        | None, [] -> A_scan
   in
   (access, match vector with Error r -> [ "vector off: " ^ r ] | Ok _ -> [])
 
-let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
+let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
   let stats = op.stats in
   let waves0 = stats.waves in
@@ -604,15 +647,18 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
       List.filter (fun (a, fs) -> fs <> [] && List.mem a side.Qspec.aliases) transfer
     in
     let exec_with_filters plan = Exec.run ~filters:side_filters catalog plan in
+    (* IN-subqueries (a-priori reducers) run through [subquery], under the
+       side's span. *)
+    let bind s = Binder.bind ?subquery:(Option.map (fun f -> f s) subquery) catalog q in
     match span with
-    | None -> exec_with_filters (Binder.bind catalog q)
+    | None -> exec_with_filters (bind None)
     | Some parent ->
       Obs.Span.with_span ~parent name (fun s ->
           (* Bind once and share the plan between the estimate and the
              execution: binding a side query with a-priori overrides
              materializes the reducer IN-subqueries, so a separate bind for
              the estimate would run each reducer twice. *)
-          let plan = Binder.bind catalog q in
+          let plan = bind (Some s) in
           if estimate then
             (try
                let est = Cost.estimate catalog plan in
@@ -761,8 +807,12 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
   in
   (* Force the inner side's row view now, on this domain, when a row-path
      access method will run inside worker domains ([eval_inner] must not
-     race on the lazy row cache).  The vectorized path never touches rows. *)
-  if colprobe = None then ignore (Relation.rows r_rel : Row.t array);
+     race on the lazy row cache).  The vectorized path and the catalog's
+     index never touch it. *)
+  (match access with
+   | A_vector _ | A_index { source = Catalog_index _; _ } -> ()
+   | A_hash _ | A_index { source = Built_per_execution; _ } | A_scan ->
+     ignore (Relation.rows r_rel : Row.t array));
   (* The inner rows a binding's Q_R(b) considers, through the chosen path;
      the vector path's row fallback scans them all. *)
   let candidates : Row.t -> (Row.t -> unit) -> unit =
@@ -776,8 +826,14 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared op =
         Array.of_list (List.map (fun (_, e) -> Compile.scalar binding_schema e) probes)
       in
       fun b k -> List.iter k (Index.Hash.probe idx (Array.map (fun f -> f b) fs))
-    | A_index { col; op; bound } ->
-      let idx = Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ] in
+    | A_index { col; op; bound; source } ->
+      let idx =
+        match source with
+        | Catalog_index idx -> idx
+        | Built_per_execution ->
+          Obs.Metrics.incr m_index_builds;
+          Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ]
+      in
       let f = Compile.scalar binding_schema bound in
       fun b k ->
         let lo, hi =

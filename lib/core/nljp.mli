@@ -58,6 +58,15 @@ type config = {
 
 val default_config : config
 
+(** Where a sorted inner index comes from. *)
+type index_source =
+  | Catalog_index of Relalg.Index.Sorted.t
+      (** the base table's BT index, registered in the catalog at setup and
+          read at each execution *)
+  | Built_per_execution
+      (** sorted from the materialized Q_R by each execution (counted in
+          [nljp.index_builds]) *)
+
 (** The inner side's access path for Q_R(b), as {!choose_access} decided it.
     [execute] builds its structure from this value, EXPLAIN prints it and
     [stats.access] records it, so the three cannot disagree. *)
@@ -72,6 +81,7 @@ type access =
       col : Relalg.Schema.col;
       op : Relalg.Expr.cmp;
       bound : Relalg.Expr.t;
+      source : index_source;
     }
       (** sorted inner index on [col], ranged per binding by [col op bound] *)
   | A_scan
@@ -139,6 +149,7 @@ val execute :
   ?estimate:bool ->
   ?transfer:(string * (string * Column.Bloom.t) list) list ->
   ?shared:shared_cache ->
+  ?subquery:(Obs.Span.t option -> Sqlfront.Ast.query -> Relalg.Relation.t) ->
   t ->
   Relalg.Relation.t * stats
 (** Execute the operator.  With [span], child spans record the Q_B / Q_R
@@ -154,6 +165,10 @@ val execute :
     reducer subqueries always see unfiltered inputs.  Filters must be
     sound semi-join reductions: dropping a row may only remove
     tuples that join nothing in the final result.
+
+    [subquery] evaluates the side queries' IN-subqueries — the a-priori
+    reducers — given the side's span (see {!Sqlfront.Binder.bind}); by
+    default the baseline executor runs them.
 
     [shared] plugs in a cross-query cache tier (see {!shared_cache}); a
     repeated execution then starts with the previous runs' prune/memo
@@ -211,8 +226,12 @@ val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
 
 (** Decide the inner access path, in priority order: hash probe on
     equality Θ conjuncts ≻ vectorized column probe ≻ sorted inner index on
-    a Θ bound ≻ row scan.  Reads only the spec, the inner base table and
-    the config — no side query is materialized — so EXPLAIN can call it;
-    [execute] runs what it returns.  The notes say why the vector path was
+    a Θ bound ≻ row scan.  The sorted index is the catalog's
+    ({!Catalog_index}) when Q_R is a bare base table — one table, no local
+    predicate, no a-priori override — with an index led by the bound
+    column; otherwise each execution builds one.  Reads only the spec, the
+    inner base table with its catalog indexes and the config — no side
+    query is materialized — so EXPLAIN can call it; [execute] calls it on
+    every run and runs what it returns.  The notes say why the vector path was
     rejected (the [vector off: …] lines of [stats.notes]). *)
 val choose_access : t -> access * string list

@@ -118,6 +118,48 @@ let span_counter s k v =
 
 let span_note s msg = match s with Some sp -> Obs.Span.note sp msg | None -> ()
 
+(* One line naming how a block runs: its a-priori reducers, then NLJP with
+   its outer side and inner access path, or the baseline join. *)
+let plan_line ~apriori ~nljp =
+  let join =
+    match nljp with
+    | Some (aliases, access) ->
+      Printf.sprintf "NLJP outer {%s}, inner access path: %s"
+        (String.concat ", " aliases) (Nljp.access_to_string access)
+    | None -> if apriori = 0 then "baseline plan" else "baseline join"
+  in
+  if apriori = 0 then join
+  else
+    Printf.sprintf "%d a-priori reducer%s, %s" apriori
+      (if apriori = 1 then "" else "s")
+      join
+
+let report_plan_line rep =
+  plan_line ~apriori:(List.length rep.apriori)
+    ~nljp:
+      (match rep.nljp_outer, rep.nljp_stats with
+       | Some aliases, Some s -> Some (aliases, s.Nljp.access)
+       | _ -> None)
+
+let decision_plan_line = function
+  | None -> plan_line ~apriori:0 ~nljp:None
+  | Some (d : Optimizer.decision) ->
+    plan_line
+      ~apriori:(List.length d.Optimizer.apriori_rewrites)
+      ~nljp:
+        (Option.map
+           (fun (op, aliases) -> (aliases, fst (Nljp.choose_access op)))
+           d.Optimizer.nljp)
+
+let reducer_label (q : Ast.query) =
+  Printf.sprintf "reducer over {%s}"
+    (String.concat ", "
+       (List.map
+          (function
+            | Ast.T_table (name, alias) -> Option.value alias ~default:name
+            | Ast.T_subquery (_, alias) -> alias)
+          q.Ast.from))
+
 let fresh_temp_name catalog base =
   if not (Catalog.mem catalog base) then base
   else begin
@@ -257,19 +299,48 @@ let rec run ?span ?(analyze = false) ?(tech = Optimizer.all_techniques)
       cte_reports = List.rev !cte_reports
     } )
 
+(* A-priori reducers are iceberg queries themselves (§4), so the smart path
+   runs them through [run] with the parent query's settings — an
+   "a-priori only" ablation stays a-priori only all the way down — each
+   under a [reducer over {…}] span below the span that bound it.  Recursion
+   ends: a reducer's FROM is a strict subset of its parent's.  Returns the
+   evaluator and a reader of the distinct plan lines of the reducers it ran
+   (a reducer wrapping two tables runs once per table). *)
+and reducer_evaluator ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
+    ~transfer catalog =
+  let lines = ref [] in
+  let eval span (q : Ast.query) =
+    let label = reducer_label q in
+    in_span span label (fun s ->
+        let rel, rep =
+          run ?span:s ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
+            ~transfer catalog q
+        in
+        let line = label ^ ": " ^ report_plan_line rep in
+        span_note s line;
+        span_rows_out s (Relation.cardinality rel);
+        if not (List.mem line !lines) then lines := line :: !lines;
+        rel)
+  in
+  (eval, fun () -> List.rev !lines)
+
 and run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
     ~transfer catalog (q : Ast.query) =
+  let subquery, reducer_lines =
+    reducer_evaluator ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
+      ~transfer catalog
+  in
   (* Baseline execution of [query].  Under [analyze] with a live span, bind
      once, execute with a per-plan-node recorder, and attach the full plan
      tree as zero-duration child spans — each carrying the cost model's
      estimated rows/cost next to the recorded actual rows.  Plan nodes are
      pipelined, so only the block's wall time is attributable, not
      per-node times (DESIGN.md §10). *)
-  let exec_baseline s query =
+  let exec_baseline ?subquery s query =
     match (if analyze then s else None) with
-    | None -> Binder.run catalog query
+    | None -> Binder.run ?subquery catalog query
     | Some sp ->
-      let plan = Binder.bind catalog query in
+      let plan = Binder.bind ?subquery catalog query in
       let acts = ref [] in
       let recorder =
         { Exec.rec_rows = (fun path label rows -> acts := (path, (label, rows)) :: !acts) }
@@ -408,7 +479,7 @@ and run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
                stamp_block_estimate s q;
                let rel, stats =
                  Nljp.execute ?span:s ~estimate:analyze
-                   ~transfer:transfer_filters op
+                   ~transfer:transfer_filters ~subquery op
                in
                span_rows_out s (Relation.cardinality rel);
                span_counter s "outer_rows" stats.Nljp.outer_rows;
@@ -427,15 +498,18 @@ and run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
              nljp_stats = Some stats;
              nljp_describe = Some (Nljp.describe op);
              transfer = transfer_result;
+             notes = base_report.notes @ reducer_lines ();
            } )
        | None ->
          let rel =
            in_span span "execute" (fun s ->
-               let rel = exec_baseline s (Optimizer.rewritten_query decision) in
+               let rel =
+                 exec_baseline ~subquery:(subquery s) s (Optimizer.rewritten_query decision)
+               in
                span_rows_out s (Relation.cardinality rel);
                rel)
          in
-         (rel, base_report))
+         (rel, { base_report with notes = base_report.notes @ reducer_lines () }))
   end
 
 let run_baseline ?(workers = 1) catalog q = Binder.run ~workers catalog q
@@ -570,16 +644,24 @@ let stats_delta (s0 : Nljp.stats) (s1 : Nljp.stats) =
     waves = s1.Nljp.waves - s0.Nljp.waves;
   }
 
+let prepared_reducers p =
+  reducer_evaluator ~analyze:false ~tech:p.p_tech ~nljp_config:p.p_nljp_config
+    ~memo_strategy:`Nljp ~adaptive_apriori:false ~transfer:p.p_transfer p.p_catalog
+
 let run_prepared ?span p =
   match p.p_kind with
   | P_direct ->
     run ?span ~tech:p.p_tech ~nljp_config:p.p_nljp_config
       ~transfer:p.p_transfer p.p_catalog p.p_query
   | P_rewrite (rw, decision) ->
+    let subquery, reducer_lines = prepared_reducers p in
     let rel =
       in_span span "execute" (fun s ->
           List.iter (span_note s) decision.Optimizer.notes;
-          let rel = Binder.run ~workers:p.p_nljp_config.Nljp.workers p.p_catalog rw in
+          let rel =
+            Binder.run ~workers:p.p_nljp_config.Nljp.workers ~subquery:(subquery s)
+              p.p_catalog rw
+          in
           span_rows_out s (Relation.cardinality rel);
           rel)
     in
@@ -591,7 +673,7 @@ let run_prepared ?span p =
         nljp_stats = None;
         nljp_describe = None;
         transfer = None;
-        notes = decision.Optimizer.notes;
+        notes = decision.Optimizer.notes @ reducer_lines ();
         cte_reports = [];
       } )
   | P_nljp pn ->
@@ -617,11 +699,12 @@ let run_prepared ?span p =
       match transfer_result with Some r -> r.Transfer.r_filters | None -> []
     in
     let before = { (Nljp.op_stats pn.op) with Nljp.notes = [] } in
+    let subquery, reducer_lines = prepared_reducers p in
     let rel, stats =
       in_span span "execute" (fun s ->
           let rel, stats =
             Nljp.execute ?span:s ~transfer:transfer_filters ~shared:pn.shared
-              pn.op
+              ~subquery pn.op
           in
           let d = stats_delta before stats in
           span_rows_out s (Relation.cardinality rel);
@@ -640,7 +723,7 @@ let run_prepared ?span p =
         nljp_stats = Some (stats_delta before stats);
         nljp_describe = Some (Nljp.describe pn.op);
         transfer = transfer_result;
-        notes = pn.decision.Optimizer.notes;
+        notes = pn.decision.Optimizer.notes @ reducer_lines ();
         cte_reports = [];
       } )
 

@@ -126,6 +126,21 @@ val same_result : Relalg.Relation.t -> Relalg.Relation.t -> bool
 
 val report_to_string : report -> string
 
+(** {2 Plan lines}
+
+    One line naming how a block runs: its a-priori reducer count, then
+    [NLJP outer {…}, inner access path: …] or the baseline join.  A run
+    whose block binds a-priori reducers adds one note per distinct reducer,
+    [reducer over {aliases}: <plan line>], which EXPLAIN predicts with
+    {!decision_plan_line}. *)
+
+(** The plan line of an optimizer decision, with the access path
+    {!Nljp.choose_access} picks; [None] is the baseline plan. *)
+val decision_plan_line : Optimizer.decision option -> string
+
+(** [reducer over {aliases}], the prefix of a reducer's plan line. *)
+val reducer_label : Sqlfront.Ast.query -> string
+
 (**/**)
 
 (* Internal helpers shared with [Explain], so its CTE handling registers

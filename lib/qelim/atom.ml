@@ -58,7 +58,8 @@ let implies a b =
   else
     let ka = Linexpr.constant a.e and kb = Linexpr.constant b.e in
     match a.op, b.op with
-    | Le, Le | Lt, Lt | Lt, Le | Eq, Eq -> Rat.compare ka kb >= 0
+    | Le, Le | Lt, Lt | Lt, Le -> Rat.compare ka kb >= 0
+    | Eq, Eq -> Rat.equal ka kb  (* e = -ka and e = -kb agree only if ka = kb *)
     | Le, Lt -> Rat.compare ka kb > 0
     | Eq, Le -> Rat.compare ka kb >= 0  (* e = -ka, need -ka + kb <= 0 *)
     | Eq, Lt -> Rat.compare ka kb > 0

@@ -4,7 +4,7 @@ type table = {
   keys : string list list;
   fds : (string list * string list) list;
   nonneg : string list;
-  mutable indexes : Index.t list;
+  mutable indexes : Index.Sorted.t list;
   (* Structural generation: bumped by anything that rewrites or reorganizes
      existing rows (replace, layout change, index build/drop) but NOT by
      [append_rows].  Together with the row count it forms the table's
@@ -58,17 +58,10 @@ let is_nonneg tbl col = List.mem col tbl.nonneg
 let col_idxs tbl cols =
   List.map (fun c -> Schema.index_of tbl.rel.Relation.schema c) cols
 
-let build_hash_index t name cols =
-  bump t;
-  let tbl = find t name in
-  let idx = Index.Hash_index (Index.Hash.build tbl.rel (col_idxs tbl cols)) in
-  tbl.indexes <- idx :: tbl.indexes;
-  tbl.gen <- Atomic.get t.version
-
 let build_sorted_index t name cols =
   bump t;
   let tbl = find t name in
-  let idx = Index.Sorted_index (Index.Sorted.build tbl.rel (col_idxs tbl cols)) in
+  let idx = Index.Sorted.build tbl.rel (col_idxs tbl cols) in
   tbl.indexes <- idx :: tbl.indexes;
   tbl.gen <- Atomic.get t.version
 
@@ -81,20 +74,13 @@ let drop_indexes t name =
 let saved_index_cols tbl =
   List.map
     (fun idx ->
-      let cols = Index.columns idx in
-      let names =
-        List.map (fun i -> (Schema.nth tbl.rel.Relation.schema i).Schema.name) cols
-      in
-      (names, match idx with Index.Hash_index _ -> `Hash | Index.Sorted_index _ -> `Sorted))
+      List.map
+        (fun i -> (Schema.nth tbl.rel.Relation.schema i).Schema.name)
+        (Index.Sorted.key_idxs idx))
     tbl.indexes
 
 let rebuild_indexes t name index_cols =
-  List.iter
-    (fun (names, kind) ->
-      match kind with
-      | `Hash -> build_hash_index t name names
-      | `Sorted -> build_sorted_index t name names)
-    index_cols
+  List.iter (build_sorted_index t name) index_cols
 
 let replace_rows t name rel =
   bump t;
@@ -136,30 +122,12 @@ let delta_since t name (s : stamp) =
     else `Delta (Relation.slice_from tbl.rel s.s_len)
 
 let sorted_index_on tbl col =
-  let rec go = function
-    | [] -> None
-    | Index.Sorted_index s :: rest ->
-      (match Index.Sorted.key_idxs s with
-       | i :: _ when (Schema.nth tbl.rel.Relation.schema i).Schema.name = col -> Some s
-       | _ -> go rest)
-    | Index.Hash_index _ :: rest -> go rest
-  in
-  go tbl.indexes
-
-let hash_index_on tbl cols =
-  let want =
-    try Some (col_idxs tbl cols) with Schema.Unknown_column _ -> None
-  in
-  match want with
-  | None -> None
-  | Some want ->
-    let rec go = function
-      | [] -> None
-      | Index.Hash_index h :: rest ->
-        if Index.Hash.key_idxs h = want then Some h else go rest
-      | Index.Sorted_index _ :: rest -> go rest
-    in
-    go tbl.indexes
+  List.find_opt
+    (fun idx ->
+      match Index.Sorted.key_idxs idx with
+      | i :: _ -> (Schema.nth tbl.rel.Relation.schema i).Schema.name = col
+      | [] -> false)
+    tbl.indexes
 
 (* Convert a table to the given physical layout in place.  Indexes hold
    their own row references and stay valid either way. *)

@@ -9,7 +9,7 @@ type table = {
   keys : string list list;  (** candidate keys, by unqualified column name *)
   fds : (string list * string list) list;  (** extra FDs beyond keys *)
   nonneg : string list;  (** columns with dom ⊆ ℝ≥0 *)
-  mutable indexes : Index.t list;
+  mutable indexes : Index.Sorted.t list;  (** the BT configuration's indexes *)
   mutable gen : int;  (** structural generation; see {!stamp} *)
 }
 
@@ -77,14 +77,11 @@ val all_fds : table -> (string list * string list) list
 
 val is_nonneg : table -> string -> bool
 
-val build_hash_index : t -> string -> string list -> unit
 val build_sorted_index : t -> string -> string list -> unit
 val drop_indexes : t -> string -> unit
 
 (** A sorted index whose first key column is [col], if one exists. *)
 val sorted_index_on : table -> string -> Index.Sorted.t option
-
-val hash_index_on : table -> string list -> Index.Hash.t option
 
 (** Convert one table (resp. every table) to the given physical layout,
     keeping metadata and indexes. *)

@@ -23,19 +23,49 @@ end
 module Sorted = struct
   type t = { key_idxs : int list; rows : Row.t array }
 
+  (* A stable sort of row positions over keys extracted once: ties keep
+     input order.  When every key value is an [Int] the keys live in an
+     unboxed int array and compare without touching the rows. *)
   let build rel key_idxs =
-    let rows = Array.copy (Relation.rows rel) in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | i :: rest ->
-          let c = Value.compare_total a.(i) b.(i) in
-          if c <> 0 then c else go rest
-      in
-      go key_idxs
+    let src = Relation.rows rel in
+    let n = Array.length src in
+    let cols = Array.of_list key_idxs in
+    let k = Array.length cols in
+    let is_int = function Value.Int _ -> true | _ -> false in
+    let all_int =
+      Array.for_all (fun row -> Array.for_all (fun i -> is_int row.(i)) cols) src
     in
-    Array.sort cmp rows;
-    { key_idxs; rows }
+    let cmp =
+      if all_int then begin
+        let keys = Array.make (n * k) 0 in
+        Array.iteri
+          (fun r row ->
+            Array.iteri
+              (fun j i -> match row.(i) with Value.Int x -> keys.((r * k) + j) <- x | _ -> ())
+              cols)
+          src;
+        fun a b ->
+          let c = ref 0 and j = ref 0 in
+          while !c = 0 && !j < k do
+            c := Int.compare keys.((a * k) + !j) keys.((b * k) + !j);
+            incr j
+          done;
+          !c
+      end
+      else begin
+        let keys = Array.map (fun row -> Array.map (fun i -> row.(i)) cols) src in
+        fun a b ->
+          let c = ref 0 and j = ref 0 in
+          while !c = 0 && !j < k do
+            c := Value.compare_total keys.(a).(!j) keys.(b).(!j);
+            incr j
+          done;
+          !c
+      end
+    in
+    let perm = Array.init n Fun.id in
+    Array.stable_sort cmp perm;
+    { key_idxs; rows = Array.map (fun r -> src.(r)) perm }
 
   let key_idxs t = t.key_idxs
 
@@ -88,11 +118,3 @@ module Sorted = struct
 
   let cardinality t = Array.length t.rows
 end
-
-type t =
-  | Hash_index of Hash.t
-  | Sorted_index of Sorted.t
-
-let columns = function
-  | Hash_index h -> Hash.key_idxs h
-  | Sorted_index s -> Sorted.key_idxs s

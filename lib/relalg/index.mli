@@ -1,10 +1,10 @@
 (** Secondary indexes over in-memory relations.
 
-    [Hash] supports equality probes on a column tuple (used for hash joins,
-    memoization lookups and primary keys — the paper's {e PK} / {e CI}
-    configurations).  [Sorted] keeps rows ordered by a column list and
-    supports range restriction on the first column (the paper's {e BT}
-    secondary B-tree on comparison attributes). *)
+    [Hash] supports equality probes on a column tuple (NLJP builds one per
+    execution for the equality conjuncts of Θ).  [Sorted] keeps rows ordered
+    by a column list and supports range restriction on the first column (the
+    paper's {e BT} secondary B-tree on comparison attributes); it is the one
+    index kind the catalog registers on a base table. *)
 
 module Hash : sig
   type t
@@ -18,6 +18,9 @@ end
 module Sorted : sig
   type t
 
+  (** [build rel cols] orders [rel]'s rows by [cols] under
+      {!Value.compare_total}, lexicographically; rows with equal keys keep
+      their input order. *)
   val build : Relation.t -> int list -> t
   val key_idxs : t -> int list
 
@@ -40,10 +43,3 @@ module Sorted : sig
 
   val cardinality : t -> int
 end
-
-(** An available index on a base table, as registered in the catalog. *)
-type t =
-  | Hash_index of Hash.t
-  | Sorted_index of Sorted.t
-
-val columns : t -> int list

@@ -10,6 +10,8 @@ type env = {
   workers : int;
   join_pref : [ `Hash | `Merge ];
   ctes : (string * Relation.t) list;
+  subquery : (query -> Relation.t) option;
+      (* evaluates IN-subqueries that see no CTE of this binding *)
 }
 
 let find_cte env name =
@@ -34,7 +36,11 @@ and pred_expr_env env p =
   | P_or (a, b) -> Expr.Or (pred_expr_env env a, pred_expr_env env b)
   | P_not a -> Expr.Not (pred_expr_env env a)
   | P_in (es, q) ->
-    let sub = run_env env q in
+    let sub =
+      match env.subquery with
+      | Some f when env.ctes = [] -> f q
+      | _ -> run_env env q
+    in
     if List.length es <> Schema.arity sub.Relation.schema then
       err "IN: arity mismatch between tuple and subquery";
     Expr.In_set (List.map (scalar_expr_env env) es, Expr.row_set_of (Array.to_list (Relation.rows sub)))
@@ -371,18 +377,24 @@ and bind_env env q =
 
 and run_env env q = Exec.run ~workers:env.workers env.catalog (bind_env env q)
 
-let bind ?(workers = 1) ?(join_pref = `Hash) catalog q =
-  bind_env { catalog; workers; join_pref; ctes = [] } q
+let bind ?(workers = 1) ?(join_pref = `Hash) ?subquery catalog q =
+  bind_env { catalog; workers; join_pref; ctes = []; subquery } q
 
-let run ?(workers = 1) ?(join_pref = `Hash) catalog q =
-  Exec.run ~workers catalog (bind ~workers ~join_pref catalog q)
+let run ?(workers = 1) ?(join_pref = `Hash) ?subquery catalog q =
+  Exec.run ~workers catalog (bind ~workers ~join_pref ?subquery catalog q)
 
 let empty_env () =
-  { catalog = Catalog.create (); workers = 1; join_pref = `Hash; ctes = [] }
+  {
+    catalog = Catalog.create ();
+    workers = 1;
+    join_pref = `Hash;
+    ctes = [];
+    subquery = None;
+  }
 
 let scalar_expr s = scalar_expr_env (empty_env ()) s
 
 let pred_expr ?(workers = 1) catalog p =
-  pred_expr_env { catalog; workers; join_pref = `Hash; ctes = [] } p
+  pred_expr_env { catalog; workers; join_pref = `Hash; ctes = []; subquery = None } p
 
 let agg_func a = agg_func_env (empty_env ()) a

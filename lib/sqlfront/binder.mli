@@ -14,10 +14,17 @@ exception Bind_error of string
 
 (** [join_pref] selects the physical operator for equality joins —
     [`Hash] (default) or [`Merge] (sort-merge, the method the baseline
-    systems fall back to when indexes are dropped, §8.1). *)
+    systems fall back to when indexes are dropped, §8.1).
+
+    [subquery] evaluates the IN-subqueries met while binding (those outside
+    any WITH block of the query being bound); it defaults to binding and
+    executing them here, with the baseline executor.  The optimizer's
+    callers pass an evaluator that runs a-priori reducers — iceberg
+    queries themselves — through the optimizer. *)
 val bind :
   ?workers:int ->
   ?join_pref:[ `Hash | `Merge ] ->
+  ?subquery:(Ast.query -> Relalg.Relation.t) ->
   Relalg.Catalog.t ->
   Ast.query ->
   Relalg.Plan.t
@@ -26,6 +33,7 @@ val bind :
 val run :
   ?workers:int ->
   ?join_pref:[ `Hash | `Merge ] ->
+  ?subquery:(Ast.query -> Relalg.Relation.t) ->
   Relalg.Catalog.t ->
   Ast.query ->
   Relalg.Relation.t

@@ -109,7 +109,6 @@ let register_unpivoted ?(attrs = default_attrs) catalog ~rows ~seed =
 let build_indexes ?(bt = true) catalog =
   if Catalog.mem catalog table_name then begin
     Catalog.drop_indexes catalog table_name;
-    Catalog.build_hash_index catalog table_name [ "playerid"; "year"; "round" ];
     if bt then begin
       Catalog.build_sorted_index catalog table_name [ "b_h"; "b_hr" ];
       Catalog.build_sorted_index catalog table_name [ "b_2b"; "b_3b" ]
@@ -117,6 +116,5 @@ let build_indexes ?(bt = true) catalog =
   end;
   if Catalog.mem catalog unpivoted_name then begin
     Catalog.drop_indexes catalog unpivoted_name;
-    Catalog.build_hash_index catalog unpivoted_name [ "id"; "attr" ];
     if bt then Catalog.build_sorted_index catalog unpivoted_name [ "val" ]
   end

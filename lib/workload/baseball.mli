@@ -27,6 +27,7 @@ val register_unpivoted :
 
 val unpivoted_name : string
 
-(** Build standard indexes: PK (hash on the key), and optionally BT (sorted
-    secondary index on the compared attribute pair). *)
+(** Build the BT configuration's indexes: sorted secondary indexes on the
+    compared attribute pairs (dropped with [~bt:false]).  The PK
+    configuration needs no index: it is the key declared by {!load}. *)
 val build_indexes : ?bt:bool -> Relalg.Catalog.t -> unit

@@ -1,0 +1,149 @@
+(* NLJP's sorted inner index: the catalog's BT index when Q_R is a bare
+   base table, one built per execution otherwise.  EXPLAIN must print the
+   source the run then used, results must match the baseline executor, and
+   an append to the inner table must be seen by the next run — also by a
+   plan prepared before it. *)
+open Relalg
+open Core
+open Helpers
+
+let t name f = Alcotest.test_case name `Quick f
+
+let access_lines text =
+  List.filter
+    (fun l -> String.starts_with ~prefix:"inner access path: " l)
+    (List.map String.trim (String.split_on_char '\n' text))
+
+let rec executed (rep : Runner.report) =
+  List.concat_map (fun (_, r) -> executed r) rep.Runner.cte_reports
+  @
+  match rep.Runner.nljp_stats with
+  | Some s -> [ "inner access path: " ^ Nljp.access_to_string s.Nljp.access ]
+  | None -> []
+
+let player_catalog ~bt layout =
+  let c = Catalog.create () in
+  ignore (Workload.Baseball.register c ~rows:300 ~seed:2017);
+  Workload.Baseball.build_indexes ~bt c;
+  Catalog.set_all_layouts c layout;
+  c
+
+let queries =
+  [ ("skyband Q1", Workload.Queries.skyband ~a:("b_h", "b_hr") ~k:20 ());
+    ("skyband Q3", Workload.Queries.skyband ~a:("b_2b", "b_3b") ~k:20 ());
+    ("pairs", Workload.Queries.pairs ~c:2 ~k:20 ());
+    (* a local predicate on the inner side: Q_R is no longer the bare table *)
+    ( "skyband Q1, inner σ",
+      "SELECT R.playerid, R.year, R.round, COUNT(1) \
+       FROM player_performance L, player_performance R \
+       WHERE L.b_h >= R.b_h AND L.b_hr >= R.b_hr AND (L.b_h > R.b_h OR L.b_hr > R.b_hr) \
+       AND L.b_bb >= 20 \
+       GROUP BY R.playerid, R.year, R.round HAVING COUNT(1) <= 20" ) ]
+
+(* Rows for player_performance: copies of existing rows under new keys,
+   two of them with every compared statistic past the table's maximum (so
+   they dominate the skyband), and two sharing one another's statistics. *)
+let fresh_rows c =
+  let tbl = Catalog.find c Workload.Baseball.table_name in
+  let schema = tbl.Catalog.rel.Relation.schema in
+  let idx = Schema.index_of schema in
+  let src = Relation.rows tbl.Catalog.rel in
+  let stats = [ "b_h"; "b_hr"; "b_2b"; "b_3b" ] in
+  Array.init 4 (fun i ->
+      let r = Array.copy src.(i) in
+      r.(idx "playerid") <- iv (1_000_000 + i);
+      List.iter
+        (fun col -> r.(idx col) <- (if i < 2 then iv (10_000 + i) else src.(0).(idx col)))
+        stats;
+      r)
+
+let check_cell label c sql ~workers seen =
+  let q = Sqlfront.Parser.parse sql in
+  let predicted = access_lines (Explain.query c q) in
+  let rel, rep = Runner.run ~workers c q in
+  let ran = executed rep in
+  Alcotest.(check (list string)) (label ^ ": EXPLAIN = executed") predicted ran;
+  List.iter (fun l -> Hashtbl.replace seen l ()) ran;
+  check_bag (label ^ ": bag-equal to baseline") (Runner.run_baseline c q) rel
+
+let test_grid () =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun layout ->
+      List.iter
+        (fun bt ->
+          let c = player_catalog ~bt layout in
+          List.iter
+            (fun (name, sql) ->
+              List.iter
+                (fun workers ->
+                  check_cell
+                    (Printf.sprintf "%s/%s/bt=%b/workers=%d" name
+                       (match layout with `Row -> "row" | `Column -> "column")
+                       bt workers)
+                    c sql ~workers seen)
+                [ 1; 2 ])
+            queries)
+        [ true; false ])
+    [ `Row; `Column ];
+  let reached suffix =
+    Hashtbl.fold (fun l () acc -> acc || String.ends_with ~suffix l) seen false
+  in
+  Alcotest.(check bool) "grid reaches the catalog index" true (reached "(catalog)");
+  Alcotest.(check bool) "grid reaches a per-execution build" true
+    (reached "(built per execution)")
+
+let test_bt_off_builds () =
+  let c = player_catalog ~bt:false `Row in
+  let q = Sqlfront.Parser.parse (snd (List.hd queries)) in
+  let _, rep = Runner.run c q in
+  Alcotest.(check (list string)) "no catalog index: built per execution"
+    [ "inner access path: sorted inner index on L.b_h (built per execution)" ]
+    (executed rep)
+
+let test_append () =
+  List.iter
+    (fun layout ->
+      let c = player_catalog ~bt:true layout in
+      let sql = snd (List.hd queries) in
+      let q = Sqlfront.Parser.parse sql in
+      let prepared = Runner.prepare c q in
+      let before = Catalog.stamp c Workload.Baseball.table_name in
+      let fresh = fresh_rows c in
+      Catalog.append_rows c Workload.Baseball.table_name fresh;
+      let tbl = Catalog.find c Workload.Baseball.table_name in
+      (match Catalog.sorted_index_on tbl "b_h" with
+       | None -> Alcotest.fail "append dropped the catalog index"
+       | Some idx ->
+         Alcotest.(check int) "catalog index covers the appended rows"
+           (Relation.cardinality tbl.Catalog.rel)
+           (Index.Sorted.cardinality idx));
+      let seen = Hashtbl.create 2 in
+      check_cell "after append" c sql ~workers:1 seen;
+      check_cell "after append, 2 workers" c sql ~workers:2 seen;
+      Alcotest.(check bool) "still the catalog index" true
+        (Hashtbl.mem seen "inner access path: sorted inner index on L.b_h (catalog)");
+      let baseline = Runner.run_baseline c q in
+      Alcotest.(check bool) "appended rows change the answer" false
+        (Relation.equal_bag baseline
+           (Runner.run_baseline (player_catalog ~bt:true layout) q));
+      (* A plan prepared before the append reads the rebuilt index. *)
+      let delta =
+        match Catalog.delta_since c Workload.Baseball.table_name before with
+        | `Delta d -> d
+        | `Invalid -> Alcotest.fail "append started a new generation"
+      in
+      match
+        Runner.refresh_prepared prepared ~table:Workload.Baseball.table_name ~delta
+      with
+      | `Reprepare reason -> Alcotest.failf "prepared plan dropped: %s" reason
+      | `Kept | `Refreshed ->
+        let rel, _ = Runner.run_prepared prepared in
+        check_bag "prepared before the append" baseline rel)
+    [ `Row; `Column ]
+
+let suite =
+  [ t "EXPLAIN's index source is the executed one; results match the baseline"
+      test_grid;
+    t "without a catalog index the run builds one" test_bt_off_builds;
+    t "an append to the inner table reaches the catalog index" test_append ]

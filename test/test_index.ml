@@ -56,6 +56,40 @@ let sorted_tests =
           (List.length (range_list idx ~lo:(Some (iv 3, `Inclusive)) ~hi:None))
           (List.length !collected)) ]
 
+(* Row positions after a build, read off the last column. *)
+let build_order rows cols =
+  let names = List.init (Array.length (List.hd rows)) (Printf.sprintf "c%d") in
+  let data = rel names (List.map Array.to_list rows) in
+  List.map
+    (fun r -> r.(Array.length r - 1))
+    (range_list (Index.Sorted.build data cols) ~lo:None ~hi:None)
+
+let stable_order rows cols =
+  let cmp a b =
+    List.fold_left
+      (fun c i -> if c <> 0 then c else Value.compare_total a.(i) b.(i))
+      0 cols
+  in
+  List.map (fun r -> r.(Array.length r - 1)) (List.stable_sort cmp rows)
+
+let build_tests =
+  [ t "ties keep input order" (fun () ->
+        let rows =
+          List.mapi (fun i (a, b) -> [| iv a; iv b; iv i |])
+            [ (3, 1); (1, 9); (3, 0); (3, 1); (1, 9); (2, 5) ]
+        in
+        Alcotest.(check (list value_testable)) "one key"
+          (List.map iv [ 1; 4; 5; 0; 2; 3 ]) (build_order rows [ 0 ]);
+        Alcotest.(check (list value_testable)) "two keys"
+          (List.map iv [ 1; 4; 5; 2; 0; 3 ]) (build_order rows [ 0; 1 ]));
+    t "mixed key types order by compare_total" (fun () ->
+        let keys =
+          [ fv 2.5; iv 2; Value.Null; sv "b"; fv Float.nan; iv 3; fv 2.; sv "a"; Value.Null ]
+        in
+        let rows = List.mapi (fun i k -> [| k; iv i |]) keys in
+        Alcotest.(check (list value_testable)) "stable sort"
+          (stable_order rows [ 0 ]) (build_order rows [ 0 ])) ]
+
 let props =
   let pts = QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 30)) in
   [ QCheck_alcotest.to_alcotest
@@ -80,6 +114,19 @@ let props =
            let data = rel [ "k" ] (List.map (fun x -> [ iv x ]) xs) in
            let idx = Index.Hash.build data [ 0 ] in
            List.length (Index.Hash.probe idx (row [ iv k ]))
-           = List.length (List.filter (fun x -> x = k) xs))) ]
+           = List.length (List.filter (fun x -> x = k) xs)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"sorted build is a stable sort by compare_total" ~count:200
+         QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 6) (int_range 0 4)))
+         (fun ks ->
+           (* int keys take the unboxed path; a float or NULL key the generic one *)
+           let mk f = List.mapi (fun i (a, b) -> [| f a; iv b; iv i |]) ks in
+           let ints = mk iv in
+           let mixed =
+             mk (fun a -> if a = 0 then Value.Null else if a = 1 then fv 1.5 else iv a)
+           in
+           List.for_all
+             (fun (rows, cols) -> build_order rows cols = stable_order rows cols)
+             [ (ints, [ 0 ]); (ints, [ 0; 1 ]); (ints, [ 1; 0 ]); (mixed, [ 0; 1 ]) ])) ]
 
-let suite = hash_tests @ sorted_tests @ props
+let suite = hash_tests @ sorted_tests @ build_tests @ props

@@ -267,7 +267,40 @@ let formula_tests =
         | Formula.Atom a ->
           Alcotest.(check bool) "kept tighter" true
             (Atom.equal a (Atom.normalize (Atom.le (v "a") (c 5))))
-        | other -> Alcotest.failf "expected single atom, got %s" (Formula.to_string other)) ]
+        | other -> Alcotest.failf "expected single atom, got %s" (Formula.to_string other));
+    t "implies: equalities over one linear part imply each other only when equal" (fun () ->
+        let x1 = Atom.eq (Linexpr.add (v "x") (c 1)) (c 0)
+        and x2 = Atom.eq (Linexpr.add (v "x") (c 2)) (c 0) in
+        Alcotest.(check bool) "x+1=0 does not imply x+2=0" false (Atom.implies x1 x2);
+        Alcotest.(check bool) "x+2=0 does not imply x+1=0" false (Atom.implies x2 x1);
+        Alcotest.(check bool) "x+1=0 implies itself" true (Atom.implies x1 x1);
+        Alcotest.(check bool) "x+2=0 implies x+1<=0" true
+          (Atom.implies x2 (Atom.le (Linexpr.add (v "x") (c 1)) (c 0))));
+    t "simplify keeps contradictory equalities (x+1=0 and x+2=0)" (fun () ->
+        let f =
+          Formula.conj
+            [ Formula.atom (Atom.eq (Linexpr.add (v "x") (c 1)) (c 0));
+              Formula.atom (Atom.eq (Linexpr.add (v "x") (c 2)) (c 0)) ]
+        in
+        let f' = Formula.simplify f in
+        List.iter
+          (fun xv ->
+            let env n = if n = "x" then Rat.of_int xv else Rat.zero in
+            Alcotest.(check bool) (Printf.sprintf "x=%d" xv) false (Formula.eval env f'))
+          [ -3; -2; -1; 0; 1 ]);
+    t "simplify keeps both disjuncts (x+1=0 or x+2=0)" (fun () ->
+        let f =
+          Formula.disj
+            [ Formula.atom (Atom.eq (Linexpr.add (v "x") (c 1)) (c 0));
+              Formula.atom (Atom.eq (Linexpr.add (v "x") (c 2)) (c 0)) ]
+        in
+        let f' = Formula.simplify f in
+        List.iter
+          (fun xv ->
+            let env n = if n = "x" then Rat.of_int xv else Rat.zero in
+            Alcotest.(check bool) (Printf.sprintf "x=%d" xv)
+              (xv = -1 || xv = -2) (Formula.eval env f'))
+          [ -3; -2; -1; 0; 1 ]) ]
 
 (* Random quantifier-free formulas over x, y for semantic-preservation
    properties of the normal forms. *)

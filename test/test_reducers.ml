@@ -1,0 +1,178 @@
+(* A-priori reducers run through the smart path (Runner.run with the
+   parent query's technique, workers and transfer setting); the baseline
+   executor stays the reference.  Differential over the reducer-bearing
+   query families on data with NULLs, NaNs, duplicate join keys and
+   boundary integers. *)
+open Relalg
+open Core
+open Helpers
+
+let t name f = Alcotest.test_case name `Quick f
+
+(* Rewrite a table's rows in place of the generated ones, keeping its keys,
+   FDs and domain facts. *)
+let mutate_rows c name f =
+  let tbl = Catalog.find c name in
+  let schema = tbl.Catalog.rel.Relation.schema in
+  let rows = Array.map Array.copy (Relation.rows tbl.Catalog.rel) in
+  Array.iteri (fun i r -> f (Schema.index_of schema) i r) rows;
+  Catalog.replace_rows c name (Relation.of_rows schema (Array.to_list rows))
+
+let hostile_catalog () =
+  let c = Catalog.create () in
+  ignore (Workload.Baseball.register c ~rows:600 ~seed:11);
+  ignore (Workload.Baseball.register_unpivoted c ~rows:120 ~seed:11);
+  ignore (Workload.Basket.register c ~baskets:50 ~items:9 ~avg_size:3 ~seed:11);
+  (* player_performance: key (playerid, year, round) and FD playerid →
+     teamid stay true; NULL team for whole players, every third year moved
+     to the int boundary, NaN and NULL statistics. *)
+  mutate_rows c Workload.Baseball.table_name (fun idx i r ->
+      (match r.(idx "playerid") with
+       | Value.Int p when p mod 5 = 0 -> r.(idx "teamid") <- Value.Null
+       | _ -> ());
+      (match r.(idx "year") with
+       | Value.Int y when y mod 3 = 0 -> r.(idx "year") <- Value.Int (max_int - y)
+       | _ -> ());
+      if i mod 97 = 0 then r.(idx "b_h") <- Value.Float Float.nan;
+      if i mod 89 = 0 then r.(idx "b_hr") <- Value.Null);
+  (* perf_kv: key (id, attr) and FD id → category stay true. *)
+  mutate_rows c Workload.Baseball.unpivoted_name (fun idx i r ->
+      (match r.(idx "id") with
+       | Value.Int id when id mod 6 = 0 -> r.(idx "category") <- Value.Null
+       | _ -> ());
+      let v =
+        match i mod 23 with
+        | 0 | 9 -> Some Value.Null
+        | 3 | 15 -> Some (Value.Float Float.nan)
+        | 5 | 17 -> Some (Value.Int max_int)
+        | 7 -> Some (Value.Int min_int)
+        | 11 | 12 | 13 -> Some (Value.Int 7)  (* duplicate values *)
+        | _ -> None
+      in
+      Option.iter (fun v -> r.(idx "val") <- v) v);
+  (* basket: a basket id at the int boundary and one that is NULL. *)
+  Catalog.append_rows c Workload.Basket.table_name
+    (Array.of_list
+       (List.concat_map
+          (fun bid ->
+            List.map (fun it -> [| bid; sv it |]) [ "item0001"; "item0002"; "item0003" ])
+          [ Value.Int max_int; Value.Null ]));
+  c
+
+let families =
+  [ ("complex k=1", Workload.Queries.complex ~threshold:1);
+    ("complex k=3", Workload.Queries.complex ~threshold:3);
+    ("complex_filtered", Workload.Queries.complex_filtered ~category:"team1" ~threshold:1 ());
+    ("basket pairs", Workload.Queries.listing1 ~threshold:2);
+    ("Q4", Workload.Queries.pairs ~agg:`Avg ~c:2 ~k:20 ()) ]
+
+let rec reducer_lines (rep : Runner.report) =
+  List.filter (String.starts_with ~prefix:"reducer over {") rep.Runner.notes
+  @ List.concat_map (fun (_, r) -> reducer_lines r) rep.Runner.cte_reports
+
+let techs = [ ("all", Optimizer.all_techniques); ("apriori only", Optimizer.only `Apriori) ]
+
+let test_differential () =
+  let c = hostile_catalog () in
+  let saw_smart_reducer = ref false in
+  List.iter
+    (fun (name, sql) ->
+      let q = Sqlfront.Parser.parse sql in
+      let baseline = Runner.run_baseline c q in
+      Alcotest.(check bool) (name ^ ": non-empty answer") true
+        (Relation.cardinality baseline > 0);
+      List.iter
+        (fun (tname, tech) ->
+          List.iter
+            (fun workers ->
+              let label = Printf.sprintf "%s/%s/workers=%d" name tname workers in
+              let rel, rep = Runner.run ~tech ~workers c q in
+              check_bag label baseline rel;
+              let lines = reducer_lines rep in
+              if tech.Optimizer.memo || tech.Optimizer.pruning then begin
+                if List.exists (fun l -> contains l "NLJP outer") lines then
+                  saw_smart_reducer := true
+              end
+              else
+                List.iter
+                  (fun l ->
+                    if contains l "NLJP" then
+                      Alcotest.failf "%s: apriori-only reducer ran NLJP: %s" label l)
+                  lines;
+              (* Prepared plans take the same evaluator. *)
+              let prepared = Runner.prepare ~tech ~workers c q in
+              check_bag (label ^ " (prepared)") baseline (fst (Runner.run_prepared prepared)))
+            [ 1; 2 ])
+        techs)
+    families;
+  Alcotest.(check bool) "some reducer ran through NLJP" true !saw_smart_reducer
+
+let test_explain_lines () =
+  let c = hostile_catalog () in
+  List.iter
+    (fun (name, sql) ->
+      let q = Sqlfront.Parser.parse sql in
+      List.iter
+        (fun (tname, tech) ->
+          let predicted =
+            List.filter
+              (String.starts_with ~prefix:"reducer over {")
+              (List.map String.trim (String.split_on_char '\n' (Explain.query ~tech c q)))
+          in
+          if String.starts_with ~prefix:"complex" name && predicted = [] then
+            Alcotest.failf "%s/%s: EXPLAIN shows no reducer plan" name tname;
+          let _, rep = Runner.run ~tech c q in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s: EXPLAIN's reducer plans = executed" name tname)
+            (List.sort_uniq String.compare predicted)
+            (List.sort_uniq String.compare (reducer_lines rep)))
+        techs)
+    families
+
+let optimizer_counters () =
+  List.filter
+    (fun (n, _) -> String.starts_with ~prefix:"optimizer." n)
+    (Obs.Metrics.snapshot ())
+
+let test_baseline_untouched () =
+  let c = hostile_catalog () in
+  List.iter
+    (fun (name, sql) ->
+      let q = Sqlfront.Parser.parse sql in
+      (* an a-priori rewrite of the query, so the baseline meets IN-subqueries *)
+      let rewritten =
+        match
+          Optimizer.decide c q ~tech:Optimizer.all_techniques
+            ~nljp_config:Nljp.default_config
+        with
+        | d -> Optimizer.rewritten_query d
+        | exception Qspec.Unsupported _ -> q
+      in
+      let before = optimizer_counters () in
+      ignore (Runner.run_baseline c q : Relation.t);
+      ignore (Runner.run_baseline c rewritten : Relation.t);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": run_baseline moves no optimizer counter") before (optimizer_counters ()))
+    (List.filter (fun (_, sql) -> not (contains sql "WITH")) families)
+
+let test_reducer_spans () =
+  let c = hostile_catalog () in
+  let q = Sqlfront.Parser.parse (Workload.Queries.complex ~threshold:1) in
+  let root = Obs.Span.enter "query" in
+  ignore (Runner.run ~span:root c q);
+  Obs.Span.finish root;
+  let rec under side (s : Obs.Span.t) =
+    List.exists
+      (fun (ch : Obs.Span.t) ->
+        (String.equal s.Obs.Span.name side
+         && String.starts_with ~prefix:"reducer over {" ch.Obs.Span.name)
+        || under side ch)
+      (Obs.Span.children s)
+  in
+  Alcotest.(check bool) "a reducer span nests under Q_B" true (under "Q_B (outer side)" root)
+
+let suite =
+  [ t "reducers through the smart path match the baseline" test_differential;
+    t "EXPLAIN prints the plan each reducer runs" test_explain_lines;
+    t "run_baseline keeps the baseline evaluator" test_baseline_untouched;
+    t "reducer spans nest under the side that binds them" test_reducer_spans ]

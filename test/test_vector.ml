@@ -174,7 +174,7 @@ let test_disabled_note () =
   | None -> Alcotest.fail "no NLJP stats"
   | Some s ->
     Alcotest.(check string)
-      "not vectorized" "sorted inner index on R.k"
+      "not vectorized" "sorted inner index on R.k (built per execution)"
       (Nljp.access_to_string s.Nljp.access);
     Alcotest.(check bool)
       "reason surfaced in notes" true
