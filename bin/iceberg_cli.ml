@@ -87,6 +87,14 @@ let tech_of_string = function
 
 (* ---- commands ---- *)
 
+(* EXPLAIN: print the plan the run would execute and return — only CTE
+   blocks execute.  [None] transfer defers to the SI_TRANSFER default. *)
+let explain_query ?workers ?transfer catalog tech nljp_config sql =
+  let q = Sqlfront.Parser.parse sql in
+  print_string
+    (Core.Explain.query ~tech:(tech_of_string tech) ~nljp_config ?workers ?transfer catalog q);
+  0
+
 let run_cmd tables synth rows layout cache_mb sic_resident tech workers
     no_vector no_transfer verbose max_rows explain analyze json trace sql =
   let catalog = setup ?cache_mb ~sic_resident tables synth rows layout in
@@ -95,15 +103,7 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
   in
   (* [None] defers to the SI_TRANSFER environment default in Runner. *)
   let transfer = if no_transfer then Some false else None in
-  if explain then begin
-    (* EXPLAIN mode: print the optimizer's plan and return — no execution. *)
-    let q = Sqlfront.Parser.parse sql in
-    let tech =
-      if tech = "none" then Core.Optimizer.no_techniques else tech_of_string tech
-    in
-    print_string (Core.Explain.query ~tech ~nljp_config catalog q);
-    0
-  end
+  if explain then explain_query ~workers ?transfer catalog tech nljp_config sql
   else if analyze then begin
     (* EXPLAIN ANALYZE: execute with full instrumentation and print the
        annotated tree (estimates next to actuals, per-node Q-error) plus
@@ -174,15 +174,10 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
 
 let explain_cmd tables synth rows layout tech no_vector sql =
   let catalog = setup tables synth rows layout in
-  let q = Sqlfront.Parser.parse sql in
-  let tech =
-    if tech = "none" then Core.Optimizer.no_techniques else tech_of_string tech
-  in
   let nljp_config =
     { Core.Nljp.default_config with Core.Nljp.vector = not no_vector }
   in
-  print_string (Core.Explain.query ~tech ~nljp_config catalog q);
-  0
+  explain_query catalog tech nljp_config sql
 
 let compare_cmd tables synth rows layout workers sql =
   let catalog = setup tables synth rows layout in

@@ -1,20 +1,30 @@
-(** EXPLAIN: the optimizer's plan for a query, without executing it.
+(** EXPLAIN: the plan {!Runner.prepare} returns for a query, without
+    executing it.
 
-    The report shows the chosen generalized-a-priori reducers, the NLJP
-    outer/inner split with its component queries and memo/prune
+    Every line is read from that prepared value: the optimizer's notes,
+    the [plan: …] line {!Runner.report_to_string} prints for a run, the
+    chosen generalized-a-priori reducers with the plan line of each, the
+    NLJP outer/inner split with its component queries and memo/prune
     configuration (including the reasons when either is off), the
     inner-side access path in priority order (hash probe ≻ vectorized
-    column probe ≻ sorted inner index ≻ row scan), and the cost model's
-    per-node estimates for the baseline physical plan.
+    column probe ≻ sorted inner index ≻ row scan), the predicate-transfer
+    plan, and the cost model's per-node estimates for the baseline
+    physical plan.  [tech], [nljp_config], [workers], [memo_strategy] and
+    [transfer] are {!Runner.prepare}'s.
 
-    Nothing of the main query runs: [Optimizer.decide] with adaptivity off
-    is pure analysis.  The one exception is WITH — CTE blocks must be
-    materialized so the main block can be planned against their schemas;
-    the output flags this. *)
+    Nothing of the main query runs: planning is pure analysis, and the
+    side estimates cost Q_B / Q_R over their base tables scaled by each
+    reducer's estimated kept ratio instead of binding the reducers.  The
+    one exception is WITH — CTE blocks are materialized through
+    {!Runner.with_ctes}, as a run registers them, so the main block can be
+    planned against their schemas; the output flags this. *)
 
 val query :
   ?tech:Optimizer.technique ->
   ?nljp_config:Nljp.config ->
+  ?workers:int ->
+  ?memo_strategy:[ `Nljp | `Static_rewrite ] ->
+  ?transfer:bool ->
   Relalg.Catalog.t ->
   Sqlfront.Ast.query ->
   string

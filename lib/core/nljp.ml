@@ -674,24 +674,27 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
      capped by the outer cardinality): what the cost model would predict
      for the number of distinct inner evaluations without pruning.  Counts
      only the binding columns — a full Stats pass over every Q_B column
-     would dominate the --analyze overhead budget. *)
+     would dominate the --analyze overhead budget — and is timed as its own
+     child, so ANALYZE does not charge it to the operator. *)
   let est_distinct =
-    if not estimate then None
-    else
-      try
-        let d_of c =
-          let i = Schema.index_of_col l_rel.Relation.schema c in
-          let seen = Hashtbl.create 64 in
-          Relation.iter
-            (fun row -> Hashtbl.replace seen row.(i) ())
-            l_rel;
-          max 1 (Hashtbl.length seen)
-        in
-        let d =
-          List.fold_left (fun acc c -> acc * d_of c) 1 left_side.Qspec.join_cols
-        in
-        Some (min d (Relation.cardinality l_rel))
-      with _ -> None
+    match span with
+    | Some parent when estimate ->
+      Obs.Span.with_span ~parent "binding estimate" (fun _ ->
+          try
+            let d_of c =
+              let i = Schema.index_of_col l_rel.Relation.schema c in
+              let seen = Hashtbl.create 64 in
+              Relation.iter
+                (fun row -> Hashtbl.replace seen row.(i) ())
+                l_rel;
+              max 1 (Hashtbl.length seen)
+            in
+            let d =
+              List.fold_left (fun acc c -> acc * d_of c) 1 left_side.Qspec.join_cols
+            in
+            Some (min d (Relation.cardinality l_rel))
+          with _ -> None)
+    | _ -> None
   in
   let l_schema = l_rel.Relation.schema and r_schema = r_rel.Relation.schema in
   let jl_idx, binding_schema, theta =
@@ -1619,8 +1622,7 @@ let delta_refresh op shared ~table ~delta =
     end
   end
 
-(* The component queries NLJP actually materializes (a-priori overrides
-   applied), so EXPLAIN can estimate their cardinalities. *)
+(* The component queries over their base tables, before the a-priori
+   overrides, so EXPLAIN can cost them without running a reducer. *)
 let side_queries op =
-  ( Qspec.side_query ~overrides:op.overrides op.spec.Qspec.left,
-    Qspec.side_query ~overrides:op.overrides op.spec.Qspec.right )
+  (Qspec.side_query op.spec.Qspec.left, Qspec.side_query op.spec.Qspec.right)

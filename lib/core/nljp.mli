@@ -156,7 +156,8 @@ val execute :
     materializations and the probe loop (with its counter slice); with
     [estimate] additionally, each side span carries the cost model's
     cardinality estimate and the loop span an [est_distinct_bindings]
-    counter, for EXPLAIN ANALYZE's estimate-vs-actual accounting.  The
+    counter, for EXPLAIN ANALYZE's estimate-vs-actual accounting; the
+    distinct-count pass behind it is timed as a [binding estimate] child.  The
     [span] itself gets the [inner access path: …] note EXPLAIN prints.
 
     [transfer] supplies predicate-transfer Bloom filters per FROM alias
@@ -221,7 +222,8 @@ val subsumption : t -> Subsume.t option
     (mutated in place); snapshot around a call for per-execution deltas. *)
 val op_stats : t -> stats
 
-(** The Q_B / Q_R component queries as materialized (overrides applied). *)
+(** The Q_B / Q_R component queries over their base tables, without the
+    a-priori overrides — so they can be costed without running a reducer. *)
 val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
 
 (** Decide the inner access path, in priority order: hash probe on

@@ -497,6 +497,13 @@ let decide ?(adaptive = false) ?(transfer = true) catalog q ~tech ~nljp_config =
     notes = List.rev !notes;
   }
 
+let reducer_subqueries rw =
+  List.filter_map
+    (function
+      | _, Ast.T_subquery ({ Ast.where = Some (Ast.P_in (_, red)); _ }, _) -> Some red
+      | _ -> None)
+    rw.replacements
+
 let rewritten_query d =
   let repl = List.concat_map (fun rw -> rw.replacements) d.apriori_rewrites in
   {

@@ -66,6 +66,10 @@ val transfer_force : bool ref
     net loss on the complex workload. *)
 val transfer_apriori_sources : bool ref
 
+(** The IN-subqueries a rewrite binds: its reducer projected onto each
+    wrapped table's columns, one per table. *)
+val reducer_subqueries : apriori_rewrite -> Sqlfront.Ast.query list
+
 (** The query with all chosen a-priori rewrites applied (for non-NLJP
     execution paths). *)
 val rewritten_query : decision -> Sqlfront.Ast.query

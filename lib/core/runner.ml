@@ -120,7 +120,7 @@ let span_note s msg = match s with Some sp -> Obs.Span.note sp msg | None -> ()
 
 (* One line naming how a block runs: its a-priori reducers, then NLJP with
    its outer side and inner access path, or the baseline join. *)
-let plan_line ~apriori ~nljp =
+let format_plan_line ~apriori ~nljp =
   let join =
     match nljp with
     | Some (aliases, access) ->
@@ -135,21 +135,11 @@ let plan_line ~apriori ~nljp =
       join
 
 let report_plan_line rep =
-  plan_line ~apriori:(List.length rep.apriori)
+  format_plan_line ~apriori:(List.length rep.apriori)
     ~nljp:
       (match rep.nljp_outer, rep.nljp_stats with
        | Some aliases, Some s -> Some (aliases, s.Nljp.access)
        | _ -> None)
-
-let decision_plan_line = function
-  | None -> plan_line ~apriori:0 ~nljp:None
-  | Some (d : Optimizer.decision) ->
-    plan_line
-      ~apriori:(List.length d.Optimizer.apriori_rewrites)
-      ~nljp:
-        (Option.map
-           (fun (op, aliases) -> (aliases, fst (Nljp.choose_access op)))
-           d.Optimizer.nljp)
 
 let reducer_label (q : Ast.query) =
   Printf.sprintf "reducer over {%s}"
@@ -186,62 +176,224 @@ let rename_table_refs (q : Ast.query) renames =
         q.Ast.from;
   }
 
-let rec run ?span ?(analyze = false) ?(tech = Optimizer.all_techniques)
-    ?(nljp_config = Nljp.default_config) ?workers ?(memo_strategy = `Nljp)
-    ?(adaptive_apriori = false) ?transfer catalog (q : Ast.query) =
-  let transfer = match transfer with Some t -> t | None -> transfer_default () in
-  (* [?workers] overrides the NLJP worker count; once folded into the config
-     it propagates to CTE blocks through the recursive call below. *)
-  let nljp_config =
+let with_ctes catalog (q : Ast.query) ~cte k =
+  let temp_names = ref [] in
+  let renames = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (Catalog.remove_table catalog) !temp_names)
+    (fun () ->
+      List.iter
+        (fun (name, def) ->
+          let def = rename_table_refs def !renames in
+          let rel = cte name def in
+          let fresh = fresh_temp_name catalog name in
+          let keys = match derived_key def with Some k -> [ k ] | None -> [] in
+          let nonneg = derived_nonneg catalog def in
+          Catalog.add_temp catalog ~keys ~nonneg fresh
+            (Relation.with_schema (Schema.unqualified rel.Relation.schema) rel);
+          temp_names := fresh :: !temp_names;
+          renames := (String.lowercase_ascii name, fresh) :: !renames)
+        q.Ast.with_defs;
+      k (rename_table_refs { q with Ast.with_defs = [] } !renames))
+
+(* ---- block plans ---- *)
+
+type plan =
+  | Baseline of { query : Ast.query; notes : string list }
+  | Optimized of Optimizer.decision
+  | With of Ast.query
+
+type settings = {
+  s_tech : Optimizer.technique;
+  s_nljp_config : Nljp.config;
+  s_transfer : bool;
+  s_memo_strategy : [ `Nljp | `Static_rewrite ];
+  s_adaptive_apriori : bool;
+}
+
+(* A prepared block pins the optimizer's decision so repeated executions
+   skip the Listing 9 procedure (subset enumeration, reducer analysis,
+   pick_* costing).  NLJP decisions additionally carry a cross-query shared
+   prune/memo tier and memoize the predicate-transfer Bloom build; both are
+   only valid for the catalog version the plan was prepared against — the
+   owner re-prepares after any catalog mutation ({!prepared_version}). *)
+type prepared = {
+  p_catalog : Catalog.t;
+  p_settings : settings;
+  mutable p_version : int;
+  p_plan : plan;
+  p_reducers : (Ast.query * prepared) list;
+      (* the plan of each IN-subquery (a-priori reducer) the decision binds *)
+  p_shared : Nljp.shared_cache;
+  mutable p_transfer_run : Transfer.result option;
+  p_mu : Mutex.t;
+      (* Serializes executions of one NLJP plan: the operator's stats record
+         and shared tier are mutated in place.  Distinct prepared plans
+         execute concurrently without contention. *)
+}
+
+(* The only place a block is planned.  A-priori reducers are iceberg
+   queries themselves (§4), so each is planned here with the parent's
+   settings — an "a-priori only" ablation stays a-priori only all the way
+   down.  Recursion ends: a reducer's FROM is a strict subset of its
+   parent's.  CTE queries plan nothing yet: their main block needs the
+   materialized temp tables, so [run_prepared] plans it per execution. *)
+let rec plan_block ?span s catalog (q : Ast.query) =
+  let tech = s.s_tech in
+  let plan =
+    if q.Ast.with_defs <> [] then With q
+    else if not (Optimizer.iceberg_shape ~tech q) then
+      Baseline { query = q; notes = [ "not optimized: outside the iceberg query shape" ] }
+    else
+      in_span span "optimize" (fun sp ->
+          if
+            s.s_memo_strategy = `Static_rewrite && tech.Optimizer.memo
+            && not tech.Optimizer.pruning
+          then
+            (* Appendix C: memoization through static query rewriting. *)
+            match Optimizer.pick_static_memo catalog q with
+            | Some rewritten ->
+              Baseline
+                { query = rewritten; notes = [ "memoization via static rewrite (Listing 8)" ] }
+            | None -> Baseline { query = q; notes = [ "static memo rewrite not applicable" ] }
+          else
+            match
+              Optimizer.decide ~adaptive:s.s_adaptive_apriori ~transfer:s.s_transfer
+                catalog q ~tech ~nljp_config:s.s_nljp_config
+            with
+            | exception Qspec.Unsupported reason ->
+              span_note sp "unsupported query shape";
+              Baseline { query = q; notes = [ "not optimized: " ^ reason ] }
+            | d ->
+              span_counter sp "apriori_rewrites" (List.length d.Optimizer.apriori_rewrites);
+              List.iter (span_note sp) d.Optimizer.notes;
+              Optimized d)
+  in
+  let reducers =
+    match plan with
+    | Optimized d ->
+      List.concat_map
+        (fun rw ->
+          List.map (fun red -> (red, plan_block s catalog red)) (Optimizer.reducer_subqueries rw))
+        d.Optimizer.apriori_rewrites
+    | Baseline _ | With _ -> []
+  in
+  {
+    p_catalog = catalog;
+    p_settings = s;
+    p_version = Catalog.version catalog;
+    p_plan = plan;
+    p_reducers = reducers;
+    p_shared = Nljp.shared_cache ();
+    p_transfer_run = None;
+    p_mu = Mutex.create ();
+  }
+
+let prepare ?span ?(tech = Optimizer.all_techniques) ?(nljp_config = Nljp.default_config)
+    ?workers ?(memo_strategy = `Nljp) ?(adaptive_apriori = false) ?transfer catalog q =
+  let s_nljp_config =
     match workers with
     | None -> nljp_config
     | Some w -> { nljp_config with Nljp.workers = w }
   in
-  (* Materialize CTE blocks (each optimized recursively), registering them
-     as temp tables carrying derived keys and domain facts. *)
-  let temp_names = ref [] in
-  let renames = ref [] in
-  let cte_reports = ref [] in
-  List.iter
-    (fun (name, def) ->
-      let def = rename_table_refs def !renames in
-      let rel, rep =
-        in_span span ("cte:" ^ name) (fun s ->
-            let rel, rep =
-              run ?span:s ~analyze ~tech ~nljp_config ~memo_strategy
-                ~adaptive_apriori ~transfer catalog def
-            in
-            span_rows_out s (Relation.cardinality rel);
-            (rel, rep))
-      in
-      let fresh = fresh_temp_name catalog name in
-      let keys = match derived_key def with Some k -> [ k ] | None -> [] in
-      let nonneg = derived_nonneg catalog def in
-      Catalog.add_temp catalog ~keys ~nonneg fresh
-        (Relation.with_schema (Schema.unqualified rel.Relation.schema) rel);
-      temp_names := fresh :: !temp_names;
-      renames := (String.lowercase_ascii name, fresh) :: !renames;
-      cte_reports := (name, rep) :: !cte_reports)
-    q.Ast.with_defs;
-  let main = rename_table_refs { q with Ast.with_defs = [] } !renames in
-  (* Delta of the global block counters across this query, so nested (CTE)
-     runs report their own scans without resets clobbering the enclosing
-     query's accounting. *)
+  plan_block ?span
+    {
+      s_tech = tech;
+      s_nljp_config;
+      s_transfer = (match transfer with Some t -> t | None -> transfer_default ());
+      s_memo_strategy = memo_strategy;
+      s_adaptive_apriori = adaptive_apriori;
+    }
+    catalog q
+
+let plan p = p.p_plan
+let reducers p = p.p_reducers
+let prepared_version p = p.p_version
+
+let plan_line p =
+  match p.p_plan with
+  | Baseline _ -> format_plan_line ~apriori:0 ~nljp:None
+  | Optimized d ->
+    format_plan_line
+      ~apriori:(List.length d.Optimizer.apriori_rewrites)
+      ~nljp:
+        (Option.map
+           (fun (op, aliases) -> (aliases, fst (Nljp.choose_access op)))
+           d.Optimizer.nljp)
+  | With _ -> "WITH blocks first, then the main block planned over them"
+
+(* Carry a prepared plan across an append instead of re-preparing it.
+   Baseline and rewrite-only blocks re-bind and re-execute against the live
+   catalog on every call, so they survive any append unchanged; an NLJP
+   block delegates to the operator's delta rules for its shared prune/memo
+   tier.  Every block drops its predicate-transfer Bloom memo (Blooms
+   describe pre-append tables), and the reducer plans are carried the same
+   way.  On [`Kept]/[`Refreshed] the plan's version is advanced to the
+   current catalog version so version-keyed owners keep accepting it;
+   [`Reprepare] leaves it stale and the owner must rebuild. *)
+let rec refresh_prepared p ~table ~delta =
+  let own =
+    Mutex.protect p.p_mu (fun () ->
+        p.p_transfer_run <- None;
+        match p.p_plan with
+        | Optimized { Optimizer.nljp = Some (op, _); _ } ->
+          (match Nljp.delta_refresh op p.p_shared ~table ~delta with
+           | `Kept -> `Kept
+           | `Refreshed _ -> `Refreshed
+           | `Reprepare reason -> `Reprepare reason)
+        | Optimized _ | Baseline _ | With _ -> `Kept)
+  in
+  let outcome =
+    List.fold_left
+      (fun acc (_, rp) ->
+        match acc, refresh_prepared rp ~table ~delta with
+        | (`Reprepare _ as r), _ | _, (`Reprepare _ as r) -> r
+        | `Refreshed, _ | _, `Refreshed -> `Refreshed
+        | `Kept, `Kept -> `Kept)
+      own p.p_reducers
+  in
+  (match outcome with
+   | `Reprepare _ -> ()
+   | `Kept | `Refreshed -> p.p_version <- Catalog.version p.p_catalog);
+  outcome
+
+let prepared_shared_rows p =
+  match p.p_plan with
+  | Optimized { Optimizer.nljp = Some _; _ } -> Some (Nljp.shared_cache_rows p.p_shared)
+  | Optimized _ | Baseline _ | With _ -> None
+
+(* Per-execution delta of the operator's cumulative stats record. *)
+let stats_delta (s0 : Nljp.stats) (s1 : Nljp.stats) =
+  {
+    s1 with
+    Nljp.outer_rows = s1.Nljp.outer_rows - s0.Nljp.outer_rows;
+    inner_evals = s1.Nljp.inner_evals - s0.Nljp.inner_evals;
+    pruned = s1.Nljp.pruned - s0.Nljp.pruned;
+    memo_hits = s1.Nljp.memo_hits - s0.Nljp.memo_hits;
+    vector_evals = s1.Nljp.vector_evals - s0.Nljp.vector_evals;
+    vector_fallbacks = s1.Nljp.vector_fallbacks - s0.Nljp.vector_fallbacks;
+    inner_blocks_skipped =
+      s1.Nljp.inner_blocks_skipped - s0.Nljp.inner_blocks_skipped;
+    inner_blocks_scanned =
+      s1.Nljp.inner_blocks_scanned - s0.Nljp.inner_blocks_scanned;
+    waves = s1.Nljp.waves - s0.Nljp.waves;
+  }
+
+(* Compressed-storage tier: blocks decoded vs answered directly on the
+   encoded form, and block-cache traffic (lib/column DESIGN.md §13). *)
+let sic_counters =
+  List.map Obs.Metrics.counter
+    [ "sic.blocks_decoded"; "sic.blocks_direct"; "sic.cache_hits";
+      "sic.cache_misses"; "sic.cache_evictions" ]
+
+(* Delta of the global block counters across one block's execution, so
+   nested (CTE, reducer) blocks report their own scans without resets
+   clobbering the enclosing query's accounting. *)
+let with_block_accounting span f =
   let skipped0, scanned0 = Colscan.counters () in
   let tb0, tp0, td0 = Colscan.transfer_counters () in
-  (* Compressed-storage tier: blocks decoded vs answered directly on the
-     encoded form, and block-cache traffic (lib/column DESIGN.md §13). *)
-  let sic_counters =
-    List.map Obs.Metrics.counter
-      [ "sic.blocks_decoded"; "sic.blocks_direct"; "sic.cache_hits";
-        "sic.cache_misses"; "sic.cache_evictions" ]
-  in
   let sic0 = List.map Obs.Metrics.read sic_counters in
-  let result, rep =
-    run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
-      ~transfer catalog main
-  in
-  List.iter (Catalog.remove_table catalog) !temp_names;
+  let result, rep = f () in
   let skipped1, scanned1 = Colscan.counters () in
   let tb1, tp1, td1 = Colscan.transfer_counters () in
   let block_notes =
@@ -256,7 +408,6 @@ let rec run ?span ?(analyze = false) ?(tech = Optimizer.all_techniques)
           (tb1 - tb0) (tp1 - tp0) (td1 - td0) ]
     else []
   in
-  (* Zone-map slice for this block (CTE blocks record their own above). *)
   (match span with
    | Some sp when skipped1 > skipped0 || scanned1 > scanned0 ->
      Obs.Span.add_counter sp "colscan.blocks_skipped" (skipped1 - skipped0);
@@ -293,29 +444,113 @@ let rec run ?span ?(analyze = false) ?(tech = Optimizer.all_techniques)
                  Printf.sprintf "%s=%d" n d)
                sic_deltas) ]
   in
-  ( result,
-    { rep with
-      notes = rep.notes @ block_notes @ sic_notes;
-      cte_reports = List.rev !cte_reports
-    } )
+  (result, { rep with notes = rep.notes @ block_notes @ sic_notes })
 
-(* A-priori reducers are iceberg queries themselves (§4), so the smart path
-   runs them through [run] with the parent query's settings — an
-   "a-priori only" ablation stays a-priori only all the way down — each
-   under a [reducer over {…}] span below the span that bound it.  Recursion
-   ends: a reducer's FROM is a strict subset of its parent's.  Returns the
-   evaluator and a reader of the distinct plan lines of the reducers it ran
-   (a reducer wrapping two tables runs once per table). *)
-and reducer_evaluator ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
-    ~transfer catalog =
+(* Baseline execution of [query].  Under [analyze] with a live span, bind
+   once, execute with a per-plan-node recorder, and attach the full plan
+   tree as zero-duration child spans — each carrying the cost model's
+   estimated rows/cost next to the recorded actual rows.  Plan nodes are
+   pipelined, so only the block's wall time is attributable, not per-node
+   times (DESIGN.md §10). *)
+let exec_baseline ~analyze p ?subquery s query =
+  let catalog = p.p_catalog and workers = p.p_settings.s_nljp_config.Nljp.workers in
+  match (if analyze then s else None) with
+  | None -> Binder.run ~workers ?subquery catalog query
+  | Some sp ->
+    let plan = Binder.bind ~workers ?subquery catalog query in
+    let acts = ref [] in
+    let recorder =
+      { Exec.rec_rows = (fun path label rows -> acts := (path, (label, rows)) :: !acts) }
+    in
+    let rel = Exec.run ~workers ~recorder catalog plan in
+    let tree = Cost.tree catalog plan in
+    Obs.Span.set_estimate ~rows:tree.Cost.t_rows ~cost:tree.Cost.t_cost sp;
+    Obs.Span.note sp "plan nodes below are pipelined; per-node time not attributed";
+    let rec attach parent path (t : Cost.tree) =
+      let node = Obs.Span.enter ~parent t.Cost.t_label in
+      node.Obs.Span.dur_ms <- 0.;
+      Obs.Span.set_estimate ~rows:t.Cost.t_rows ~cost:t.Cost.t_cost node;
+      (match List.assoc_opt path !acts with
+       | Some (_, rows) -> node.Obs.Span.rows_out <- Some rows
+       | None -> ());
+      List.iteri (fun i c -> attach node (path @ [ i ]) c) t.Cost.t_children
+    in
+    attach sp [] tree;
+    rel
+
+(* Estimated output cardinality/cost of the block's baseline plan, stamped
+   on the execute span so the block-level Q-error is reported even when
+   execution goes through NLJP instead of that plan.  Timed as its own
+   child, so ANALYZE does not charge it to the operator. *)
+let stamp_block_estimate ~analyze catalog s query =
+  match s with
+  | Some sp when analyze ->
+    Obs.Span.with_span ~parent:sp "block estimate" (fun _ ->
+        try
+          let est = Cost.estimate catalog (Binder.bind catalog query) in
+          Obs.Span.set_estimate ~rows:est.Cost.rows ~cost:est.Cost.cost sp
+        with _ -> ())
+  | _ -> ()
+
+let block_report p notes =
+  {
+    technique = p.p_settings.s_tech;
+    apriori = [];
+    nljp_outer = None;
+    nljp_stats = None;
+    nljp_describe = None;
+    transfer = None;
+    notes;
+    cte_reports = [];
+  }
+
+(* The only place a plan executes.  [analyze] adds the per-node recorder,
+   the block estimate and the operator's side estimates. *)
+let rec run_prepared ?span ?(analyze = false) p =
+  match p.p_plan with
+  | With q ->
+    let cte_reports = ref [] in
+    let rel, rep =
+      with_ctes p.p_catalog q
+        ~cte:(fun name def ->
+          in_span span ("cte:" ^ name) (fun s ->
+              let rel, rep =
+                run_prepared ?span:s ~analyze (plan_block ?span:s p.p_settings p.p_catalog def)
+              in
+              span_rows_out s (Relation.cardinality rel);
+              cte_reports := (name, rep) :: !cte_reports;
+              rel))
+        (fun main ->
+          run_prepared ?span ~analyze (plan_block ?span p.p_settings p.p_catalog main))
+    in
+    (rel, { rep with cte_reports = List.rev !cte_reports })
+  | Baseline { query; notes } ->
+    with_block_accounting span (fun () ->
+        let rel =
+          in_span span "execute" (fun s ->
+              List.iter (span_note s) notes;
+              let rel = exec_baseline ~analyze p s query in
+              span_rows_out s (Relation.cardinality rel);
+              rel)
+        in
+        (rel, block_report p notes))
+  | Optimized d -> with_block_accounting span (fun () -> run_decision ?span ~analyze p d)
+
+(* Each reducer runs its prepared plan under a [reducer over {…}] span below
+   the span that bound it.  Returns the evaluator and a reader of the
+   distinct plan lines of the reducers it ran (a reducer wrapping two
+   tables runs once per table). *)
+and reducer_evaluator ~analyze p =
   let lines = ref [] in
   let eval span (q : Ast.query) =
     let label = reducer_label q in
     in_span span label (fun s ->
-        let rel, rep =
-          run ?span:s ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
-            ~transfer catalog q
+        let rp =
+          match List.assq_opt q p.p_reducers with
+          | Some rp -> rp
+          | None -> plan_block p.p_settings p.p_catalog q
         in
+        let rel, rep = run_prepared ?span:s ~analyze rp in
         let line = label ^ ": " ^ report_plan_line rep in
         span_note s line;
         span_rows_out s (Relation.cardinality rel);
@@ -324,408 +559,77 @@ and reducer_evaluator ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_aprio
   in
   (eval, fun () -> List.rev !lines)
 
-and run_block ~span ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
-    ~transfer catalog (q : Ast.query) =
-  let subquery, reducer_lines =
-    reducer_evaluator ~analyze ~tech ~nljp_config ~memo_strategy ~adaptive_apriori
-      ~transfer catalog
-  in
-  (* Baseline execution of [query].  Under [analyze] with a live span, bind
-     once, execute with a per-plan-node recorder, and attach the full plan
-     tree as zero-duration child spans — each carrying the cost model's
-     estimated rows/cost next to the recorded actual rows.  Plan nodes are
-     pipelined, so only the block's wall time is attributable, not
-     per-node times (DESIGN.md §10). *)
-  let exec_baseline ?subquery s query =
-    match (if analyze then s else None) with
-    | None -> Binder.run ?subquery catalog query
-    | Some sp ->
-      let plan = Binder.bind ?subquery catalog query in
-      let acts = ref [] in
-      let recorder =
-        { Exec.rec_rows = (fun path label rows -> acts := (path, (label, rows)) :: !acts) }
-      in
-      let rel = Exec.run ~recorder catalog plan in
-      let tree = Cost.tree catalog plan in
-      Obs.Span.set_estimate ~rows:tree.Cost.t_rows ~cost:tree.Cost.t_cost sp;
-      Obs.Span.note sp "plan nodes below are pipelined; per-node time not attributed";
-      let rec attach parent path (t : Cost.tree) =
-        let node = Obs.Span.enter ~parent t.Cost.t_label in
-        node.Obs.Span.dur_ms <- 0.;
-        Obs.Span.set_estimate ~rows:t.Cost.t_rows ~cost:t.Cost.t_cost node;
-        (match List.assoc_opt path !acts with
-         | Some (_, rows) -> node.Obs.Span.rows_out <- Some rows
-         | None -> ());
-        List.iteri (fun i c -> attach node (path @ [ i ]) c) t.Cost.t_children
-      in
-      attach sp [] tree;
-      rel
-  in
-  (* Estimated output cardinality/cost of the block's baseline plan,
-     stamped on the execute span so the block-level Q-error is reported
-     even when execution goes through NLJP instead of that plan. *)
-  let stamp_block_estimate s query =
-    if analyze then
-      match s with
-      | Some sp ->
-        (try
-           let est = Cost.estimate catalog (Binder.bind catalog query) in
-           Obs.Span.set_estimate ~rows:est.Cost.rows ~cost:est.Cost.cost sp
-         with _ -> ())
-      | None -> ()
-  in
-  let fallback notes =
+and run_decision ?span ~analyze p (d : Optimizer.decision) =
+  let subquery, reducer_lines = reducer_evaluator ~analyze p in
+  let report = { (block_report p d.Optimizer.notes) with apriori = d.Optimizer.apriori_rewrites } in
+  match d.Optimizer.nljp with
+  | None ->
     let rel =
       in_span span "execute" (fun s ->
-          List.iter (span_note s) notes;
-          let rel = exec_baseline s q in
-          span_rows_out s (Relation.cardinality rel);
-          rel)
-    in
-    ( rel,
-      {
-        technique = tech;
-        apriori = [];
-        nljp_outer = None;
-        nljp_stats = None;
-        nljp_describe = None;
-        transfer = None;
-        notes;
-        cte_reports = [];
-      } )
-  in
-  (* Queries outside the iceberg shape (single table, no HAVING, …) run
-     directly on the baseline engine. *)
-  if not (Optimizer.iceberg_shape ~tech q) then fallback []
-  else if
-    memo_strategy = `Static_rewrite && tech.Optimizer.memo
-    && not tech.Optimizer.pruning
-  then begin
-    (* Appendix C: memoization through static query rewriting. *)
-    match in_span span "optimize" (fun _ -> Optimizer.pick_static_memo catalog q) with
-    | Some rewritten ->
-      let rel =
-        in_span span "execute" (fun s ->
-            span_note s "memoization via static rewrite (Listing 8)";
-            let rel = exec_baseline s rewritten in
-            span_rows_out s (Relation.cardinality rel);
-            rel)
-      in
-      ( rel,
-        {
-          technique = tech;
-          apriori = [];
-          nljp_outer = None;
-          nljp_stats = None;
-          nljp_describe = None;
-          transfer = None;
-          notes = [ "memoization via static rewrite (Listing 8)" ];
-          cte_reports = [];
-        } )
-    | None -> fallback [ "static memo rewrite not applicable" ]
-  end
-  else begin
-    match
-      in_span span "optimize" (fun s ->
-          match
-            Optimizer.decide ~adaptive:adaptive_apriori ~transfer catalog q
-              ~tech ~nljp_config
-          with
-          | decision ->
-            span_counter s "apriori_rewrites"
-              (List.length decision.Optimizer.apriori_rewrites);
-            List.iter (span_note s) decision.Optimizer.notes;
-            decision
-          | exception e ->
-            span_note s "unsupported query shape";
-            raise e)
-    with
-    | exception Qspec.Unsupported reason ->
-      fallback [ "not optimized: " ^ reason ]
-    | decision ->
-      let base_report =
-        {
-          technique = tech;
-          apriori = decision.Optimizer.apriori_rewrites;
-          nljp_outer = None;
-          nljp_stats = None;
-          nljp_describe = None;
-          transfer = None;
-          notes = decision.Optimizer.notes;
-          cte_reports = [];
-        }
-      in
-      (match decision.Optimizer.nljp with
-       | Some (op, aliases) ->
-         (* Predicate transfer runs its two semi-join passes before NLJP so
-            both side queries scan through the resulting filters. *)
-         let transfer_result =
-           match decision.Optimizer.transfer with
-           | None -> None
-           | Some spec ->
-             Some
-               (in_span span "transfer" (fun s ->
-                    let r = Transfer.run ?span:s catalog spec in
-                    List.iter (span_note s) r.Transfer.r_notes;
-                    r))
-         in
-         let transfer_filters =
-           match transfer_result with
-           | Some r -> r.Transfer.r_filters
-           | None -> []
-         in
-         let rel, stats =
-           in_span span "execute" (fun s ->
-               stamp_block_estimate s q;
-               let rel, stats =
-                 Nljp.execute ?span:s ~estimate:analyze
-                   ~transfer:transfer_filters ~subquery op
-               in
-               span_rows_out s (Relation.cardinality rel);
-               span_counter s "outer_rows" stats.Nljp.outer_rows;
-               span_counter s "inner_evals" stats.Nljp.inner_evals;
-               span_counter s "pruned" stats.Nljp.pruned;
-               span_counter s "memo_hits" stats.Nljp.memo_hits;
-               span_counter s "vector_evals" stats.Nljp.vector_evals;
-               span_counter s "waves" stats.Nljp.waves;
-               List.iter (span_note s) stats.Nljp.notes;
-               (rel, stats))
-         in
-         ( rel,
-           {
-             base_report with
-             nljp_outer = Some aliases;
-             nljp_stats = Some stats;
-             nljp_describe = Some (Nljp.describe op);
-             transfer = transfer_result;
-             notes = base_report.notes @ reducer_lines ();
-           } )
-       | None ->
-         let rel =
-           in_span span "execute" (fun s ->
-               let rel =
-                 exec_baseline ~subquery:(subquery s) s (Optimizer.rewritten_query decision)
-               in
-               span_rows_out s (Relation.cardinality rel);
-               rel)
-         in
-         (rel, { base_report with notes = base_report.notes @ reducer_lines () }))
-  end
-
-let run_baseline ?(workers = 1) catalog q = Binder.run ~workers catalog q
-
-(* ---- prepared statements (the query server's plan cache entries) ---- *)
-
-(* A prepared query pins the optimizer's decision so repeated executions
-   skip the Listing 9 procedure (subset enumeration, reducer analysis,
-   pick_* costing).  NLJP decisions additionally carry a cross-query shared
-   prune/memo tier and memoize the predicate-transfer Bloom build; both are
-   only valid for the catalog version the plan was prepared against — the
-   owner re-prepares after any catalog mutation ({!prepared_version}). *)
-type prepared_kind =
-  | P_direct  (** CTE / non-iceberg / unsupported shape: full [run] per call *)
-  | P_rewrite of Ast.query * Optimizer.decision
-      (** decision without an NLJP operator: execute the rewritten query *)
-  | P_nljp of {
-      decision : Optimizer.decision;
-      op : Nljp.t;
-      aliases : string list;
-      shared : Nljp.shared_cache;
-      mutable transfer_run : Transfer.result option;
-    }
-
-type prepared = {
-  p_catalog : Catalog.t;
-  p_query : Ast.query;
-  p_tech : Optimizer.technique;
-  p_nljp_config : Nljp.config;
-  p_transfer : bool;
-  mutable p_version : int;
-  p_kind : prepared_kind;
-  p_mu : Mutex.t;
-      (* Serializes executions of one prepared plan: the NLJP operator's
-         stats record and shared tier are mutated in place.  Distinct
-         prepared plans execute concurrently without contention. *)
-}
-
-let prepare ?(tech = Optimizer.all_techniques) ?(nljp_config = Nljp.default_config)
-    ?workers ?transfer catalog (q : Ast.query) =
-  let transfer = match transfer with Some t -> t | None -> transfer_default () in
-  let nljp_config =
-    match workers with
-    | None -> nljp_config
-    | Some w -> { nljp_config with Nljp.workers = w }
-  in
-  (* Same gate as [run_block]; CTE queries go direct — their temp-table
-     registration needs the full per-call lifecycle. *)
-  let kind =
-    if not (q.Ast.with_defs = [] && Optimizer.iceberg_shape ~tech q) then P_direct
-    else
-      match Optimizer.decide ~transfer catalog q ~tech ~nljp_config with
-      | exception Qspec.Unsupported _ -> P_direct
-      | decision ->
-        (match decision.Optimizer.nljp with
-         | Some (op, aliases) ->
-           P_nljp
-             {
-               decision;
-               op;
-               aliases;
-               shared = Nljp.shared_cache ();
-               transfer_run = None;
-             }
-         | None -> P_rewrite (Optimizer.rewritten_query decision, decision))
-  in
-  {
-    p_catalog = catalog;
-    p_query = q;
-    p_tech = tech;
-    p_nljp_config = nljp_config;
-    p_transfer = transfer;
-    p_version = Catalog.version catalog;
-    p_kind = kind;
-    p_mu = Mutex.create ();
-  }
-
-let prepared_version p = p.p_version
-
-(* Carry a prepared plan across an append instead of re-preparing it.
-   P_direct and P_rewrite re-bind and re-execute against the live catalog
-   on every call (a-priori reducer subqueries re-materialize per run), so
-   they survive any append unchanged; P_nljp delegates to the operator's
-   delta rules for its shared prune/memo tier and always discards the
-   predicate-transfer Bloom memo (Blooms describe pre-append tables).
-   On [`Kept]/[`Refreshed] the plan's version is advanced to the current
-   catalog version so version-keyed owners keep accepting it; [`Reprepare]
-   leaves it stale and the owner must rebuild. *)
-let refresh_prepared p ~table ~delta =
-  Mutex.lock p.p_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock p.p_mu) @@ fun () ->
-  let outcome =
-    match p.p_kind with
-    | P_direct | P_rewrite _ -> `Kept
-    | P_nljp pn ->
-      pn.transfer_run <- None;
-      (match Nljp.delta_refresh pn.op pn.shared ~table ~delta with
-       | `Kept -> `Kept
-       | `Refreshed _ -> `Refreshed
-       | `Reprepare reason -> `Reprepare reason)
-  in
-  (match outcome with
-   | `Reprepare _ -> ()
-   | `Kept | `Refreshed -> p.p_version <- Catalog.version p.p_catalog);
-  outcome
-
-let prepared_kind p =
-  match p.p_kind with
-  | P_direct -> `Direct
-  | P_rewrite _ -> `Rewrite
-  | P_nljp _ -> `Nljp
-
-let prepared_shared_rows p =
-  match p.p_kind with
-  | P_nljp pn -> Some (Nljp.shared_cache_rows pn.shared)
-  | _ -> None
-
-(* Per-execution delta of the operator's cumulative stats record. *)
-let stats_delta (s0 : Nljp.stats) (s1 : Nljp.stats) =
-  {
-    s1 with
-    Nljp.outer_rows = s1.Nljp.outer_rows - s0.Nljp.outer_rows;
-    inner_evals = s1.Nljp.inner_evals - s0.Nljp.inner_evals;
-    pruned = s1.Nljp.pruned - s0.Nljp.pruned;
-    memo_hits = s1.Nljp.memo_hits - s0.Nljp.memo_hits;
-    vector_evals = s1.Nljp.vector_evals - s0.Nljp.vector_evals;
-    vector_fallbacks = s1.Nljp.vector_fallbacks - s0.Nljp.vector_fallbacks;
-    inner_blocks_skipped =
-      s1.Nljp.inner_blocks_skipped - s0.Nljp.inner_blocks_skipped;
-    inner_blocks_scanned =
-      s1.Nljp.inner_blocks_scanned - s0.Nljp.inner_blocks_scanned;
-    waves = s1.Nljp.waves - s0.Nljp.waves;
-  }
-
-let prepared_reducers p =
-  reducer_evaluator ~analyze:false ~tech:p.p_tech ~nljp_config:p.p_nljp_config
-    ~memo_strategy:`Nljp ~adaptive_apriori:false ~transfer:p.p_transfer p.p_catalog
-
-let run_prepared ?span p =
-  match p.p_kind with
-  | P_direct ->
-    run ?span ~tech:p.p_tech ~nljp_config:p.p_nljp_config
-      ~transfer:p.p_transfer p.p_catalog p.p_query
-  | P_rewrite (rw, decision) ->
-    let subquery, reducer_lines = prepared_reducers p in
-    let rel =
-      in_span span "execute" (fun s ->
-          List.iter (span_note s) decision.Optimizer.notes;
           let rel =
-            Binder.run ~workers:p.p_nljp_config.Nljp.workers ~subquery:(subquery s)
-              p.p_catalog rw
+            exec_baseline ~analyze p ~subquery:(subquery s) s (Optimizer.rewritten_query d)
           in
           span_rows_out s (Relation.cardinality rel);
           rel)
     in
-    ( rel,
-      {
-        technique = p.p_tech;
-        apriori = decision.Optimizer.apriori_rewrites;
-        nljp_outer = None;
-        nljp_stats = None;
-        nljp_describe = None;
-        transfer = None;
-        notes = decision.Optimizer.notes @ reducer_lines ();
-        cte_reports = [];
-      } )
-  | P_nljp pn ->
-    Mutex.lock p.p_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock p.p_mu) @@ fun () ->
+    (rel, { report with notes = report.notes @ reducer_lines () })
+  | Some (op, aliases) ->
+    Mutex.protect p.p_mu @@ fun () ->
+    (* Predicate transfer runs its two semi-join passes before NLJP so both
+       side queries scan through the resulting filters. *)
     let transfer_result =
-      match pn.transfer_run with
-      | Some r -> Some r
-      | None ->
-        (match pn.decision.Optimizer.transfer with
-         | None -> None
-         | Some spec ->
-           let r =
-             in_span span "transfer" (fun s ->
-                 let r = Transfer.run ?span:s p.p_catalog spec in
-                 List.iter (span_note s) r.Transfer.r_notes;
-                 r)
-           in
-           pn.transfer_run <- Some r;
-           Some r)
+      match p.p_transfer_run, d.Optimizer.transfer with
+      | Some r, _ -> Some r
+      | None, None -> None
+      | None, Some spec ->
+        let r =
+          in_span span "transfer" (fun s ->
+              let r = Transfer.run ?span:s p.p_catalog spec in
+              List.iter (span_note s) r.Transfer.r_notes;
+              r)
+        in
+        p.p_transfer_run <- Some r;
+        Some r
     in
     let transfer_filters =
       match transfer_result with Some r -> r.Transfer.r_filters | None -> []
     in
-    let before = { (Nljp.op_stats pn.op) with Nljp.notes = [] } in
-    let subquery, reducer_lines = prepared_reducers p in
+    let before = { (Nljp.op_stats op) with Nljp.notes = [] } in
     let rel, stats =
       in_span span "execute" (fun s ->
+          stamp_block_estimate ~analyze p.p_catalog s d.Optimizer.query;
           let rel, stats =
-            Nljp.execute ?span:s ~transfer:transfer_filters ~shared:pn.shared
-              ~subquery pn.op
+            Nljp.execute ?span:s ~estimate:analyze ~transfer:transfer_filters
+              ~shared:p.p_shared ~subquery op
           in
-          let d = stats_delta before stats in
+          let stats = stats_delta before stats in
           span_rows_out s (Relation.cardinality rel);
-          span_counter s "outer_rows" d.Nljp.outer_rows;
-          span_counter s "inner_evals" d.Nljp.inner_evals;
-          span_counter s "pruned" d.Nljp.pruned;
-          span_counter s "memo_hits" d.Nljp.memo_hits;
+          span_counter s "outer_rows" stats.Nljp.outer_rows;
+          span_counter s "inner_evals" stats.Nljp.inner_evals;
+          span_counter s "pruned" stats.Nljp.pruned;
+          span_counter s "memo_hits" stats.Nljp.memo_hits;
+          span_counter s "vector_evals" stats.Nljp.vector_evals;
+          span_counter s "waves" stats.Nljp.waves;
           List.iter (span_note s) stats.Nljp.notes;
           (rel, stats))
     in
     ( rel,
       {
-        technique = p.p_tech;
-        apriori = pn.decision.Optimizer.apriori_rewrites;
-        nljp_outer = Some pn.aliases;
-        nljp_stats = Some (stats_delta before stats);
-        nljp_describe = Some (Nljp.describe pn.op);
+        report with
+        nljp_outer = Some aliases;
+        nljp_stats = Some stats;
+        nljp_describe = Some (Nljp.describe op);
         transfer = transfer_result;
-        notes = pn.decision.Optimizer.notes @ reducer_lines ();
-        cte_reports = [];
+        notes = report.notes @ reducer_lines ();
       } )
+
+let run ?span ?analyze ?tech ?nljp_config ?workers ?memo_strategy ?adaptive_apriori
+    ?transfer catalog q =
+  run_prepared ?span ?analyze
+    (prepare ?span ?tech ?nljp_config ?workers ?memo_strategy ?adaptive_apriori ?transfer
+       catalog q)
+
+let run_baseline ?(workers = 1) catalog q = Binder.run ~workers catalog q
 
 let rec cache_rows rep =
   let own =
@@ -745,6 +649,7 @@ let report_to_string rep =
   let b = Buffer.create 256 in
   let rec go indent rep =
     let pad = String.make indent ' ' in
+    Buffer.add_string b (pad ^ "plan: " ^ report_plan_line rep ^ "\n");
     List.iter
       (fun rw ->
         Buffer.add_string b

@@ -1,11 +1,15 @@
 (** Top-level execution entry points.
 
-    [run] is Smart-Iceberg: CTE blocks are optimized recursively and
-    materialized as temporary tables (with derived keys and domain facts, so
-    the outer block's safety checks can reason about them), then the main
-    block goes through the Appendix D procedure and executes via rewrites
-    and/or the NLJP operator.  [run_baseline] is the stand-in for stock
-    PostgreSQL ([workers = 1]) and Vendor A ([workers = 4]). *)
+    Every block is planned in one place, {!prepare}, and executed in one
+    place, {!run_prepared}; [run] is the two in a row.  The plan value
+    holds the Appendix D decision (a-priori reducers, NLJP split, transfer
+    plan) together with the prepared plan of every reducer, so execution,
+    EXPLAIN ({!Explain}) and ANALYZE read the same decision.  CTE blocks
+    are planned recursively and materialized as temporary tables (with
+    derived keys and domain facts, so the outer block's safety checks can
+    reason about them) at execution time, before the main block is
+    planned.  [run_baseline] is the stand-in for stock PostgreSQL
+    ([workers = 1]) and Vendor A ([workers = 4]). *)
 
 type report = {
   technique : Optimizer.technique;
@@ -19,28 +23,7 @@ type report = {
   cte_reports : (string * report) list;
 }
 
-(** [memo_strategy] selects how memoization is realized when it is the only
-    requested technique: through the NLJP operator's cache (default) or
-    through Appendix C's static SQL rewrite (Listing 8).  [workers] overrides
-    [nljp_config.workers] for the smart path (main block and CTE blocks
-    alike): NLJP chunks its outer relation across that many Domains.  Results
-    are bag-equal to sequential execution.  [span] attaches the query
-    lifecycle (per-CTE [cte:<name>], [optimize], [execute] children with row
-    counts and operator counters) under the given parent span; omitted,
-    tracing costs nothing.
-
-    [analyze] (requires [span]) turns the trace into EXPLAIN ANALYZE
-    accounting: baseline-executed blocks attach their full physical plan as
-    child spans pairing the cost model's estimated rows/cost with recorded
-    actual rows per node, and NLJP blocks record Q_B / Q_R side spans with
-    side-query estimates plus the probe-loop counter slice.  Results stay
-    bag-equal to a plain [run].
-
-    [transfer] enables predicate transfer ({!Transfer}): when the optimizer
-    accepts the plan, a Bloom semi-join reduction of every base relation
-    runs before NLJP and its filters are pushed into the side-query scans.
-    Defaults from the [SI_TRANSFER] environment variable (on unless
-    [0]/[false]/[off]/[no]); results are bag-equal either way. *)
+(** [run] is [run_prepared (prepare …)]; see both for the arguments. *)
 val run :
   ?span:Obs.Span.t ->
   ?analyze:bool ->
@@ -57,7 +40,7 @@ val run :
 val run_baseline :
   ?workers:int -> Relalg.Catalog.t -> Sqlfront.Ast.query -> Relalg.Relation.t
 
-(** {2 Prepared statements}
+(** {2 Block plans}
 
     A prepared query pins the optimizer's decision (the expensive Listing 9
     procedure) so repeated executions skip planning.  NLJP plans
@@ -65,55 +48,130 @@ val run_baseline :
     by one execution warm the next — and memoize their predicate-transfer
     Bloom build.  Both are valid only for the catalog version the plan was
     prepared against: after any catalog mutation, compare
-    {!prepared_version} with {!Relalg.Catalog.version} and re-prepare.
-    Executions of one prepared plan are serialized internally (the NLJP
-    operator's stats and shared tier are mutated in place); distinct
-    prepared plans may execute concurrently. *)
+    {!prepared_version} with {!Relalg.Catalog.version} and re-prepare, or
+    carry the plan across an append with {!refresh_prepared}.  Executions
+    of one NLJP plan are serialized internally (the operator's stats and
+    shared tier are mutated in place); distinct prepared plans may execute
+    concurrently. *)
 
 type prepared
 
+(** How a block runs. *)
+type plan =
+  | Baseline of { query : Sqlfront.Ast.query; notes : string list }
+      (** the baseline executor on [query]: a query outside the iceberg
+          shape, an unsupported shape, the Listing 8 static rewrite, or
+          its "not applicable" fallback; [notes] say which *)
+  | Optimized of Optimizer.decision
+      (** the Appendix D decision: NLJP when it has an operator, else the
+          rewritten query on the baseline executor *)
+  | With of Sqlfront.Ast.query
+      (** CTE blocks materialize per execution; the main block is planned
+          over their temp tables then *)
+
+(** Plan a query.  [span] gets the [optimize] child (a-priori rewrite
+    count and the optimizer's notes).  [tech] selects the techniques;
+    [workers] overrides [nljp_config.workers] for every block (main, CTE
+    and reducer): NLJP chunks its outer relation across that many Domains
+    and baseline joins run on as many.  Results are bag-equal to
+    sequential execution.
+
+    [memo_strategy] selects how memoization is realized when it is the
+    only requested technique: through the NLJP operator's cache (default)
+    or through Appendix C's static SQL rewrite (Listing 8).
+    [adaptive_apriori] drops a reducer that keeps ≥ 90% of its candidate
+    groups, measured by executing it while planning.
+
+    [transfer] enables predicate transfer ({!Transfer}): when the optimizer
+    accepts the plan, a Bloom semi-join reduction of every base relation
+    runs before NLJP and its filters are pushed into the side-query scans.
+    Defaults from the [SI_TRANSFER] environment variable (on unless
+    [0]/[false]/[off]/[no]); results are bag-equal either way. *)
 val prepare :
+  ?span:Obs.Span.t ->
   ?tech:Optimizer.technique ->
   ?nljp_config:Nljp.config ->
   ?workers:int ->
+  ?memo_strategy:[ `Nljp | `Static_rewrite ] ->
+  ?adaptive_apriori:bool ->
   ?transfer:bool ->
   Relalg.Catalog.t ->
   Sqlfront.Ast.query ->
   prepared
 
-(** Execute a prepared plan.  [span] attaches [transfer]/[execute] children
-    as {!run} does.  The report's [nljp_stats] is this execution's delta
-    (not the operator's cumulative totals). *)
-val run_prepared : ?span:Obs.Span.t -> prepared -> Relalg.Relation.t * report
+(** Execute a prepared plan.  [span] attaches the query lifecycle (per-CTE
+    [cte:<name>], [transfer], [execute] children with row counts and
+    operator counters); omitted, tracing costs nothing.  The report's
+    [nljp_stats] is this execution's delta (not the operator's cumulative
+    totals).
+
+    [analyze] (requires [span]) turns the trace into EXPLAIN ANALYZE
+    accounting: baseline-executed blocks attach their full physical plan as
+    child spans pairing the cost model's estimated rows/cost with recorded
+    actual rows per node, and NLJP blocks record Q_B / Q_R side spans with
+    side-query estimates plus the probe-loop counter slice.  Estimation
+    work is timed in its own child spans.  Results stay bag-equal to a
+    plain run. *)
+val run_prepared :
+  ?span:Obs.Span.t -> ?analyze:bool -> prepared -> Relalg.Relation.t * report
+
+val plan : prepared -> plan
+
+(** The prepared plan of each IN-subquery (a-priori reducer) the block's
+    decision binds, keyed by the subquery. *)
+val reducers : prepared -> (Sqlfront.Ast.query * prepared) list
 
 (** Catalog version the plan was prepared against. *)
 val prepared_version : prepared -> int
 
 (** Carry a prepared plan across an append of [delta] rows to base table
     [table] instead of re-preparing.  [`Kept]: the plan and its caches are
-    untouched (direct/rewrite plans re-execute against the live catalog
-    anyway; an NLJP plan whose inner side doesn't read [table] keeps its
-    tier).  [`Refreshed]: the NLJP shared tier was revalidated entry by
-    entry (see {!Nljp.delta_refresh}).  In both cases the plan's version is
-    advanced to the current catalog version.  [`Reprepare]: the delta
-    invalidates the operator itself — caches are cleared, the version stays
-    stale, and the owner must rebuild the plan.  Predicate-transfer Bloom
-    state is always discarded.  Call under the same exclusive lock the
-    append ran under. *)
+    untouched (baseline and rewrite-only blocks re-execute against the live
+    catalog anyway; an NLJP block whose inner side doesn't read [table]
+    keeps its tier).  [`Refreshed]: an NLJP shared tier was revalidated
+    entry by entry (see {!Nljp.delta_refresh}).  In both cases the plan's
+    version is advanced to the current catalog version.  [`Reprepare]: the
+    delta invalidates an operator itself — caches are cleared, the version
+    stays stale, and the owner must rebuild the plan.  Reducer plans are
+    refreshed the same way, and predicate-transfer Bloom state is always
+    discarded.  Call under the same exclusive lock the append ran under. *)
 val refresh_prepared :
   prepared ->
   table:string ->
   delta:Relalg.Relation.t ->
   [ `Kept | `Refreshed | `Reprepare of string ]
 
-(** How the plan executes: [`Nljp] (cached operator + shared cache tier),
-    [`Rewrite] (cached decision, rewritten-query execution), or [`Direct]
-    (CTE / non-iceberg / unsupported shape — full [run] per call). *)
-val prepared_kind : prepared -> [ `Direct | `Nljp | `Rewrite ]
-
-(** (prune, memo) entry counts of the plan's shared cache tier, when it has
-    one. *)
+(** (prune, memo) entry counts of the plan's shared cache tier, when it is
+    an NLJP plan. *)
 val prepared_shared_rows : prepared -> (int * int) option
+
+(** {2 Plan lines}
+
+    One line naming how a block runs: its a-priori reducer count, then
+    [NLJP outer {…}, inner access path: …] or the baseline join.
+    {!report_to_string} prints it as [plan: …] for every block, and a run
+    whose block binds a-priori reducers adds one note per distinct reducer,
+    [reducer over {aliases}: <plan line>].  EXPLAIN prints both from the
+    prepared plan. *)
+
+(** The plan line of a prepared plan, with the access path
+    {!Nljp.choose_access} picks. *)
+val plan_line : prepared -> string
+
+(** [reducer over {aliases}], the prefix of a reducer's plan line. *)
+val reducer_label : Sqlfront.Ast.query -> string
+
+(** [with_ctes catalog q ~cte k]: materialize the WITH blocks of [q] in
+    order — [cte name def] returns the rows of block [def], which already
+    reads the earlier blocks — registering each as a temp table (derived
+    keys and domain facts; the catalog version does not move), run [k] on
+    the main block, then drop the temp tables. *)
+val with_ctes :
+  Relalg.Catalog.t ->
+  Sqlfront.Ast.query ->
+  cte:(string -> Sqlfront.Ast.query -> Relalg.Relation.t) ->
+  (Sqlfront.Ast.query -> 'a) ->
+  'a
 
 (** Total cache footprint of a report (pruning + memo caches of the main
     block and every CTE block), for the Figure 3 accounting. *)
@@ -125,31 +183,3 @@ val cache_bytes : report -> int
 val same_result : Relalg.Relation.t -> Relalg.Relation.t -> bool
 
 val report_to_string : report -> string
-
-(** {2 Plan lines}
-
-    One line naming how a block runs: its a-priori reducer count, then
-    [NLJP outer {…}, inner access path: …] or the baseline join.  A run
-    whose block binds a-priori reducers adds one note per distinct reducer,
-    [reducer over {aliases}: <plan line>], which EXPLAIN predicts with
-    {!decision_plan_line}. *)
-
-(** The plan line of an optimizer decision, with the access path
-    {!Nljp.choose_access} picks; [None] is the baseline plan. *)
-val decision_plan_line : Optimizer.decision option -> string
-
-(** [reducer over {aliases}], the prefix of a reducer's plan line. *)
-val reducer_label : Sqlfront.Ast.query -> string
-
-(**/**)
-
-(* Internal helpers shared with [Explain], so its CTE handling registers
-   temp tables exactly as [run] does (same renaming, keys, domain facts). *)
-val rename_table_refs :
-  Sqlfront.Ast.query -> (string * string) list -> Sqlfront.Ast.query
-
-val fresh_temp_name : Relalg.Catalog.t -> string -> string
-val derived_key : Sqlfront.Ast.query -> string list option
-val derived_nonneg : Relalg.Catalog.t -> Sqlfront.Ast.query -> string list
-
-(**/**)

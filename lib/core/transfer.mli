@@ -25,7 +25,7 @@ type edge = {
   e_right : string * string;
 }
 
-(** What to transfer, assembled by {!Optimizer.decide}. *)
+(** What to transfer, assembled by the optimizer's transfer phase. *)
 type spec = {
   t_aliases : (string * string) list;
       (** (alias, base table name) in FROM order *)

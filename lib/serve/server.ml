@@ -567,22 +567,22 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
                        built;
                      built)
             in
+            let prepare ?span () =
+              Core.Runner.prepare ?span ~tech:session.tech ~workers:session.workers
+                ~transfer:session.transfer cat ast
+            in
             let engine () =
               (* Plan caching needs a stable prepared plan; analyze (and a
                  sampled trace) wants a fresh instrumented run and CTE
-                 queries re-register temps per run, so all three bypass. *)
+                 queries re-register temps per run, so all three run a
+                 fresh plan that is not cached. *)
               if instrument || exclusive || not session.use_plan_cache then begin
                 let rel, _report =
-                  Core.Runner.run ~span ~analyze:instrument ~tech:session.tech
-                    ~workers:session.workers ~transfer:session.transfer cat ast
+                  Core.Runner.run_prepared ~span ~analyze:instrument (prepare ~span ())
                 in
                 (rel, `Bypass)
               end
               else begin
-                let prepare () =
-                  Core.Runner.prepare ~tech:session.tech
-                    ~workers:session.workers ~transfer:session.transfer cat ast
-                in
                 let entry, status =
                   match Cache.Lru.find t.plan_cache key with
                   | Some e ->

@@ -401,6 +401,35 @@ let test_explain_complex () =
   in
   Alcotest.(check string) "idempotent" out again
 
+(* EXPLAIN plans without executing: on a column-layout catalog, explaining
+   the filtered complex query (whose reducers a run materializes) scans no
+   column block. *)
+let test_explain_runs_no_reducer () =
+  let catalog = Catalog.create () in
+  ignore (Workload.Baseball.register_unpivoted catalog ~rows:4000 ~seed:2017);
+  Catalog.set_all_layouts catalog `Column;
+  let q =
+    Sqlfront.Parser.parse (Workload.Queries.complex_filtered ~threshold:3 ())
+  in
+  let before = Colscan.counters () in
+  let out = Core.Explain.query catalog q in
+  Alcotest.(check bool) "reducers are explained" true
+    (contains out "reducer over {S1, T1}: ");
+  Alcotest.(check (pair int int)) "no column block scanned" before (Colscan.counters ())
+
+(* EXPLAIN of a WITH query registers its CTE blocks as temp tables, which
+   leave the catalog version alone (caches keyed by it stay valid). *)
+let test_explain_cte_keeps_version () =
+  let catalog = Catalog.create () in
+  ignore (Workload.Baseball.register catalog ~rows:200 ~seed:2017);
+  let q = Sqlfront.Parser.parse (Workload.Queries.pairs ~c:2 ~k:20 ()) in
+  let v0 = Catalog.version catalog in
+  let out = Core.Explain.query catalog q in
+  Alcotest.(check bool) "CTE flagged" true (contains out "(materialized for planning)");
+  Alcotest.(check int) "version unchanged" v0 (Catalog.version catalog);
+  Alcotest.(check (list string)) "temp tables dropped"
+    [ Workload.Baseball.table_name ] (Catalog.table_names catalog)
+
 let test_explain_baseline_shape () =
   (* Outside the iceberg shape (no HAVING): flagged, with cost model only. *)
   let catalog = basket_catalog () in
@@ -432,5 +461,8 @@ let suite =
     t "json printer/parser round-trip" test_json_parser;
     t "EXPLAIN simple iceberg query" test_explain_simple;
     t "EXPLAIN four-way complex query" test_explain_complex;
+    t "EXPLAIN runs no a-priori reducer" test_explain_runs_no_reducer;
+    t "EXPLAIN of a WITH query keeps the catalog version"
+      test_explain_cte_keeps_version;
     t "EXPLAIN non-iceberg query falls back to cost model"
       test_explain_baseline_shape ]

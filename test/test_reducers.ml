@@ -107,27 +107,120 @@ let test_differential () =
     families;
   Alcotest.(check bool) "some reducer ran through NLJP" true !saw_smart_reducer
 
+(* One grid pins EXPLAIN to the run and [run] to [prepare] + [run_prepared]:
+   technique (all, a-priori only, memo only through the Listing 8 static
+   rewrite) × layout × workers × transfer, over the reducer families (Q4
+   is a CTE text) plus a skyband and a non-iceberg text. *)
+let grid_techs =
+  [ ("all", Optimizer.all_techniques, `Nljp);
+    ("apriori only", Optimizer.only `Apriori, `Nljp);
+    ("memo static", Optimizer.only `Memo, `Static_rewrite) ]
+
+let grid_queries =
+  families
+  @ [ ("skyband", Workload.Queries.skyband ~k:20 ());
+      ("non-iceberg", "SELECT item, COUNT(*) FROM basket GROUP BY item") ]
+
+let trimmed_lines prefix text =
+  List.filter (String.starts_with ~prefix)
+    (List.map String.trim (String.split_on_char '\n' text))
+
+(* Counter names on every [execute] span of a trace, reducers' included. *)
+let execute_counters root =
+  let rec go acc (s : Obs.Span.t) =
+    let acc =
+      if String.equal s.Obs.Span.name "execute" then List.map fst s.Obs.Span.counters @ acc
+      else acc
+    in
+    List.fold_left go acc (Obs.Span.children s)
+  in
+  List.sort_uniq String.compare (go [] root)
+
+let traced f =
+  let root = Obs.Span.enter "query" in
+  let rel, rep = f root in
+  Obs.Span.finish root;
+  (rel, rep, execute_counters root)
+
 let test_explain_lines () =
-  let c = hostile_catalog () in
+  let seen = Hashtbl.create 4 in
+  let saved_force = !Optimizer.transfer_force in
+  Fun.protect ~finally:(fun () -> Optimizer.transfer_force := saved_force)
+  @@ fun () ->
   List.iter
-    (fun (name, sql) ->
-      let q = Sqlfront.Parser.parse sql in
+    (fun layout ->
+      let c = hostile_catalog () in
+      Catalog.set_all_layouts c layout;
       List.iter
-        (fun (tname, tech) ->
-          let predicted =
-            List.filter
-              (String.starts_with ~prefix:"reducer over {")
-              (List.map String.trim (String.split_on_char '\n' (Explain.query ~tech c q)))
-          in
-          if String.starts_with ~prefix:"complex" name && predicted = [] then
-            Alcotest.failf "%s/%s: EXPLAIN shows no reducer plan" name tname;
-          let _, rep = Runner.run ~tech c q in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s: EXPLAIN's reducer plans = executed" name tname)
-            (List.sort_uniq String.compare predicted)
-            (List.sort_uniq String.compare (reducer_lines rep)))
-        techs)
-    families
+        (fun (name, sql) ->
+          let q = Sqlfront.Parser.parse sql in
+          let baseline = Runner.run_baseline c q in
+          List.iter
+            (fun (tname, tech, memo_strategy) ->
+              List.iter
+                (fun (workers, transfer) ->
+                  Optimizer.transfer_force := transfer;
+                  let label =
+                    Printf.sprintf "%s/%s/%s/workers=%d/transfer=%b" name tname
+                      (match layout with `Row -> "row" | `Column -> "column")
+                      workers transfer
+                  in
+                  let explained =
+                    Explain.query ~tech ~memo_strategy ~workers ~transfer c q
+                  in
+                  let rel, rep, counters =
+                    traced (fun span ->
+                        Runner.run ~span ~tech ~memo_strategy ~workers ~transfer c q)
+                  in
+                  let prel, prep, pcounters =
+                    traced (fun span ->
+                        Runner.run_prepared ~span
+                          (Runner.prepare ~tech ~memo_strategy ~workers ~transfer c q))
+                  in
+                  if rep.Runner.transfer <> None then Hashtbl.replace seen "transfer" ();
+                  List.iter
+                    (fun n ->
+                      if contains n "static rewrite (Listing 8)" then
+                        Hashtbl.replace seen "Listing 8" ();
+                      if contains n "outside the iceberg query shape" then
+                        Hashtbl.replace seen "non-iceberg" ())
+                    rep.Runner.notes;
+                  if List.exists (fun l -> contains l "NLJP outer") (reducer_lines rep) then
+                    Hashtbl.replace seen "reducer through NLJP" ();
+                  check_bag (label ^ ": run") baseline rel;
+                  check_bag (label ^ ": prepared") baseline prel;
+                  let plans rep = trimmed_lines "plan: " (Runner.report_to_string rep) in
+                  let sorted = List.sort String.compare in
+                  Alcotest.(check (list string)) (label ^ ": EXPLAIN's plan lines = run's")
+                    (sorted (trimmed_lines "plan: " explained)) (sorted (plans rep));
+                  let predicted = trimmed_lines "reducer over {" explained in
+                  if tech.Optimizer.apriori && String.starts_with ~prefix:"complex" name
+                     && predicted = []
+                  then Alcotest.failf "%s: EXPLAIN shows no reducer plan" label;
+                  Alcotest.(check (list string)) (label ^ ": EXPLAIN's reducer plans = run's")
+                    (List.sort_uniq String.compare predicted)
+                    (List.sort_uniq String.compare (reducer_lines rep));
+                  (* The main block's optimizer notes (unindented) are the run's. *)
+                  List.iter
+                    (fun line ->
+                      let n = String.sub line 6 (String.length line - 6) in
+                      if not (List.mem n rep.Runner.notes) then
+                        Alcotest.failf "%s: EXPLAIN note %S not in the run's notes" label n)
+                    (List.filter (String.starts_with ~prefix:"note: ")
+                       (String.split_on_char '\n' explained));
+                  Alcotest.(check (list string)) (label ^ ": run plan = prepared plan")
+                    (plans rep) (plans prep);
+                  Alcotest.(check (list string)) (label ^ ": run notes = prepared notes")
+                    rep.Runner.notes prep.Runner.notes;
+                  Alcotest.(check (list string)) (label ^ ": execute counters") counters
+                    pcounters)
+                [ (1, false); (1, true); (2, false); (2, true) ])
+            grid_techs)
+        grid_queries)
+    [ `Row; `Column ];
+  List.iter
+    (fun k -> Alcotest.(check bool) ("the grid reaches " ^ k) true (Hashtbl.mem seen k))
+    [ "transfer"; "Listing 8"; "non-iceberg"; "reducer through NLJP" ]
 
 let optimizer_counters () =
   List.filter
@@ -173,6 +266,7 @@ let test_reducer_spans () =
 
 let suite =
   [ t "reducers through the smart path match the baseline" test_differential;
-    t "EXPLAIN prints the plan each reducer runs" test_explain_lines;
+    t "EXPLAIN prints the plan each reducer and block runs; run = prepared run"
+      test_explain_lines;
     t "run_baseline keeps the baseline evaluator" test_baseline_untouched;
     t "reducer spans nest under the side that binds them" test_reducer_spans ]

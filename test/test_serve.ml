@@ -607,13 +607,13 @@ let test_prepared_statements () =
       Alcotest.failf "run_prepared #%d diverged" i
   done;
   (* NLJP plans carry a shared cache tier that persists across runs *)
-  (match Core.Runner.prepared_kind p with
-   | `Nljp ->
+  (match Core.Runner.plan p with
+   | Core.Runner.Optimized { Core.Optimizer.nljp = Some _; _ } ->
      (match Core.Runner.prepared_shared_rows p with
       | Some (prune, memo) ->
         Alcotest.(check bool) "shared tier warmed" true (prune + memo > 0)
       | None -> Alcotest.fail "NLJP plan without a shared tier")
-   | `Rewrite | `Direct -> ())
+   | _ -> ())
 
 (* ---- telemetry: metrics op, Prometheus exporter, slow-query log ---- *)
 
