@@ -78,12 +78,6 @@ type json_row = {
   j_counters : (string * int) list;
       (* operator counters under the lib/obs names (nljp., colscan. and
          optimizer. prefixes), captured as snapshot deltas around the run *)
-  j_qps : float option;  (* serve targets: sustained queries per second *)
-  j_p50_ms : float option;  (* serve targets: median request latency *)
-  j_p95_ms : float option;  (* serve targets: tail request latency *)
-  j_session : int option;
-      (* server session behind this row's counters, when the row is one
-         session's slice rather than a whole-server aggregate *)
   j_max_rss_mb : float;  (* process peak RSS when the row was recorded *)
 }
 
@@ -93,7 +87,7 @@ let json_rows : json_row list ref = ref []
 (* Peak resident set of this process in MB, from /proc/self/status (VmHWM),
    with the GC's top-of-heap as a portable fallback.  Process-wide and
    monotonic, so per-row values record "the peak so far", not a per-bench
-   footprint — informational in `bench diff`, never a gate. *)
+   footprint — informational, never a gate. *)
 let max_rss_mb () =
   let from_proc () =
     let ic = open_in "/proc/self/status" in
@@ -131,8 +125,8 @@ let git_sha =
           if line = "" then "unknown" else line
         with _ -> "unknown"))
 
-let record ?(workers = 1) ?(counters = []) ?ms_scaled ?load_ms ?qps ?p50_ms
-    ?p95_ms ?session ~technique name ms_raw =
+let record ?(workers = 1) ?(counters = []) ?ms_scaled ?load_ms ~technique name
+    ms_raw =
   json_rows :=
     {
       j_name = name;
@@ -145,22 +139,13 @@ let record ?(workers = 1) ?(counters = []) ?ms_scaled ?load_ms ?qps ?p50_ms
       j_ms_scaled = Option.value ms_scaled ~default:ms_raw;
       j_load_ms = load_ms;
       j_counters = counters;
-      j_qps = qps;
-      j_p50_ms = p50_ms;
-      j_p95_ms = p95_ms;
-      j_session = session;
       j_max_rss_mb = max_rss_mb ();
     }
     :: !json_rows
 
-let counters_json ?session counters : Obs.Json.t =
-  let base =
-    List.map (fun (k, v) -> (k, Obs.Json.Num (float_of_int v))) counters
-  in
+let counters_json counters : Obs.Json.t =
   Obs.Json.Obj
-    (match session with
-     | Some sid -> ("session_id", Obs.Json.Num (float_of_int sid)) :: base
-     | None -> base)
+    (List.map (fun (k, v) -> (k, Obs.Json.Num (float_of_int v))) counters)
 
 let row_to_json r : Obs.Json.t =
   Obs.Json.Obj
@@ -178,17 +163,8 @@ let row_to_json r : Obs.Json.t =
     @ (match r.j_load_ms with
        | Some l -> [ ("load_ms", Obs.Json.Num l) ]
        | None -> [])
-    @ (match r.j_qps with
-       | Some q -> [ ("qps", Obs.Json.Num q) ]
-       | None -> [])
-    @ (match r.j_p50_ms with
-       | Some p -> [ ("p50_ms", Obs.Json.Num p) ]
-       | None -> [])
-    @ (match r.j_p95_ms with
-       | Some p -> [ ("p95_ms", Obs.Json.Num p) ]
-       | None -> [])
     @ [ ("max_rss_mb", Obs.Json.Num r.j_max_rss_mb);
-        ("counters", counters_json ?session:r.j_session r.j_counters) ])
+        ("counters", counters_json r.j_counters) ])
 
 (* Through the lib/obs serializer — the old Printf "%S" writer produced
    OCaml string escapes, which are not valid JSON for control characters. *)
@@ -663,20 +639,14 @@ let fang () =
     Workload.Basket.register catalog ~baskets:(!rows / 3) ~items:400 ~avg_size:6
       ~seed:2017
   in
-  let tbl = Catalog.find catalog Workload.Basket.table_name in
-  let base_rel =
-    Relation.make
-      (Schema.requalify "i1" tbl.Catalog.rel.Relation.schema)
-      (Relation.rows tbl.Catalog.rel)
+  let side q =
+    Plan.Scan { table = Workload.Basket.table_name; alias = Some q; filter = None }
   in
   let joined =
-    Ops.hash_join
-      ~left_keys:[ Expr.col ~q:"i1" "bid" ]
-      ~right_keys:[ Expr.col ~q:"i2" "bid" ]
-      ~residual:Expr.tt base_rel
-      (Relation.make
-         (Schema.requalify "i2" tbl.Catalog.rel.Relation.schema)
-         (Relation.rows tbl.Catalog.rel))
+    Exec.run catalog
+      (Plan.Hash_join
+         { keys = [ (Expr.col ~q:"i1" "bid", Expr.col ~q:"i2" "bid") ];
+           residual = Expr.tt; left = side "i1"; right = side "i2" })
   in
   let item1 = Schema.index_of joined.Relation.schema ~q:"i1" "item" in
   let item2 = Schema.index_of joined.Relation.schema ~q:"i2" "item" in
@@ -1221,738 +1191,10 @@ let sic_bench () =
       if direct = 0 then
         Printf.printf "!! expected compressed-execution blocks_direct > 0 — investigate\n%!")
 
-(* ---- persistent benchmark-regression harness ----
-
-   `bench harness` runs a pinned suite (scans, the vectorized inner loop,
-   end-to-end smart vs baseline, the --analyze overhead pair) with a warmup
-   plus repeated measurements and writes medians + IQR, counters and run
-   metadata to a JSON file (BENCH_PR9.json by default; committed at the repo
-   root as the regression baseline).  `bench diff OLD.json NEW.json`
-   compares two such files with a noise-aware threshold and exits non-zero
-   on a regression — the CI gate.
-
-   Absolute times are machine-dependent, so every suite includes `__calib`,
-   a fixed CPU-spin workload with no inputs; diff normalizes all medians by
-   the ratio of the two `__calib` medians before comparing, turning the
-   check into "slower on the same machine-relative scale". *)
-
-let quick = ref false
-
-let calib_spin () =
-  (* Pure integer arithmetic, no allocation: proportional to CPU speed and
-     nothing else, so it anchors cross-machine normalization in [diff]. *)
-  let acc = ref 0 in
-  for i = 1 to 20_000_000 do
-    acc := (!acc + (i * i)) land 0xFFFFFF
-  done;
-  ignore (Sys.opaque_identity !acc)
-
-type hbench = {
-  h_name : string;
-  h_reps : int;
-  h_median : float;  (* ms *)
-  h_p25 : float;
-  h_p75 : float;
-  h_load_ms : float option;  (* data-load time behind the bench; informational *)
-  h_counters : (string * int) list;  (* from the last repetition *)
-  h_max_rss_mb : float;  (* process peak RSS after the last repetition *)
-}
-
-let measure_bench ?load_ms ~reps name f =
-  (* Level the heap between benches: without this, each leg runs on
-     whatever garbage its predecessors left, which skews A/B pairs. *)
-  Gc.compact ();
-  ignore (f ());
-  (* warmup *)
-  let samples = ref [] and counters = ref [] in
-  for _ = 1 to reps do
-    let _, t, c = time_obs f in
-    samples := (t *. 1000.) :: !samples;
-    counters := c
-  done;
-  let s = Array.of_list (List.sort compare !samples) in
-  let pct p =
-    let idx = p *. float_of_int (Array.length s - 1) in
-    let lo = int_of_float (floor idx) and hi = int_of_float (ceil idx) in
-    let frac = idx -. floor idx in
-    (s.(lo) *. (1. -. frac)) +. (s.(hi) *. frac)
-  in
-  Printf.printf "%-22s median %10.3f ms   IQR [%.3f, %.3f]\n%!" name (pct 0.5)
-    (pct 0.25) (pct 0.75);
-  {
-    h_name = name;
-    h_reps = reps;
-    h_median = pct 0.5;
-    h_p25 = pct 0.25;
-    h_p75 = pct 0.75;
-    h_load_ms = load_ms;
-    h_counters = !counters;
-    h_max_rss_mb = max_rss_mb ();
-  }
-
-let harness () =
-  let reps = if !quick then 5 else 7 in
-  let n_rows = if !quick then min !rows 2000 else !rows in
-  Printf.printf
-    "=== Benchmark-regression harness: pinned suite, 1 warmup + %d reps \
-     (rows=%d%s) ===\n\n"
-    reps n_rows
-    (if !quick then ", --quick" else "");
-  let measure = measure_bench ~reps in
-  (* Scan pair: zone-map block skipping vs the row layout (cf. the col
-     target, scaled down so the harness stays minutes-cheap). *)
-  let scan_n = if !quick then 200_000 else 1_000_000 in
-  let scan_schema = Schema.of_names [ "id"; "grp"; "x" ] in
-  let scan_data =
-    Array.init scan_n (fun i ->
-        [| Value.Int i; Value.Int (i mod 97);
-           Value.Float (float_of_int (i * 7 mod 1000) /. 10.) |])
-  in
-  let scan_row_rel = Relation.make scan_schema scan_data in
-  let scan_col_rel = Relation.to_layout `Column scan_row_rel in
-  let lo = scan_n * 9 / 10 in
-  let hi = lo + (Column.Cstore.default_block_size / 2) in
-  let scan_pred =
-    Expr.(
-      And
-        ( And (Cmp (Ge, col "id", int lo), Cmp (Lt, col "id", int hi)),
-          Cmp (Lt, col "grp", int 50) ))
-  in
-  (* Vectorized inner loop over a clustered key (cf. the vec target). *)
-  let vec_n = if !quick then 20_000 else 50_000 in
-  let vec_catalog =
-    let catalog = Catalog.create () in
-    Catalog.add_table catalog "ev"
-      (Relation.make
-         (Schema.of_names [ "k"; "x" ])
-         (Array.init vec_n (fun i ->
-              [| Value.Int i; Value.Float (float_of_int (i * 7 mod 1000) /. 10.) |])));
-    Catalog.add_table catalog ~keys:[ [ "id" ] ] "probe"
-      (Relation.make
-         (Schema.of_names [ "id"; "lo"; "hi" ])
-         (Array.init 240 (fun j ->
-              let l = j / 2 * 6131 mod (vec_n - 1500) in
-              [| Value.Int j; Value.Int l; Value.Int (l + 1500) |])));
-    Catalog.set_all_layouts catalog `Column;
-    catalog
-  in
-  let vec_q =
-    Sqlfront.Parser.parse
-      "SELECT L.id, COUNT(*), SUM(R.x) FROM probe L, ev R WHERE R.k >= L.lo \
-       AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= 1"
-  in
-  let vec_cfg =
-    { Core.Nljp.default_config with Core.Nljp.vector = true; inner_index = true }
-  in
-  (* End-to-end legs on the synthetic workloads.  Catalog construction is
-     timed as each leg's load cost (synthetic generation + index and layout
-     build — the stand-in for CSV parse), reported informationally. *)
-  let bb, bb_load = time (fun () -> baseball_catalog ~rows:n_rows ()) in
-  let kv, kv_load = time (fun () -> unpivoted_catalog ~rows:(n_rows / 2) ()) in
-  let bb_load = bb_load *. 1000. and kv_load = kv_load *. 1000. in
-  let q1 = Sqlfront.Parser.parse (List.assoc "Q1" Workload.Queries.figure1) in
-  let q_cplx =
-    Sqlfront.Parser.parse
-      (Workload.Queries.complex ~threshold:(max 5 (n_rows / 200)))
-  in
-  (* Predicate-transfer pair: the filtered complex query, transfer forced on
-     vs off from the same catalog.  Sized so the four-way input clears the
-     gate's 4096-row floor even under --quick. *)
-  let kv_tr, kv_tr_load =
-    time (fun () -> unpivoted_catalog ~rows:(max 1100 (n_rows / 2)) ())
-  in
-  let kv_tr_load = kv_tr_load *. 1000. in
-  let q_tr =
-    Sqlfront.Parser.parse (Workload.Queries.complex_filtered ~threshold:3 ())
-  in
-  (* Sequential lets: a list literal would evaluate right-to-left, running
-     each --analyze leg before its plain pair on a smaller heap. *)
-  let b_calib = measure "__calib" calib_spin in
-  let b_scan_row =
-    measure "scan_row" (fun () -> ignore (Ops.select scan_pred scan_row_rel))
-  in
-  let b_scan_zm =
-    measure "scan_zonemap" (fun () -> ignore (Ops.select scan_pred scan_col_rel))
-  in
-  (* Disk tier: .sic cold load, then paged execution under a block cache
-     capped well below the decoded dataset, so every repetition exercises
-     eviction (sic.cache_evictions lands in the leg's counters). *)
-  let sic_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "si-harness-%d.sic" (Unix.getpid ()))
-  in
-  Sic.save sic_path scan_col_rel;
-  let b_sic_load =
-    measure "sic_load_resident" (fun () ->
-        ignore (Sic.load ~mode:`Resident sic_path))
-  in
-  Column.Blockcache.set_capacity_mb
-    (max 2 (Relation.approx_bytes scan_col_rel / 4 / 1_048_576));
-  let sic_paged = Sic.load ~mode:`Paged sic_path in
-  let b_sic_scan =
-    measure "sic_scan_paged" (fun () -> ignore (Ops.select scan_pred sic_paged))
-  in
-  let sic_cat =
-    let c = Catalog.create () in
-    Catalog.add_table c "ev" sic_paged;
-    c
-  in
-  let sic_agg_q =
-    Sqlfront.Parser.parse
-      "SELECT COUNT(*), SUM(grp), MIN(id), MAX(id), AVG(x) FROM ev"
-  in
-  let b_sic_agg =
-    measure "sic_agg_direct" (fun () -> ignore (run_base sic_cat sic_agg_q))
-  in
-  Column.Blockcache.set_capacity_mb Column.Blockcache.default_capacity_mb;
-  (try Sys.remove sic_path with Sys_error _ -> ());
-  let b_vec =
-    measure "vec_inner" (fun () ->
-        ignore (Core.Runner.run ~nljp_config:vec_cfg vec_catalog vec_q))
-  in
-  let b_q1_base =
-    measure ~load_ms:bb_load "e2e_q1_base" (fun () -> ignore (run_base bb q1))
-  in
-  let b_q1_smart =
-    measure ~load_ms:bb_load "e2e_q1_smart" (fun () -> ignore (run_smart bb q1))
-  in
-  let b_q1_analyze =
-    measure ~load_ms:bb_load "e2e_q1_analyze" (fun () ->
-        ignore (Core.Analyze.run ~nljp_config:(nljp_cfg ()) bb q1))
-  in
-  let b_cplx_smart =
-    measure ~load_ms:kv_load "e2e_complex_smart" (fun () ->
-        ignore (run_smart kv q_cplx))
-  in
-  let b_cplx_analyze =
-    measure ~load_ms:kv_load "e2e_complex_analyze" (fun () ->
-        ignore (Core.Analyze.run ~nljp_config:(nljp_cfg ()) kv q_cplx))
-  in
-  let b_tr_on =
-    measure ~load_ms:kv_tr_load "e2e_transfer_on" (fun () ->
-        ignore
-          (Core.Runner.run ~nljp_config:(nljp_cfg ()) ~transfer:true kv_tr q_tr))
-  in
-  let b_tr_off =
-    measure ~load_ms:kv_tr_load "e2e_transfer_off" (fun () ->
-        ignore
-          (Core.Runner.run ~nljp_config:(nljp_cfg ()) ~transfer:false kv_tr q_tr))
-  in
-  let benches =
-    [
-      b_calib; b_scan_row; b_scan_zm; b_sic_load; b_sic_scan; b_sic_agg;
-      b_vec; b_q1_base; b_q1_smart; b_q1_analyze; b_cplx_smart;
-      b_cplx_analyze; b_tr_on; b_tr_off;
-    ]
-  in
-  let find n = List.find (fun h -> h.h_name = n) benches in
-  let overhead name plain analyzed =
-    let p = find plain and a = find analyzed in
-    Printf.printf
-      "--analyze overhead on %s: %.1f%% (plain %.3f ms, analyze %.3f ms)\n" name
-      (100. *. ((a.h_median /. p.h_median) -. 1.))
-      p.h_median a.h_median
-  in
-  print_newline ();
-  overhead "Q1" "e2e_q1_smart" "e2e_q1_analyze";
-  overhead "complex" "e2e_complex_smart" "e2e_complex_analyze";
-  Printf.printf
-    "predicate transfer on the filtered complex query: %.2fx (off %.3f ms, \
-     on %.3f ms)\n"
-    (b_tr_off.h_median /. Float.max 1e-9 b_tr_on.h_median)
-    b_tr_off.h_median b_tr_on.h_median;
-  let bench_json h =
-    Obs.Json.Obj
-      ([
-         ("name", Obs.Json.Str h.h_name);
-         ("reps", Obs.Json.Num (float_of_int h.h_reps));
-         ("median_ms", Obs.Json.Num h.h_median);
-         ("p25_ms", Obs.Json.Num h.h_p25);
-         ("p75_ms", Obs.Json.Num h.h_p75);
-       ]
-      @ (match h.h_load_ms with
-         | Some l -> [ ("load_ms", Obs.Json.Num l) ]
-         | None -> [])
-      @ [
-          ("max_rss_mb", Obs.Json.Num h.h_max_rss_mb);
-          ("counters", counters_json h.h_counters);
-        ])
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ( "metadata",
-          Obs.Json.Obj
-            [
-              ("schema", Obs.Json.Str "smart-iceberg-bench-harness-v1");
-              ("git_sha", Obs.Json.Str (Lazy.force git_sha));
-              ("workers", Obs.Json.Num (float_of_int !par_workers));
-              ("layout", Obs.Json.Str (layout_name ()));
-              ("si_vector", Obs.Json.Bool !vector_on);
-              ("si_transfer", Obs.Json.Bool (transfer_enabled ()));
-              ("ocaml", Obs.Json.Str Sys.ocaml_version);
-              ("rows", Obs.Json.Num (float_of_int n_rows));
-              ("quick", Obs.Json.Bool !quick);
-            ] );
-        ("benches", Obs.Json.Arr (List.map bench_json benches));
-      ]
-  in
-  let path = Option.value !json_path ~default:"BENCH_PR9.json" in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote harness baseline to %s\n" path;
-  (* The harness owns its output file; don't also dump the generic rows. *)
-  json_path := None
-
-(* `bench diff OLD.json NEW.json [--threshold R]` — the regression gate. *)
-
-let jfield k = function Obs.Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-let jnum k j = match jfield k j with Some (Obs.Json.Num n) -> Some n | _ -> None
-let jstr k j = match jfield k j with Some (Obs.Json.Str s) -> Some s | _ -> None
-
-let load_harness path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Obs.Json.of_string s
-
-let diff_cmd args =
-  let threshold = ref 1.25 in
-  let files = ref [] in
-  let rec go = function
-    | [] -> ()
-    | "--threshold" :: x :: rest ->
-      threshold := float_of_string x;
-      go rest
-    | f :: rest ->
-      files := f :: !files;
-      go rest
-  in
-  go args;
-  match List.rev !files with
-  | [ old_path; new_path ] ->
-    let old_doc = load_harness old_path and new_doc = load_harness new_path in
-    let describe doc =
-      match jfield "metadata" doc with
-      | Some m ->
-        Printf.sprintf "sha=%s layout=%s rows=%.0f quick=%b"
-          (Option.value (jstr "git_sha" m) ~default:"?")
-          (Option.value (jstr "layout" m) ~default:"?")
-          (Option.value (jnum "rows" m) ~default:0.)
-          (match jfield "quick" m with Some (Obs.Json.Bool b) -> b | _ -> false)
-      | None -> "(no metadata)"
-    in
-    Printf.printf "old %s: %s\nnew %s: %s\n\n" old_path (describe old_doc)
-      new_path (describe new_doc);
-    let benches doc =
-      match jfield "benches" doc with
-      | Some (Obs.Json.Arr l) ->
-        List.filter_map
-          (fun b -> Option.map (fun n -> (n, b)) (jstr "name" b))
-          l
-      | _ -> failwith "not a harness file (missing \"benches\")"
-    in
-    let old_b = benches old_doc and new_b = benches new_doc in
-    (* Normalize by the CPU-spin anchor when both files carry it: scale the
-       new measurements into the old file's machine units. *)
-    let calib =
-      match
-        ( Option.bind (List.assoc_opt "__calib" old_b) (jnum "median_ms"),
-          Option.bind (List.assoc_opt "__calib" new_b) (jnum "median_ms") )
-      with
-      | Some o, Some n when o > 0. && n > 0. -> n /. o
-      | _ -> 1.0
-    in
-    if calib <> 1.0 then
-      Printf.printf "normalizing by __calib: new machine runs %.2fx the old\n\n"
-        calib;
-    Printf.printf "%-22s %12s %12s %8s  %-20s %s\n" "bench" "old ms"
-      "new ms(norm)" "ratio" "verdict" "load (info)";
-    let regressions = ref 0 in
-    List.iter
-      (fun (name, nb) ->
-        if name <> "__calib" then
-          match List.assoc_opt name old_b with
-          | None ->
-            Printf.printf "%-22s %12s %12s %8s  new bench\n" name "-" "-" "-"
-          | Some ob ->
-            let v k j = Option.value (jnum k j) ~default:0. in
-            let old_med = v "median_ms" ob and old_p75 = v "p75_ms" ob in
-            let new_med = v "median_ms" nb /. calib
-            and new_p25 = v "p25_ms" nb /. calib in
-            let raw_ratio =
-              if old_med > 0. then v "median_ms" nb /. old_med else 1.
-            in
-            let ratio = if old_med > 0. then new_med /. old_med else 1. in
-            (* Noise-aware: only a regression when the IQRs separate too —
-               the new 25th percentile clears the old 75th — and both the
-               raw and the calib-normalized ratio exceed the threshold.
-               The anchor is a CPU spin; frequency scaling can move it
-               without moving the allocation-heavy benches, and requiring
-               both ratios keeps that from minting false regressions in
-               either direction. *)
-            let regressed =
-              Float.min ratio raw_ratio > !threshold && new_p25 > old_p75
-            in
-            let verdict =
-              if regressed then begin
-                incr regressions;
-                "REGRESSION"
-              end
-              else if Float.min ratio raw_ratio > !threshold then
-                "noisy (IQRs overlap)"
-              else if Float.max ratio raw_ratio > !threshold then
-                "noisy (calib disagrees)"
-              else if ratio < 1. /. !threshold then "improved"
-              else "ok"
-            in
-            (* Load time is reported but never gates: data generation / CSV
-               parse cost is environmental, not a query-engine regression. *)
-            let load_info =
-              match (jnum "load_ms" ob, jnum "load_ms" nb) with
-              | Some o, Some n -> Printf.sprintf "%.1f -> %.1f ms" o n
-              | None, Some n -> Printf.sprintf "- -> %.1f ms" n
-              | _ -> ""
-            in
-            (* Peak RSS rides along the same way: informational only. *)
-            let load_info =
-              match (jnum "max_rss_mb" ob, jnum "max_rss_mb" nb) with
-              | Some o, Some n ->
-                Printf.sprintf "%s%srss %.0f -> %.0f MB" load_info
-                  (if load_info = "" then "" else ", ")
-                  o n
-              | None, Some n ->
-                Printf.sprintf "%s%srss %.0f MB" load_info
-                  (if load_info = "" then "" else ", ")
-                  n
-              | _ -> load_info
-            in
-            Printf.printf "%-22s %12.3f %12.3f %7.2fx  %-20s %s\n" name old_med
-              new_med ratio verdict load_info)
-      new_b;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name new_b) then
-          Printf.printf "%-22s bench disappeared from the new file\n" name)
-      old_b;
-    if !regressions > 0 then begin
-      Printf.printf
-        "\n%d regression(s) above %.2fx the %s baseline\n" !regressions !threshold
-        old_path;
-      1
-    end
-    else begin
-      Printf.printf "\nno regressions above %.2fx\n" !threshold;
-      0
-    end
-  | _ ->
-    prerr_endline "usage: bench diff OLD.json NEW.json [--threshold R]";
-    2
-
-(* ---- query server: concurrent sessions, plan + result caches ---- *)
-
-let serve_bench () =
-  Printf.printf "=== Query server: concurrent sessions, plan + result caches ===\n\n";
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "si-bench-%d.sock" (Unix.getpid ()))
-  in
-  let catalog, load_t = time (fun () -> baseball_catalog ~rows:!rows ()) in
-  let load_ms = load_t *. 1000. in
-  let config =
-    {
-      Serve.Server.listen = `Unix sock;
-      pool = 2;
-      queue_cap = 256;
-      plan_cache_cap = 64;
-      result_cache_cap = 256;
-      max_rows = None;
-      maintain = true;
-      metrics_addr = None;
-      slow_ms = None;
-      slow_log = None;
-      trace_sample = 0.;
-    }
-  in
-  let srv = Serve.Server.start ~config [ (!layout, catalog) ] in
-  let hot =
-    [
-      List.assoc "Q1" Workload.Queries.figure1;
-      Workload.Queries.pairs ~c:3 ~k:50 ();
-      Workload.Queries.skyband ~k:50 ();
-    ]
-  in
-  (* distinct HAVING thresholds: distinct normalized text, so each fresh
-     query is a plan-cache miss that must run the full Listing 9 pipeline *)
-  let fresh i = Workload.Queries.skyband ~k:(60 + i) () in
-  let timed_query cl sql =
-    let t0 = Unix.gettimeofday () in
-    let r = Serve.Client.query cl sql in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  (* cold vs warm: same text and session config, so the first execution
-     pays planning + execution and every repeat is a result-cache hit *)
-  let c = Serve.Client.connect (`Unix sock) in
-  let q0 = List.hd hot in
-  let _, cold_ms = timed_query c q0 in
-  let reps = if !quick then 20 else 100 in
-  let warm_lat = Array.init reps (fun _ -> snd (timed_query c q0)) in
-  let warm_ms = Array.fold_left ( +. ) 0. warm_lat /. float_of_int reps in
-  Serve.Client.close c;
-  Printf.printf
-    "repeat query: cold %8.3fms   warm %8.3fms   (%.0fx over %d reps)\n%!"
-    cold_ms warm_ms (cold_ms /. warm_ms) reps;
-  record ~technique:"serve_cold" ~load_ms "serve_repeat" cold_ms;
-  record ~technique:"serve_warm" "serve_repeat" warm_ms;
-  if cold_ms < 5. *. warm_ms then
-    Printf.printf "!! warm repeats below 5x faster than cold — investigate\n%!";
-  (* mixed concurrent workload: N sessions, ~70%% repeats from the hot set
-     (cache traffic), ~30%% fresh thresholds (plan + execute) *)
-  let n_clients = 4 in
-  let per_client = if !quick then 15 else 50 in
-  let lat = Array.make n_clients [] in
-  let sids = Array.make n_clients 0 in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init n_clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let cl = Serve.Client.connect (`Unix sock) in
-            sids.(ci) <- Serve.Client.session cl;
-            for j = 0 to per_client - 1 do
-              let sql =
-                if j mod 10 < 7 then List.nth hot (j mod List.length hot)
-                else fresh ((ci * per_client) + j)
-              in
-              let _, ms = timed_query cl sql in
-              lat.(ci) <- ms :: lat.(ci)
-            done;
-            Serve.Client.close cl)
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (* cache hit/miss and rejection counters come off the server's stats
-     response, so the JSON row records what the server saw, not a guess *)
-  let cstat = Serve.Client.connect (`Unix sock) in
-  let stats = Serve.Client.stats cstat in
-  let cache_counters =
-    let sub name =
-      match Obs.Json.member name stats with
-      | Some o ->
-        List.filter_map
-          (fun k ->
-            match Obs.Json.member k o with
-            | Some (Obs.Json.Num x) -> Some (name ^ "_" ^ k, int_of_float x)
-            | _ -> None)
-          [ "hits"; "misses"; "evictions" ]
-      | None -> []
-    in
-    sub "plan_cache" @ sub "result_cache"
-    @ (match Obs.Json.member "rejected" stats with
-       | Some (Obs.Json.Num x) -> [ ("rejected", int_of_float x) ]
-       | _ -> [])
-  in
-  Serve.Client.shutdown cstat;
-  Serve.Client.close cstat;
-  Serve.Server.wait srv;
-  let pct p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    if Array.length a = 0 then 0.
-    else
-      a.(min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let all_lat = List.concat (Array.to_list lat) in
-  let qps = float_of_int (List.length all_lat) /. wall_s in
-  let p50 = pct 0.5 all_lat and p95 = pct 0.95 all_lat in
-  Printf.printf
-    "%d sessions x %d requests: %.0f qps, p50 %.2fms, p95 %.2fms\n  %s\n%!"
-    n_clients per_client qps p50 p95
-    (String.concat " "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cache_counters));
-  record ~technique:"serve_mixed" ~workers:n_clients ~counters:cache_counters
-    ~qps ~p50_ms:p50 ~p95_ms:p95 "serve_mixed" (wall_s *. 1000.);
-  Array.iteri
-    (fun ci ms ->
-      record ~technique:"serve_session" ~session:sids.(ci)
-        ~qps:(float_of_int (List.length ms) /. wall_s)
-        ~p50_ms:(pct 0.5 ms) ~p95_ms:(pct 0.95 ms) "serve_mixed"
-        (List.fold_left ( +. ) 0. ms))
-    lat;
-  print_newline ()
-
-(* ---- streaming appends: append-to-fresh-result latency ---- *)
-
-let stream_bench () =
-  Printf.printf
-    "=== Streaming appends: incremental maintenance vs recompute ===\n\n";
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "si-stream-%d.sock" (Unix.getpid ()))
-  in
-  (* Floor the scale: below ~30k rows the pinned query recomputes in
-     ~10ms and the streaming comparison measures RPC noise, not joins. *)
-  let n_rows = max !rows 30_000 in
-  let catalog, load_t =
-    time (fun () ->
-        let catalog = Catalog.create () in
-        ignore
-          (Workload.Basket.register catalog ~baskets:(n_rows / 5) ~items:200
-             ~avg_size:5 ~seed);
-        if !layout = `Column then Catalog.set_all_layouts catalog `Column;
-        catalog)
-  in
-  let load_ms = load_t *. 1000. in
-  let config =
-    {
-      Serve.Server.listen = `Unix sock;
-      pool = 2;
-      queue_cap = 256;
-      plan_cache_cap = 64;
-      result_cache_cap = 256;
-      max_rows = None;
-      maintain = true;
-      metrics_addr = None;
-      slow_ms = None;
-      slow_log = None;
-      trace_sample = 0.;
-    }
-  in
-  let srv = Serve.Server.start ~config [ (!layout, catalog) ] in
-  (* The pinned complex query: frequent item pairs, the paper's canonical
-     market-basket iceberg join.  Its first execution caches the result and
-     builds the §6 partial state; the equality join keys the delta folds
-     into hash joins, so maintenance is O(Δ ⋈ basket), not a recompute. *)
-  let sql =
-    "SELECT i1.item, i2.item, COUNT(*) FROM basket i1, basket i2 WHERE \
-     i1.bid = i2.bid AND i1.item < i2.item GROUP BY i1.item, i2.item HAVING \
-     COUNT(*) >= 20"
-  in
-  let c = Serve.Client.connect (`Unix sock) in
-  let t0 = Unix.gettimeofday () in
-  ignore (Serve.Client.query c sql);
-  let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  (* Recompute reference: both caches bypassed, so each call pays planning
-     plus execution — what every append cost before maintenance, when it
-     stamped the plan stale and dropped the cached result. *)
-  let c2 = Serve.Client.connect (`Unix sock) in
-  ignore
-    (Serve.Client.set c2
-       [ ("result_cache", Obs.Json.Bool false);
-         ("plan_cache", Obs.Json.Bool false) ]);
-  let recompute_of () =
-    let t0 = Unix.gettimeofday () in
-    let r = Serve.Client.query c2 sql in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  ignore (recompute_of ());
-  (* warm the plan *)
-  (* Append bursts of ~0.1% of the table (at least 10 rows) — fresh
-     baskets of 5 distinct items, the natural append traffic — each
-     followed by a query: the measured cycle is append request (which
-     folds the delta into the cached partials) + the query that serves
-     it. *)
-  let bursts = if !quick then 8 else 25 in
-  let burst_rows = 5 * max 2 (n_rows / 5000) in
-  let rng = Workload.Prng.create 99 in
-  let basket_row bid item =
-    Obs.Json.Arr
-      [ Obs.Json.Num (float_of_int bid);
-        Obs.Json.Str (Printf.sprintf "item%04d" item) ]
-  in
-  let cycle_lat = ref [] and append_lat = ref [] in
-  let last = ref None in
-  for b = 1 to bursts do
-    (* bids beyond the generator's range; 5 distinct items per basket
-       (offsets coprime to the item count keep the (bid, item) key) *)
-    let rows_j =
-      List.concat
-        (List.init (burst_rows / 5)
-           (fun k ->
-             let bid = 1_000_000 + (b * 1000) + k in
-             let base = Workload.Prng.int rng 200 in
-             List.init 5 (fun i -> basket_row bid ((base + (7 * i)) mod 200))))
-    in
-    let t0 = Unix.gettimeofday () in
-    ignore (Serve.Client.append c "basket" rows_j);
-    let t1 = Unix.gettimeofday () in
-    let r = Serve.Client.query c sql in
-    append_lat := ((t1 -. t0) *. 1000.) :: !append_lat;
-    cycle_lat := ((Unix.gettimeofday () -. t0) *. 1000.) :: !cycle_lat;
-    if not (Serve.Client.cached r) then
-      Printf.printf "!! burst %d fell out of the maintained cache\n%!" b;
-    last := Some r
-  done;
-  (* Correctness spot-check: the final maintained payload row-diffs clean
-     against an uncached recompute over everything appended.  The reference
-     latency is the median of three runs — a single execution is noisy
-     enough to swing the reported speedup by a few x. *)
-  let recompute, recompute_ms =
-    let runs = List.init 3 (fun _ -> recompute_of ()) in
-    let sorted = List.sort (fun (_, a) (_, b) -> compare a b) runs in
-    List.nth sorted 1
-  in
-  (match !last with
-   | Some r ->
-     let got = Serve.Client.relation_of_response r in
-     let want = Serve.Client.relation_of_response recompute in
-     if not (Core.Runner.same_result want got) then
-       Printf.printf "!! maintained result diverged from recompute\n%!"
-   | None -> ());
-  Serve.Client.shutdown c2;
-  Serve.Client.close c2;
-  Serve.Client.close c;
-  Serve.Server.wait srv;
-  let pct p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    if Array.length a = 0 then 0.
-    else
-      a.(min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let p50 = pct 0.5 !cycle_lat and p95 = pct 0.95 !cycle_lat in
-  (* The server-side fold cost, from the serve.maint_ms histogram the
-     worker records around each maintenance pass: mean for the prose line,
-     count/p50/p95 as their own JSON row so `bench diff` tracks the fold
-     latency separately from the full append-to-fresh-result cycle. *)
-  let maint_h = Obs.Metrics.hist_read (Obs.Metrics.histogram "serve.maint_ms") in
-  let maint =
-    if maint_h.Obs.Metrics.hs_count = 0 then 0.
-    else maint_h.Obs.Metrics.hs_sum /. float_of_int maint_h.Obs.Metrics.hs_count
-  in
-  let maint_p50 = Obs.Metrics.hist_quantile maint_h 0.5 in
-  let maint_p95 = Obs.Metrics.hist_quantile maint_h 0.95 in
-  let speedup = recompute_ms /. Float.max 1e-9 p50 in
-  Printf.printf
-    "pinned query over %d rows (cold %.2fms, recompute %.2fms)\n\
-     %d bursts x %d rows: append-to-fresh-result p50 %.3fms p95 %.3fms\n\
-     (append rpc p50 %.3fms, partial-state fold mean %.3fms)\n\
-     serve.maint_ms histogram: count %d p50 %.3fms p95 %.3fms\n\
-     maintenance speedup over recompute: %.1fx\n%!"
-    n_rows cold_ms recompute_ms bursts burst_rows p50 p95 (pct 0.5 !append_lat)
-    maint maint_h.Obs.Metrics.hs_count maint_p50 maint_p95 speedup;
-  if speedup < 10. then
-    Printf.printf
-      "!! incremental refresh below 10x over recompute — investigate\n%!";
-  record ~technique:"stream_maintain" ~load_ms ~p50_ms:p50 ~p95_ms:p95
-    "stream_append" (List.fold_left ( +. ) 0. !cycle_lat);
-  record ~technique:"stream_recompute" "stream_append" recompute_ms;
-  record ~technique:"stream_maint_hist"
-    ~counters:[ ("serve.maint_ms.count", maint_h.Obs.Metrics.hs_count) ]
-    ~p50_ms:maint_p50 ~p95_ms:maint_p95 "stream_append"
-    maint_h.Obs.Metrics.hs_sum;
-  print_newline ()
-
 (* ---- driver ---- *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | "diff" :: rest -> exit (diff_cmd rest)
-  | args ->
   let rec parse_args = function
     | [] -> []
     | "--rows" :: n :: rest ->
@@ -1977,20 +1219,13 @@ let () =
     | "--no-transfer" :: rest ->
       transfer_opt := Some false;
       parse_args rest
-    | "--quick" :: rest ->
-      quick := true;
-      parse_args rest
     | "--cache-mb" :: n :: rest ->
       cache_mb_opt := Some (int_of_string n);
       parse_args rest
     | x :: rest -> x :: parse_args rest
   in
   let targets = parse_args args in
-  (* The harness is explicit-only: `all` must not overwrite the committed
-     regression baseline as a side effect. *)
-  let all =
-    (targets = [] || List.mem "all" targets) && not (List.mem "harness" targets)
-  in
+  let all = targets = [] || List.mem "all" targets in
   let want t = all || List.mem t targets in
   let fig1_results = ref [] in
   if want "fig1" || want "fig3" then fig1_results := fig1 ();
@@ -2008,8 +1243,5 @@ let () =
   if want "col" then col ();
   if want "vec" then vec ();
   if want "sic" then sic_bench ();
-  if want "serve" then serve_bench ();
-  if want "stream" then stream_bench ();
   if want "micro" then micro ();
-  if List.mem "harness" targets then harness ();
   match !json_path with Some path -> write_json path | None -> ()

@@ -87,6 +87,17 @@ let tech_of_string = function
 
 (* ---- commands ---- *)
 
+(* Malformed SQL is the user's mistake, not the tool's: report it on stderr
+   and exit 1 rather than as cmdliner's "internal error" (exit 125). *)
+let with_sql_errors f =
+  try f () with
+  | Sqlfront.Parser.Parse_error m ->
+    prerr_endline ("parse error: " ^ m);
+    1
+  | Sqlfront.Lexer.Lex_error (m, off) ->
+    Printf.eprintf "lex error at %d: %s\n" off m;
+    1
+
 (* EXPLAIN: print the plan the run would execute and return — only CTE
    blocks execute.  [None] transfer defers to the SI_TRANSFER default. *)
 let explain_query ?workers ?transfer catalog tech nljp_config sql =
@@ -97,6 +108,7 @@ let explain_query ?workers ?transfer catalog tech nljp_config sql =
 
 let run_cmd tables synth rows layout cache_mb sic_resident tech workers
     no_vector no_transfer verbose max_rows explain analyze json trace sql =
+  with_sql_errors @@ fun () ->
   let catalog = setup ?cache_mb ~sic_resident tables synth rows layout in
   let nljp_config =
     { Core.Nljp.default_config with Core.Nljp.vector = not no_vector }
@@ -173,6 +185,7 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
   end
 
 let explain_cmd tables synth rows layout tech no_vector sql =
+  with_sql_errors @@ fun () ->
   let catalog = setup tables synth rows layout in
   let nljp_config =
     { Core.Nljp.default_config with Core.Nljp.vector = not no_vector }
@@ -180,6 +193,7 @@ let explain_cmd tables synth rows layout tech no_vector sql =
   explain_query catalog tech nljp_config sql
 
 let compare_cmd tables synth rows layout workers sql =
+  with_sql_errors @@ fun () ->
   let catalog = setup tables synth rows layout in
   let q = Sqlfront.Parser.parse sql in
   let time f =

@@ -21,17 +21,15 @@ let () =
   Printf.printf "basket: %d rows, threshold %d\n\n" n threshold;
 
   (* The join the iceberg sits on. *)
-  let tbl = Catalog.find catalog Workload.Basket.table_name in
   let side q =
-    Relation.make (Schema.requalify q tbl.Catalog.rel.Relation.schema)
-      (Relation.rows tbl.Catalog.rel)
+    Plan.Scan { table = Workload.Basket.table_name; alias = Some q; filter = None }
   in
   let joined, t_join =
     time (fun () ->
-        Ops.hash_join
-          ~left_keys:[ Expr.col ~q:"i1" "bid" ]
-          ~right_keys:[ Expr.col ~q:"i2" "bid" ]
-          ~residual:Expr.tt (side "i1") (side "i2"))
+        Exec.run catalog
+          (Plan.Hash_join
+             { keys = [ (Expr.col ~q:"i1" "bid", Expr.col ~q:"i2" "bid") ];
+               residual = Expr.tt; left = side "i1"; right = side "i2" }))
   in
   Printf.printf "self-join materialized: %d pairs in %.3fs\n\n"
     (Relation.cardinality joined) t_join;

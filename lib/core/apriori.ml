@@ -143,15 +143,16 @@ let apply (t : Qspec.t) target =
 
 (* Materialize the candidate LR-join (no grouping) and the target side, then
    count, per (side-tuple, LR-group), how many joined tuples the side tuple
-   contributes. *)
+   contributes.  The join is the engine's nested loop over the two side
+   plans; [Plan.Values] leaves would requalify every column of a side with
+   one name, and a side spanning several aliases needs them for θ. *)
 let joined_with_sides catalog (t : Qspec.t) =
-  let lq = Qspec.side_query t.Qspec.left in
-  let rq = Qspec.side_query t.Qspec.right in
-  let l = Binder.run catalog lq in
-  let r = Binder.run catalog rq in
-  let theta = Qspec.theta_expr catalog t in
-  let lr = Ops.nl_join ~pred:theta l r in
-  (l, r, lr)
+  let lp = Binder.bind catalog (Qspec.side_query t.Qspec.left) in
+  let rp = Binder.bind catalog (Qspec.side_query t.Qspec.right) in
+  let pred = Qspec.theta_expr catalog t in
+  ( Exec.run catalog lp,
+    Exec.run catalog rp,
+    Exec.run catalog (Plan.Nl_join { pred; left = lp; right = rp }) )
 
 let group_key schema cols row =
   Row.project row (List.map (fun c -> Schema.index_of_col schema c) cols)

@@ -8,8 +8,8 @@
     int-until-first-overflow promotion), and float inputs replayed per
     non-null value so rounding stays bit-identical to the row path.
 
-    [try_global] answers [None] — caller falls back to [Ops.group_by]'s
-    row path — unless the query is a global aggregate ([group_cols = []])
+    [try_global] answers [None] — caller falls back to {!Exec}'s hash
+    aggregation — unless the query is a global aggregate ([group_cols = []])
     over a paged columnar relation whose every aggregate input is a plain
     column of uniform numeric kind (any kind for COUNT).  Handled blocks
     never decode, which is what [sic.blocks_direct] counts. *)

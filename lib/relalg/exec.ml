@@ -94,6 +94,62 @@ let node_label = function
   | Plan.Semijoin _ -> "Hash Semi Join (IN)"
   | Plan.Rename (alias, _) -> "Subquery " ^ alias
 
+(* Sort-merge equi-join ({!Plan.Merge_join}): sort both inputs on the key
+   expressions and merge, crossing equal-key runs.  Slower than hashing in
+   memory, but the classic method the baseline systems switch to without
+   indexes (§8.1). *)
+let merge_join ~keys ~residual left right =
+  let schema = Schema.append left.Relation.schema right.Relation.schema in
+  let lkey = Compile.row_fn left.Relation.schema (List.map fst keys) in
+  let rkey = Compile.row_fn right.Relation.schema (List.map snd keys) in
+  (* SQL: NULL join keys match nothing — drop them before sorting, or the
+     equal-key-run cross product would pair NULL with NULL. *)
+  let sorted_keyed key rel =
+    let rows =
+      Array.of_seq
+        (Seq.filter_map
+           (fun r ->
+             let k = key r in
+             if Row.has_null k then None else Some (k, r))
+           (Array.to_seq (Relation.rows rel)))
+    in
+    Array.sort (fun (a, _) (b, _) -> Row.compare a b) rows;
+    rows
+  in
+  let lsorted = sorted_keyed lkey left in
+  let rsorted = sorted_keyed rkey right in
+  let ok = Compile.join_pred left.Relation.schema right.Relation.schema residual in
+  let out = ref [] in
+  let nl = Array.length lsorted and nr = Array.length rsorted in
+  (* classic merge: advance the smaller key; on a match, cross the two
+     equal-key runs *)
+  let i = ref 0 and j = ref 0 in
+  while !i < nl && !j < nr do
+    let kl, _ = lsorted.(!i) and kr, _ = rsorted.(!j) in
+    let c = Row.compare kl kr in
+    if c < 0 then incr i
+    else if c > 0 then incr j
+    else begin
+      let i_end = ref !i in
+      while !i_end < nl && Row.compare (fst lsorted.(!i_end)) kl = 0 do
+        incr i_end
+      done;
+      let j_end = ref !j in
+      while !j_end < nr && Row.compare (fst rsorted.(!j_end)) kr = 0 do
+        incr j_end
+      done;
+      for a = !i to !i_end - 1 do
+        for b = !j to !j_end - 1 do
+          let _, lrow = lsorted.(a) and _, rrow = rsorted.(b) in
+          if ok lrow rrow then out := Row.append lrow rrow :: !out
+        done
+      done;
+      i := !i_end;
+      j := !j_end
+    end
+  done;
+  Relation.of_rows schema (List.rev !out)
+
 let empty_row : Row.t = [||]
 
 let rec run ?(workers = 1) ?recorder ?(path = []) ?(filters = []) catalog plan =
@@ -115,10 +171,7 @@ and exec_node ~workers ~recorder ~path ~filters catalog plan =
   | Plan.Merge_join { keys; residual; left; right } ->
     let l = child 0 left in
     let r = child 1 right in
-    Ops.merge_join
-      ~left_keys:(List.map fst keys)
-      ~right_keys:(List.map snd keys)
-      ~residual l r
+    merge_join ~keys ~residual l r
   | Plan.Group { group_cols; aggs; input } ->
     group ~workers ~recorder ~path ~filters catalog group_cols aggs input
   | Plan.Distinct p -> Ops.distinct (child 0 p)

@@ -11,151 +11,6 @@ let project outs rel =
   let f = Compile.row_fn rel.Relation.schema (List.map fst outs) in
   Relation.map_rows schema f rel
 
-let joined_schema l r = Schema.append l.Relation.schema r.Relation.schema
-
-let nl_join ~pred left right =
-  let schema = joined_schema left right in
-  let ok = Compile.join_pred left.Relation.schema right.Relation.schema pred in
-  let out = ref [] in
-  Relation.iter
-    (fun lrow ->
-      Relation.iter
-        (fun rrow -> if ok lrow rrow then out := Row.append lrow rrow :: !out)
-        right)
-    left;
-  Relation.of_rows schema (List.rev !out)
-
-let hash_join ~left_keys ~right_keys ~residual left right =
-  let schema = joined_schema left right in
-  let rkey = Compile.row_fn right.Relation.schema right_keys in
-  let lkey = Compile.row_fn left.Relation.schema left_keys in
-  let tbl = Row.Tbl.create (max 16 (Relation.cardinality right)) in
-  Relation.iter
-    (fun rrow ->
-      let key = rkey rrow in
-      (* SQL: NULL join keys match nothing; keep them out of the table. *)
-      if not (Row.has_null key) then
-        match Row.Tbl.find_opt tbl key with
-        | Some cell -> cell := rrow :: !cell
-        | None -> Row.Tbl.add tbl key (ref [ rrow ]))
-    right;
-  let ok = Compile.join_pred left.Relation.schema right.Relation.schema residual in
-  let out = ref [] in
-  Relation.iter
-    (fun lrow ->
-      let key = lkey lrow in
-      match Row.Tbl.find_opt tbl key with
-      | None -> ()
-      | Some cell ->
-        List.iter
-          (fun rrow -> if ok lrow rrow then out := Row.append lrow rrow :: !out)
-          !cell)
-    left;
-  Relation.of_rows schema (List.rev !out)
-
-let merge_join ~left_keys ~right_keys ~residual left right =
-  let schema = joined_schema left right in
-  let lkey = Compile.row_fn left.Relation.schema left_keys in
-  let rkey = Compile.row_fn right.Relation.schema right_keys in
-  (* SQL: NULL join keys match nothing — drop them before sorting, or the
-     equal-key-run cross product would pair NULL with NULL. *)
-  let sorted_keyed key rel =
-    let rows =
-      Array.of_seq
-        (Seq.filter_map
-           (fun r ->
-             let k = key r in
-             if Row.has_null k then None else Some (k, r))
-           (Array.to_seq (Relation.rows rel)))
-    in
-    Array.sort (fun (a, _) (b, _) -> Row.compare a b) rows;
-    rows
-  in
-  let lsorted = sorted_keyed lkey left in
-  let rsorted = sorted_keyed rkey right in
-  let ok = Compile.join_pred left.Relation.schema right.Relation.schema residual in
-  let out = ref [] in
-  let nl = Array.length lsorted and nr = Array.length rsorted in
-  (* classic merge: advance the smaller key; on a match, cross the two
-     equal-key runs *)
-  let i = ref 0 and j = ref 0 in
-  while !i < nl && !j < nr do
-    let kl, _ = lsorted.(!i) and kr, _ = rsorted.(!j) in
-    let c = Row.compare kl kr in
-    if c < 0 then incr i
-    else if c > 0 then incr j
-    else begin
-      let i_end = ref !i in
-      while !i_end < nl && Row.compare (fst lsorted.(!i_end)) kl = 0 do
-        incr i_end
-      done;
-      let j_end = ref !j in
-      while !j_end < nr && Row.compare (fst rsorted.(!j_end)) kr = 0 do
-        incr j_end
-      done;
-      for a = !i to !i_end - 1 do
-        for b = !j to !j_end - 1 do
-          let _, lrow = lsorted.(a) and _, rrow = rsorted.(b) in
-          if ok lrow rrow then out := Row.append lrow rrow :: !out
-        done
-      done;
-      i := !i_end;
-      j := !j_end
-    end
-  done;
-  Relation.of_rows schema (List.rev !out)
-
-let index_nl_join ~pred ~index ~right_schema ~right_bound left =
-  let schema = Schema.append left.Relation.schema right_schema in
-  let ok = Compile.join_pred left.Relation.schema right_schema pred in
-  let out = ref [] in
-  Relation.iter
-    (fun lrow ->
-      let lo, hi = right_bound lrow in
-      Seq.iter
-        (fun rrow -> if ok lrow rrow then out := Row.append lrow rrow :: !out)
-        (Index.Sorted.range index ~lo ~hi))
-    left;
-  Relation.of_rows schema (List.rev !out)
-
-let group_by ~group_cols ~aggs rel =
-  match Colagg.try_global ~group_cols ~aggs rel with
-  | Some r -> r
-  | None ->
-  let gkey = Compile.row_fn rel.Relation.schema (List.map fst group_cols) in
-  let compiled = List.map (fun (f, _) -> Agg.compile rel.Relation.schema f) aggs in
-  let schema =
-    Schema.of_cols (List.map snd group_cols @ List.map snd aggs)
-  in
-  let groups = Row.Tbl.create 64 in
-  let order = ref [] in
-  Relation.iter
-    (fun row ->
-      let key = gkey row in
-      let states =
-        match Row.Tbl.find_opt groups key with
-        | Some states -> states
-        | None ->
-          let states = List.map (fun c -> c.Agg.fresh ()) compiled in
-          Row.Tbl.add groups key states;
-          order := key :: !order;
-          states
-      in
-      List.iter2 (fun c st -> c.Agg.step st row) compiled states)
-    rel;
-  let finalize key states =
-    Array.append key (Array.of_list (List.map2 (fun c st -> c.Agg.final st) compiled states))
-  in
-  if group_cols = [] && Row.Tbl.length groups = 0 then
-    (* SQL: global aggregation over the empty input yields one row. *)
-    let states = List.map (fun c -> c.Agg.fresh ()) compiled in
-    Relation.of_rows schema [ finalize [||] states ]
-  else
-    let rows =
-      List.rev_map (fun key -> finalize key (Row.Tbl.find groups key)) !order
-    in
-    Relation.of_rows schema rows
-
 let distinct rel =
   let seen = Row.Tbl.create 64 in
   Relation.filter
@@ -191,10 +46,3 @@ let limit n rel =
 let semijoin keys sub rel =
   let set = Expr.row_set_of (Array.to_list (Relation.rows sub)) in
   select (Expr.In_set (keys, set)) rel
-
-let union_all a b =
-  if Schema.arity a.Relation.schema <> Schema.arity b.Relation.schema then
-    invalid_arg "Ops.union_all: arity mismatch";
-  Relation.make a.Relation.schema (Array.append (Relation.rows a) (Relation.rows b))
-
-let cross a b = nl_join ~pred:Expr.tt a b

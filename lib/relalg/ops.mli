@@ -1,62 +1,15 @@
-(** Duplicate-preserving relational operators (π, σ, ⋈, γ, …).
+(** Duplicate-preserving relational operators over materialized relations:
+    σ, π, δ, sort, limit and the IN semi-join.
 
-    These are the building blocks both of the baseline executor (the
-    "PostgreSQL" stand-in) and of the rewritten plans produced by the
-    iceberg optimizer. *)
+    The plan interpreter {!Exec} calls these for its non-join nodes; joins
+    and aggregation exist only in {!Exec}, which streams join output
+    straight into grouping. *)
 
 val select : Expr.t -> Relation.t -> Relation.t
 
 (** [project outs rel]: each output column is an expression evaluated per
     row, named by the given column (qualifier preserved). *)
 val project : (Expr.t * Schema.col) list -> Relation.t -> Relation.t
-
-(** θ-join by nested loop; [pred] is evaluated over the concatenated row. *)
-val nl_join : pred:Expr.t -> Relation.t -> Relation.t -> Relation.t
-
-(** Equi-join by hashing: [left_keys] and [right_keys] are positionally
-    paired; [residual] (over the concatenated schema) filters matches. *)
-val hash_join :
-  left_keys:Expr.t list ->
-  right_keys:Expr.t list ->
-  residual:Expr.t ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-
-(** Equi-join by sorting both inputs on the key expressions and merging;
-    same contract as {!hash_join}.  Slower here (no spill to disk makes
-    hashing strictly better in memory) but kept as the classic alternative
-    join method the baseline systems switch to without indexes. *)
-val merge_join :
-  left_keys:Expr.t list ->
-  right_keys:Expr.t list ->
-  residual:Expr.t ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-
-(** Index nested-loop join: probe the right side through a prebuilt sorted
-    index using [right_bound], a function computing per-outer-row bounds on
-    the index's first key column; [pred] still filters exactly. *)
-val index_nl_join :
-  pred:Expr.t ->
-  index:Index.Sorted.t ->
-  right_schema:Schema.t ->
-  right_bound:
-    (Row.t ->
-    (Value.t * [ `Strict | `Inclusive ]) option
-    * (Value.t * [ `Strict | `Inclusive ]) option) ->
-  Relation.t ->
-  Relation.t
-
-(** Grouping with aggregation.  Output schema is the group columns followed
-    by the aggregate columns.  With an empty [group_cols] the result is the
-    single global group (even over an empty input, matching SQL). *)
-val group_by :
-  group_cols:(Expr.t * Schema.col) list ->
-  aggs:(Agg.func * Schema.col) list ->
-  Relation.t ->
-  Relation.t
 
 val distinct : Relation.t -> Relation.t
 val order_by : (Expr.t * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
@@ -65,6 +18,3 @@ val limit : int -> Relation.t -> Relation.t
 (** [semijoin keys sub rel] keeps rows of [rel] whose [keys] tuple appears in
     [sub] (which must have matching arity) — implements [IN (subquery)]. *)
 val semijoin : Expr.t list -> Relation.t -> Relation.t -> Relation.t
-
-val union_all : Relation.t -> Relation.t -> Relation.t
-val cross : Relation.t -> Relation.t -> Relation.t

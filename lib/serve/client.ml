@@ -1,7 +1,7 @@
 (* Synchronous client for the query server: one request on the wire at a
    time, response matched by id.  Each [t] owns one connection and is NOT
-   itself thread-safe — concurrent clients (the bench harness, the
-   differential fuzz tests) each open their own. *)
+   itself thread-safe — concurrent clients (perfbench's serving
+   workloads, the differential fuzz tests) each open their own. *)
 
 open Relalg
 module Json = Obs.Json

@@ -1,7 +1,7 @@
 (** Synchronous client for the query server: one request on the wire at a
     time, response matched by id.  A [t] owns one connection/session and
-    is not itself thread-safe — concurrent load generators (the bench
-    harness, the differential fuzz tests) each open their own. *)
+    is not itself thread-safe — concurrent load generators (perfbench's
+    serving workloads, the differential fuzz tests) each open their own. *)
 
 type t
 

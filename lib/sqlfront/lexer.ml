@@ -81,7 +81,10 @@ let tokenize input =
         let stop = num i false in
         let text = String.sub input i (stop - i) in
         if String.contains text '.' then emit (FLOAT (float_of_string text))
-        else emit (INT (int_of_string text));
+        else (
+          match int_of_string_opt text with
+          | Some k -> emit (INT k)
+          | None -> raise (Lex_error ("integer literal out of range: " ^ text, i)));
         go stop
       | c when is_ident_start c ->
         let rec ident j = if j < n && is_ident_char input.[j] then ident (j + 1) else j in

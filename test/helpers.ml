@@ -11,6 +11,15 @@ let sv s = Value.Str s
 
 let rel names rows = Relation.of_rows (Schema.of_names names) (List.map row rows)
 
+(* Joins and aggregation exist only in the plan interpreter: tests run them
+   through [Exec.run] with relations embedded as [Plan.Values] leaves (each
+   leaf requalifies its columns with its name). *)
+let values name r = Plan.Values { name; rel = r }
+let exec ?workers plan = Exec.run ?workers (Catalog.create ()) plan
+
+let exec_group ~group_cols ~aggs r =
+  exec (Plan.Group { group_cols; aggs; input = values "t" r })
+
 let check_bag msg expected actual =
   if not (Relation.equal_bag expected actual) then
     Alcotest.failf "%s:\nexpected:\n%sactual:\n%s" msg

@@ -127,14 +127,14 @@ let decompose_end_to_end func name =
                with_sub
            in
            let stage1 =
-             Ops.group_by
+             exec_group
                ~group_cols:
                  [ (Expr.col "g", Schema.col "g"); (Expr.col "sub", Schema.col "sub") ]
                ~aggs:(List.map (fun (n, f) -> (f, Schema.col n)) partials)
                with_sub
            in
            let stage2 =
-             Ops.group_by
+             exec_group
                ~group_cols:[ (Expr.col "g", Schema.col "g") ]
                ~aggs:(List.map (fun (n, f) -> (f, Schema.col n)) outers)
                stage1
@@ -145,7 +145,7 @@ let decompose_end_to_end func name =
                stage2
            in
            let direct =
-             Ops.group_by
+             exec_group
                ~group_cols:[ (Expr.col "g", Schema.col "g") ]
                ~aggs:[ (func, Schema.col "v") ]
                data

@@ -76,14 +76,13 @@ let unit_tests =
             "SELECT i1.item, i2.item, COUNT(*) FROM basket i1, basket i2 \
              WHERE i1.bid = i2.bid GROUP BY i1.item, i2.item HAVING COUNT(*) >= 4"
         in
-        let tbl = Catalog.find catalog "basket" in
+        let tbl = (Catalog.find catalog "basket").Catalog.rel in
         let joined =
-          Ops.nl_join
-            ~pred:(Expr.Cmp (Expr.Eq, Expr.col ~q:"i1" "bid", Expr.col ~q:"i2" "bid"))
-            (Relation.make (Schema.requalify "i1" tbl.Catalog.rel.Relation.schema)
-               (Relation.rows tbl.Catalog.rel))
-            (Relation.make (Schema.requalify "i2" tbl.Catalog.rel.Relation.schema)
-               (Relation.rows tbl.Catalog.rel))
+          exec
+            (Plan.Nl_join
+               { pred = Expr.Cmp (Expr.Eq, Expr.col ~q:"i1" "bid", Expr.col ~q:"i2" "bid");
+                 left = values "i1" tbl;
+                 right = values "i2" tbl })
         in
         let item1 = Schema.index_of joined.Relation.schema ~q:"i1" "item" in
         let item2 = Schema.index_of joined.Relation.schema ~q:"i2" "item" in

@@ -108,12 +108,14 @@ let check_ops seed =
   check_op "project" (Ops.project outs r) (Ops.project outs rc);
   (* ⋈: nested loop with a θ-predicate, and hashed equi-join *)
   let jp = Expr.Cmp (pick rng Expr.[ Eq; Le ], Expr.col "a", Expr.col "d") in
-  check_op "nl_join" (Ops.nl_join ~pred:jp r s) (Ops.nl_join ~pred:jp rc sc);
-  check_op "hash_join"
-    (Ops.hash_join ~left_keys:[ Expr.col "a" ] ~right_keys:[ Expr.col "d" ]
-       ~residual:Expr.tt r s)
-    (Ops.hash_join ~left_keys:[ Expr.col "a" ] ~right_keys:[ Expr.col "d" ]
-       ~residual:Expr.tt rc sc);
+  let join mk a b = exec (mk (values "r" a) (values "s" b)) in
+  let nl left right = Plan.Nl_join { pred = jp; left; right } in
+  let hash left right =
+    Plan.Hash_join
+      { keys = [ (Expr.col "a", Expr.col "d") ]; residual = Expr.tt; left; right }
+  in
+  check_op "nl_join" (join nl r s) (join nl rc sc);
+  check_op "hash_join" (join hash r s) (join hash rc sc);
   (* γ over a group column with a mix of aggregates *)
   let aggs =
     [ (Agg.Count_star, Schema.col "n");
@@ -121,8 +123,8 @@ let check_ops seed =
       (Agg.Min (Expr.col "c"), Schema.col "m") ]
   in
   check_op "group_by"
-    (Ops.group_by ~group_cols:[ (Expr.col "b", Schema.col "b") ] ~aggs r)
-    (Ops.group_by ~group_cols:[ (Expr.col "b", Schema.col "b") ] ~aggs rc);
+    (exec_group ~group_cols:[ (Expr.col "b", Schema.col "b") ] ~aggs r)
+    (exec_group ~group_cols:[ (Expr.col "b", Schema.col "b") ] ~aggs rc);
   true
 
 (* Full iceberg queries under the optimizer: the row-layout baseline result

@@ -75,7 +75,7 @@ let semantic_props =
     let open Relalg in
     let rel = Relation.of_rows (Schema.of_names [ "a" ]) (List.map (fun x -> [| Value.Int x |]) values) in
     let grouped =
-      Ops.group_by ~group_cols:[]
+      Helpers.exec_group ~group_cols:[]
         ~aggs:
           [ (Agg.Count_star, Schema.col "__agg0");
             (Agg.Sum (Expr.col "a"), Schema.col "__agg1");

@@ -29,6 +29,10 @@ let lexing =
         match Lexer.tokenize "'oops" with
         | exception Lexer.Lex_error _ -> ()
         | _ -> Alcotest.fail "expected lex error");
+    t "out-of-range integer literal raises Lex_error" (fun () ->
+        match Lexer.tokenize "x > 99999999999999999999" with
+        | exception Lexer.Lex_error (_, off) -> Alcotest.(check int) "offset" 4 off
+        | _ -> Alcotest.fail "expected lex error");
     t "float literal" (fun () ->
         match Lexer.tokenize "3.25" with
         | [| Lexer.FLOAT f; Lexer.EOF |] -> Alcotest.(check (float 0.0)) "f" 3.25 f

@@ -39,66 +39,68 @@ let select_project =
         in
         Alcotest.(check int) "rows" 3 (Relation.cardinality r)) ]
 
+(* The engine's join operators over two embedded relations. *)
+let nl_join ?workers ~pred l r =
+  exec ?workers (Plan.Nl_join { pred; left = values "l" l; right = values "r" r })
+
+let hash_join ?workers ~keys ~residual l r =
+  exec ?workers
+    (Plan.Hash_join { keys; residual; left = values "l" l; right = values "r" r })
+
+let merge_join ?workers ~keys ~residual l r =
+  exec ?workers
+    (Plan.Merge_join { keys; residual; left = values "l" l; right = values "r" r })
+
 let joins =
   let depts =
     rel [ "name"; "floor" ] [ [ sv "eng"; iv 3 ]; [ sv "ops"; iv 1 ]; [ sv "sales"; iv 2 ] ]
   in
+  let dept_keys = [ (Expr.col "dept", Expr.col "name") ] in
   [ t "nl join theta" (fun () ->
         let r =
-          Ops.nl_join
+          nl_join
             ~pred:(Expr.Cmp (Expr.Eq, Expr.col "dept", Expr.col "name"))
             (people ()) depts
         in
         Alcotest.(check int) "rows" 4 (Relation.cardinality r));
     t "hash join equals nl join" (fun () ->
         let nl =
-          Ops.nl_join
+          nl_join
             ~pred:(Expr.Cmp (Expr.Eq, Expr.col "dept", Expr.col "name"))
             (people ()) depts
         in
-        let hj =
-          Ops.hash_join ~left_keys:[ Expr.col "dept" ] ~right_keys:[ Expr.col "name" ]
-            ~residual:Expr.tt (people ()) depts
-        in
+        let hj = hash_join ~keys:dept_keys ~residual:Expr.tt (people ()) depts in
         check_bag "hash=nl" nl hj);
     t "hash join residual filters" (fun () ->
         let hj =
-          Ops.hash_join ~left_keys:[ Expr.col "dept" ] ~right_keys:[ Expr.col "name" ]
+          hash_join ~keys:dept_keys
             ~residual:(Expr.Cmp (Expr.Gt, Expr.col "salary", Expr.int 100))
             (people ()) depts
         in
         Alcotest.(check int) "rows" 1 (Relation.cardinality hj));
     t "merge join equals hash join" (fun () ->
-        let hj =
-          Ops.hash_join ~left_keys:[ Expr.col "dept" ] ~right_keys:[ Expr.col "name" ]
-            ~residual:Expr.tt (people ()) depts
-        in
-        let mj =
-          Ops.merge_join ~left_keys:[ Expr.col "dept" ] ~right_keys:[ Expr.col "name" ]
-            ~residual:Expr.tt (people ()) depts
-        in
+        let hj = hash_join ~keys:dept_keys ~residual:Expr.tt (people ()) depts in
+        let mj = merge_join ~keys:dept_keys ~residual:Expr.tt (people ()) depts in
         check_bag "merge=hash" hj mj);
     t "merge join residual filters" (fun () ->
         let mj =
-          Ops.merge_join ~left_keys:[ Expr.col "dept" ] ~right_keys:[ Expr.col "name" ]
+          merge_join ~keys:dept_keys
             ~residual:(Expr.Cmp (Expr.Gt, Expr.col "salary", Expr.int 100))
             (people ()) depts
         in
         Alcotest.(check int) "rows" 1 (Relation.cardinality mj));
     t "cross product size" (fun () ->
-        Alcotest.(check int) "5*3" 15 (Relation.cardinality (Ops.cross (people ()) depts)));
+        Alcotest.(check int) "5*3" 15
+          (Relation.cardinality (nl_join ~pred:Expr.tt (people ()) depts)));
     t "semijoin keeps matching" (fun () ->
         let sub = rel [ "d" ] [ [ sv "eng" ] ] in
         let r = Ops.semijoin [ Expr.col "dept" ] sub (people ()) in
-        Alcotest.(check int) "rows" 2 (Relation.cardinality r));
-    t "union_all concatenates" (fun () ->
-        Alcotest.(check int) "10" 10
-          (Relation.cardinality (Ops.union_all (people ()) (people ())))) ]
+        Alcotest.(check int) "rows" 2 (Relation.cardinality r)) ]
 
 let grouping =
   [ t "group by dept count" (fun () ->
         let r =
-          Ops.group_by
+          exec_group
             ~group_cols:[ (Expr.col "dept", Schema.col "dept") ]
             ~aggs:[ (Agg.Count_star, Schema.col "n") ]
             (people ())
@@ -108,7 +110,7 @@ let grouping =
           r);
     t "group by sum" (fun () ->
         let r =
-          Ops.group_by
+          exec_group
             ~group_cols:[ (Expr.col "dept", Schema.col "dept") ]
             ~aggs:[ (Agg.Sum (Expr.col "salary"), Schema.col "s") ]
             (people ())
@@ -119,14 +121,14 @@ let grouping =
           r);
     t "global aggregate over empty input yields one row" (fun () ->
         let r =
-          Ops.group_by ~group_cols:[]
+          exec_group ~group_cols:[]
             ~aggs:[ (Agg.Count_star, Schema.col "n") ]
             (rel [ "a" ] [])
         in
         check_rows "count 0" (rel [ "n" ] [ [ iv 0 ] ]) r);
     t "grouped aggregate over empty input yields no rows" (fun () ->
         let r =
-          Ops.group_by
+          exec_group
             ~group_cols:[ (Expr.col "a", Schema.col "a") ]
             ~aggs:[ (Agg.Count_star, Schema.col "n") ]
             (rel [ "a" ] [])
@@ -134,7 +136,7 @@ let grouping =
         Alcotest.(check int) "rows" 0 (Relation.cardinality r));
     t "min max avg" (fun () ->
         let r =
-          Ops.group_by ~group_cols:[]
+          exec_group ~group_cols:[]
             ~aggs:
               [ (Agg.Min (Expr.col "salary"), Schema.col "mn");
                 (Agg.Max (Expr.col "salary"), Schema.col "mx");
@@ -144,7 +146,7 @@ let grouping =
         check_rows "mma" (rel [ "mn"; "mx"; "av" ] [ [ iv 80; iv 120; fv 96. ] ]) r);
     t "count distinct" (fun () ->
         let r =
-          Ops.group_by ~group_cols:[]
+          exec_group ~group_cols:[]
             ~aggs:[ (Agg.Count_distinct (Expr.col "dept"), Schema.col "n") ]
             (people ())
         in
@@ -152,7 +154,7 @@ let grouping =
     t "count skips nulls, count star does not" (fun () ->
         let data = rel [ "a" ] [ [ iv 1 ]; [ Value.Null ]; [ iv 2 ] ] in
         let r =
-          Ops.group_by ~group_cols:[]
+          exec_group ~group_cols:[]
             ~aggs:
               [ (Agg.Count (Expr.col "a"), Schema.col "c");
                 (Agg.Count_star, Schema.col "cs") ]
@@ -184,29 +186,47 @@ let props =
   let point_list =
     QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 10) (int_range 0 10)))
   in
+  (* (join key, payload) rows; [None] is a NULL key. *)
+  let side = QCheck.(list_of_size (Gen.int_range 0 40) (pair (option (int_range 0 6)) small_nat)) in
+  let key = function Some k -> iv k | None -> Value.Null in
+  let to_rel names rows = rel names (List.map (fun (k, p) -> [ key k; iv p ]) rows) in
+  (* Every join of [ls] ⋈ [rs] on key equality must equal the SQL answer,
+     where a NULL key matches nothing.  Both orientations run, so Hash_join
+     builds on its left input whenever the sides differ in size. *)
+  let agrees ls rs =
+    let expected =
+      rel [ "a"; "b"; "c"; "d" ]
+        (List.concat_map
+           (fun (a, b) ->
+             List.filter_map
+               (fun (c, d) ->
+                 match (a, c) with
+                 | Some x, Some y when x = y -> Some [ iv x; iv b; iv y; iv d ]
+                 | _ -> None)
+               rs)
+           ls)
+    in
+    let left = to_rel [ "a"; "b" ] ls and right = to_rel [ "c"; "d" ] rs in
+    let pred = Expr.Cmp (Expr.Eq, Expr.col "a", Expr.col "c") in
+    let keys = [ (Expr.col "a", Expr.col "c") ] in
+    List.for_all
+      (fun workers ->
+        List.for_all (Relation.equal_bag expected)
+          [ nl_join ~workers ~pred left right;
+            hash_join ~workers ~keys ~residual:Expr.tt left right;
+            merge_join ~workers ~keys ~residual:Expr.tt left right ])
+      [ 1; 2 ]
+  in
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"hash and merge joins agree with nl join on random data"
-         ~count:100 point_list
-         (fun pts ->
-           let left = rel [ "a"; "b" ] (List.map (fun (a, b) -> [ iv a; iv b ]) pts) in
-           let right = rel [ "c"; "d" ] (List.map (fun (a, b) -> [ iv b; iv a ]) pts) in
-           let pred = Expr.Cmp (Expr.Eq, Expr.col "a", Expr.col "c") in
-           let nl = Ops.nl_join ~pred left right in
-           let hj =
-             Ops.hash_join ~left_keys:[ Expr.col "a" ] ~right_keys:[ Expr.col "c" ]
-               ~residual:Expr.tt left right
-           in
-           let mj =
-             Ops.merge_join ~left_keys:[ Expr.col "a" ] ~right_keys:[ Expr.col "c" ]
-               ~residual:Expr.tt left right
-           in
-           Relation.equal_bag nl hj && Relation.equal_bag nl mj));
+         ~count:100 (QCheck.pair side side)
+         (fun (ls, rs) -> agrees ls rs && agrees rs ls));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"group counts sum to input size" ~count:100 point_list
          (fun pts ->
            let data = rel [ "a"; "b" ] (List.map (fun (a, b) -> [ iv a; iv b ]) pts) in
            let grouped =
-             Ops.group_by
+             exec_group
                ~group_cols:[ (Expr.col "a", Schema.col "a") ]
                ~aggs:[ (Agg.Count_star, Schema.col "n") ]
                data

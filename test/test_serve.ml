@@ -159,6 +159,14 @@ let test_serve_basic () =
          Alcotest.fail "expected parse error"
        with Serve.Client.Server_error { code; _ } ->
          Alcotest.(check string) "parse error code" "bad_request" code);
+      (* so is an integer literal that overflows [int] (a lexing error) *)
+      (try
+         ignore
+           (Serve.Client.query c
+              "SELECT i1.bid FROM basket i1 WHERE i1.bid > 99999999999999999999");
+         Alcotest.fail "expected lex error"
+       with Serve.Client.Server_error { code; _ } ->
+         Alcotest.(check string) "lex error code" "bad_request" code);
       (* the session still works after an error *)
       let r3 = Serve.Client.query c basket_sql in
       Alcotest.(check bool) "still cached" true (Serve.Client.cached r3);
