@@ -30,6 +30,13 @@ type index_source = Catalog_index of Index.Sorted.t | Built_per_execution
    each case carries what [execute] builds its structure from. *)
 type access =
   | A_hash of (Schema.col * Expr.t) list
+  | A_range_count of {
+      x : Schema.col;
+      y : Schema.col;
+      box : (Schema.col * Expr.cmp * Expr.t) list;
+      disjunction : (Schema.col * Expr.cmp * Expr.t) list;
+      source : index_source;
+    }
   | A_vector of Colprobe.verdict
   | A_index of {
       col : Schema.col;
@@ -39,16 +46,22 @@ type access =
     }
   | A_scan
 
-let access_to_string = function
+let access_to_string =
+  let source_name = function
+    | Catalog_index _ -> "catalog"
+    | Built_per_execution -> "built per execution"
+  in
+  function
   | A_hash probes ->
     let n = List.length probes in
     Printf.sprintf "hash probe (%d equality conjunct%s)" n (if n = 1 then "" else "s")
+  | A_range_count { x; y; source; _ } ->
+    Printf.sprintf "range count on %s, %s (%s)" (Qspec.col_name x) (Qspec.col_name y)
+      (source_name source)
   | A_vector _ -> "vectorized column probe (zone-map skipping)"
   | A_index { col; source; _ } ->
     Printf.sprintf "sorted inner index on %s (%s)" (Qspec.col_name col)
-      (match source with
-       | Catalog_index _ -> "catalog"
-       | Built_per_execution -> "built per execution")
+      (source_name source)
   | A_scan -> "row scan"
 
 type stats = {
@@ -106,6 +119,7 @@ let m_memo_cache_rows = Obs.Metrics.counter "nljp.memo_cache_rows"
 let m_cache_bytes = Obs.Metrics.counter "nljp.cache_bytes"
 let m_waves = Obs.Metrics.counter "nljp.waves"
 let m_index_builds = Obs.Metrics.counter "nljp.index_builds"
+let m_range_count_builds = Obs.Metrics.counter "nljp.range_count_builds"
 
 type t = {
   catalog : Catalog.t;
@@ -530,15 +544,78 @@ let binding_theta catalog (spec : Qspec.t) ~outer ~inner =
   (jl_idx, binding,
    Expr.canonicalize (Schema.append binding inner) (Qspec.theta_expr catalog spec))
 
+(* Q_R(b) as a 2-D dominance count: G_R = ∅, every aggregate a COUNT of
+   every row, and Θ a conjunction of [r_col op f(b)] range bounds on exactly
+   two inner columns, plus at most one disjunction of one bound on each of
+   them (the skyband's [x > f(b) OR y > g(b)]).  Returns the two columns,
+   the bounds and the disjunction's bounds, or why the shape misses. *)
+let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
+  let ( let* ) = Result.bind in
+  let probe conj =
+    Option.map
+      (fun (i, cmp, f) -> (Schema.nth inner i, cmp, f))
+      (Compile.inner_probe ~binding ~inner conj)
+  in
+  let is_range (_, cmp, _) =
+    match cmp with
+    | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> true
+    | Expr.Eq | Expr.Ne -> false
+  in
+  let* () = if group_cols = [] then Ok () else Error "inner GROUP BY columns (G_R)" in
+  let* () =
+    match
+      List.find_opt
+        (fun f ->
+          match f with
+          | Agg.Count_star -> false
+          | Agg.Count (Expr.Const v) -> Value.is_null v
+          | _ -> true)
+        aggs
+    with
+    | Some f -> Error (Agg.to_string f ^ " is not COUNT(*)")
+    | None -> Ok ()
+  in
+  let* box, disjunctions =
+    List.fold_left
+      (fun acc conj ->
+        let* box, ors = acc in
+        match conj, probe conj with
+        | Expr.Const (Value.Bool true), _ -> Ok (box, ors)
+        | _, Some b when is_range b -> Ok (b :: box, ors)
+        | Expr.Or (p, q), None ->
+          (match probe p, probe q with
+           | Some a, Some b when is_range a && is_range b -> Ok (box, [ a; b ] :: ors)
+           | _ -> Error "Θ has a disjunction outside the bound shape")
+        | _ -> Error "Θ has a conjunct outside the range-bound shape")
+      (Ok ([], [])) (Expr.conjuncts theta)
+  in
+  let box = List.rev box in
+  let cols =
+    List.fold_left (fun acc (c, _, _) -> if List.mem c acc then acc else acc @ [ c ]) [] box
+  in
+  match cols, disjunctions with
+  | [ x; y ], [] -> Ok (x, y, box, [])
+  | [ x; y ], [ [ (a, _, _) as da; (b, _, _) as db ] ]
+    when (a = x && b = y) || (a = y && b = x) ->
+    Ok (x, y, box, [ da; db ])
+  | [ _; _ ], [ _ ] -> Error "the disjunction is not one bound on each bounded column"
+  | [ _; _ ], _ -> Error "Θ has more than one disjunction"
+  | _ ->
+    let n = List.length cols in
+    Error (Printf.sprintf "bounds span %d inner column%s" n (if n = 1 then "" else "s"))
+
 (* The inner access path for Q_R(b), in priority order: hash probe on the
    equality Θ conjuncts [r_col = f(b)] (what the paper gets from PostgreSQL
-   preparing Q_R once) ≻ vectorized column probe (it subsumes the sorted
-   index: its zone-map tests restrict the scan block-wise, for every probe
-   at once) ≻ sorted inner index on a Θ bound (the BT configuration) ≻ row
-   scan.  Decided from the spec, the inner base table, its catalog indexes
-   and the config alone — no side query is materialized — so [execute]
-   runs it and EXPLAIN prints it.  The notes say why the vector path was
-   rejected.
+   preparing Q_R once) ≻ range count (a 2-D dominance COUNT answered from a
+   block-sorted structure, no range walked) ≻ vectorized column probe (it
+   subsumes the sorted index: its zone-map tests restrict the scan
+   block-wise, for every probe at once) ≻ sorted inner index on a Θ bound
+   (the BT configuration) ≻ row scan.  The range count and the sorted index
+   both need BT ([config.inner_index]).  Decided from the spec, the inner
+   base table, its catalog indexes and the config alone — no side query is
+   materialized — so [execute] runs it and EXPLAIN prints it.  The notes
+   say why the range count (when Θ has range bounds but no equality) and
+   the vector path were rejected.
 
    The sorted index is the catalog's own when Q_R is a bare base table (one
    table, no local predicate, no a-priori override): Q_R's rows are then the
@@ -547,7 +624,8 @@ let binding_theta catalog (spec : Qspec.t) ~outer ~inner =
    no binding, and Θ is tested on every candidate.  Any other inner side
    gets an index built per execution.  The catalog index is read at each
    call, never kept in a prepared operator, so appends (which rebuild it)
-   are seen. *)
+   are seen.  The range count takes its x order from the same catalog
+   index, led by either of its two columns, else sorts per execution. *)
 let choose_access op =
   let { catalog; spec; overrides; config; _ } = op in
   let right = spec.Qspec.right in
@@ -568,9 +646,37 @@ let choose_access op =
       (fun (c, cmp, f) -> if cmp = Expr.Eq then Some (c, f) else None)
       probes
   in
+  let aggs = List.map Binder.agg_func op.all_aggs in
+  let catalog_index col =
+    match right.Qspec.tables with
+    | [ (tname, alias) ]
+      when right.Qspec.local = [] && not (List.mem_assoc alias overrides) ->
+      Catalog.sorted_index_on (Catalog.find catalog tname) col.Schema.name
+    | _ -> None
+  in
+  let range_count =
+    if eqs <> [] then Error "equality Θ conjunct uses the hash probe path"
+    else
+      match
+        range_count_shape ~binding ~inner:r_schema ~theta ~aggs
+          ~group_cols:right.Qspec.group_cols
+      with
+      | Error r -> Error r
+      | Ok _ when not config.inner_index -> Error "disabled by configuration"
+      | Ok (x, y, box, disjunction) ->
+        (* x is a column whose order the catalog already holds, if any *)
+        let x, y, source =
+          match catalog_index x, catalog_index y with
+          | Some idx, _ -> (x, y, Catalog_index idx)
+          | None, Some idx -> (y, x, Catalog_index idx)
+          | None, None -> (x, y, Built_per_execution)
+        in
+        Ok (A_range_count { x; y; box; disjunction; source })
+  in
   let vector =
     if not config.vector then Error "disabled by configuration"
     else if eqs <> [] then Error "equality Θ conjunct uses the hash probe path"
+    else if Result.is_ok range_count then Error "the range count answers Q_R(b)"
     else
       match right.Qspec.tables with
       | [ (_, alias) ] when List.mem_assoc alias overrides ->
@@ -581,23 +687,16 @@ let choose_access op =
         let rel = (Catalog.find catalog tname).Catalog.rel in
         if Relation.layout rel <> `Column then Error "inner side is not column-primary"
         else
-          Colprobe.check ~binding ~inner:r_schema ~store:(Relation.cstore rel) ~theta
-            ~aggs:(List.map Binder.agg_func op.all_aggs)
+          Colprobe.check ~binding ~inner:r_schema ~store:(Relation.cstore rel) ~theta ~aggs
       | _ -> Error "inner side joins several tables"
   in
   let access =
-    match eqs, vector with
-    | _ :: _, _ -> A_hash eqs
-    | [], Ok v -> A_vector v
-    | [], Error _ ->
+    match eqs, range_count, vector with
+    | _ :: _, _, _ -> A_hash eqs
+    | [], Ok rc, _ -> rc
+    | [], Error _, Ok v -> A_vector v
+    | [], Error _, Error _ ->
       (* no equality conjunct: every probe is a range bound *)
-      let catalog_index col =
-        match right.Qspec.tables with
-        | [ (tname, alias) ]
-          when right.Qspec.local = [] && not (List.mem_assoc alias overrides) ->
-          Catalog.sorted_index_on (Catalog.find catalog tname) col.Schema.name
-        | _ -> None
-      in
       (* a bound the catalog indexes wins; else the first bound, indexed
          per execution *)
       let indexed =
@@ -616,7 +715,68 @@ let choose_access op =
           A_index { col; op; bound; source = Built_per_execution }
         | None, [] -> A_scan
   in
-  (access, match vector with Error r -> [ "vector off: " ^ r ] | Ok _ -> [])
+  let notes =
+    (match range_count with
+     | Error r when eqs = [] && probes <> [] -> [ "range count off: " ^ r ]
+     | _ -> [])
+    @ match vector with Error r -> [ "vector off: " ^ r ] | Ok _ -> []
+  in
+  (access, notes)
+
+(* Q_R(b)'s COUNT from the range-count structure [rc] over (x, y), for
+   the bounds [box] and [disjunction] of {!A_range_count} compiled against
+   the [binding] schema.  A bound whose value is NULL or NaN holds for no
+   row, so the count is 0; a disjunct whose value is holds for no row
+   either, so its negation constrains nothing. *)
+let range_counter rc ~binding ~x ~box ~disjunction =
+  let side : Expr.cmp -> _ = function
+    | Expr.Ge -> (`Lo, `Inclusive)
+    | Expr.Gt -> (`Lo, `Strict)
+    | Expr.Le -> (`Hi, `Inclusive)
+    | Expr.Lt -> (`Hi, `Strict)
+    | Expr.Eq | Expr.Ne -> invalid_arg "Nljp: range count over an = or <> bound"
+  in
+  let negated cmp =
+    match side cmp with
+    | `Lo, `Inclusive -> (`Hi, `Strict)
+    | `Lo, `Strict -> (`Hi, `Inclusive)
+    | `Hi, `Inclusive -> (`Lo, `Strict)
+    | `Hi, `Strict -> (`Lo, `Inclusive)
+  in
+  let compile side_of (c, cmp, f) = (c = x, side_of cmp, Compile.scalar binding f) in
+  let box = List.map (compile side) box in
+  (* A row fails [A OR B] iff it satisfies both negations, so
+     count(box ∧ (A ∨ B)) = count(box) − count(box ∧ ¬A ∧ ¬B). *)
+  let outside = List.map (compile negated) disjunction in
+  let comparable v = not (Value.is_null v || Value.is_nan v) in
+  (* Tighten the box (xlo, xhi, ylo, yhi) by one bound. *)
+  let tighten (xlo, xhi, ylo, yhi) (is_x, (dir, strictness), v) =
+    let pick wins cur =
+      match cur with
+      | None -> Some (v, strictness)
+      | Some (u, _) ->
+        let c = Value.compare_total v u in
+        if wins c || (c = 0 && strictness = `Strict) then Some (v, strictness) else cur
+    in
+    let above c = c > 0 and below c = c < 0 in
+    match is_x, dir with
+    | true, `Lo -> (pick above xlo, xhi, ylo, yhi)
+    | true, `Hi -> (xlo, pick below xhi, ylo, yhi)
+    | false, `Lo -> (xlo, xhi, pick above ylo, yhi)
+    | false, `Hi -> (xlo, xhi, ylo, pick below yhi)
+  in
+  let count (xlo, xhi, ylo, yhi) = Index.Range_count.count rc ~xlo ~xhi ~ylo ~yhi in
+  let values b = List.map (fun (is_x, side, f) -> (is_x, side, f b)) in
+  fun b ->
+    let bounds = values b box in
+    if not (List.for_all (fun (_, _, v) -> comparable v) bounds) then 0
+    else
+      let inside = List.fold_left tighten (None, None, None, None) bounds in
+      let n = count inside in
+      if n = 0 || outside = [] then n
+      else
+        let negations = List.filter (fun (_, _, v) -> comparable v) (values b outside) in
+        n - count (List.fold_left tighten inside negations)
 
 let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
@@ -813,17 +973,25 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
      race on the lazy row cache).  The vectorized path and the catalog's
      index never touch it. *)
   (match access with
-   | A_vector _ | A_index { source = Catalog_index _; _ } -> ()
+   | A_vector _ | A_range_count _ | A_index { source = Catalog_index _; _ } -> ()
    | A_hash _ | A_index { source = Built_per_execution; _ } | A_scan ->
      ignore (Relation.rows r_rel : Row.t array));
+  (* Every structure an execution builds over the inner side is timed as
+     an [inner index build] child of [span]. *)
+  let inner_build f =
+    match span with
+    | None -> f ()
+    | Some parent -> Obs.Span.with_span ~parent "inner index build" (fun _ -> f ())
+  in
   (* The inner rows a binding's Q_R(b) considers, through the chosen path;
      the vector path's row fallback scans them all. *)
   let candidates : Row.t -> (Row.t -> unit) -> unit =
     match access with
     | A_hash probes ->
       let idx =
-        Index.Hash.build r_rel
-          (List.map (fun (c, _) -> Schema.index_of_col r_schema c) probes)
+        inner_build (fun () ->
+            Index.Hash.build r_rel
+              (List.map (fun (c, _) -> Schema.index_of_col r_schema c) probes))
       in
       let fs =
         Array.of_list (List.map (fun (_, e) -> Compile.scalar binding_schema e) probes)
@@ -835,7 +1003,8 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
         | Catalog_index idx -> idx
         | Built_per_execution ->
           Obs.Metrics.incr m_index_builds;
-          Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ]
+          inner_build (fun () ->
+              Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ])
       in
       let f = Compile.scalar binding_schema bound in
       fun b k ->
@@ -849,7 +1018,24 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
           | Expr.Ne -> (None, None)
         in
         Index.Sorted.iter_range idx ~lo ~hi k
-    | A_vector _ | A_scan -> fun _ k -> Relation.iter k r_rel
+    | A_vector _ | A_range_count _ | A_scan -> fun _ k -> Relation.iter k r_rel
+  in
+  (* The range count's structure, built once per execution and only read
+     by the (possibly parallel) probes. *)
+  let range_count =
+    match access with
+    | A_range_count { x; y; box; disjunction; source } ->
+      let xi = Schema.index_of_col r_schema x and yi = Schema.index_of_col r_schema y in
+      Obs.Metrics.incr m_range_count_builds;
+      let rc =
+        inner_build (fun () ->
+            match source with
+            | Catalog_index idx -> Index.Range_count.of_sorted idx ~x:xi ~y:yi
+            | Built_per_execution ->
+              Index.Range_count.build (Relation.rows r_rel) ~x:xi ~y:yi)
+      in
+      Some (range_counter rc ~binding:binding_schema ~x ~box ~disjunction)
+    | _ -> None
   in
   (* Pruning setup. *)
   let pruning_active = config.pruning && op.prune_reason = None in
@@ -968,11 +1154,21 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
         { v; states; finals })
       !order
   in
+  let count_parts n =
+    if n = 0 then []
+    else
+      let states = List.map (fun _ -> Agg.count_state n) compiled in
+      let finals =
+        Array.of_list (List.map2 (fun c st -> c.Agg.final st) compiled states)
+      in
+      [ { v = [||]; states; finals } ]
+  in
   let eval_inner st b =
     st.inner_evals <- st.inner_evals + 1;
-    match colprobe with
-    | None -> row_eval b
-    | Some cp ->
+    match colprobe, range_count with
+    | None, Some count -> count_parts (count b)
+    | None, None -> row_eval b
+    | Some cp, _ ->
       (match Colprobe.eval cp b with
        | out ->
          st.vector_evals <- st.vector_evals + 1;

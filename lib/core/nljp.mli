@@ -23,9 +23,10 @@ type config = {
           the dimensions where p⪰ implies equality, else binary-searched on
           the first binding column when p⪰ implies an order on it *)
   inner_index : bool;
-      (** BT: probe the materialized inner side through a sorted index
-          derived from a Θ bound (equality conjuncts always probe a hash
-          index, mirroring PostgreSQL's prepared Q_R plans) *)
+      (** BT: answer a 2-D dominance COUNT from a range-count structure
+          ({!A_range_count}), else probe the materialized inner side through
+          a sorted index derived from a Θ bound (equality conjuncts always
+          probe a hash index, mirroring PostgreSQL's prepared Q_R plans) *)
   vector : bool;
       (** Vectorized inner loop ({!Relalg.Colprobe}): when the inner side is
           column-primary, no equality conjunct feeds the hash probe, and
@@ -74,6 +75,20 @@ type access =
   | A_hash of (Relalg.Schema.col * Relalg.Expr.t) list
       (** hash-index probe: one (inner column, binding key expression) per
           equality Θ conjunct *)
+  | A_range_count of {
+      x : Relalg.Schema.col;
+      y : Relalg.Schema.col;
+      box : (Relalg.Schema.col * Relalg.Expr.cmp * Relalg.Expr.t) list;
+      disjunction : (Relalg.Schema.col * Relalg.Expr.cmp * Relalg.Expr.t) list;
+      source : index_source;
+    }
+      (** 2-D range count ({!Relalg.Index.Range_count}) over the inner
+          points [(x, y)], for a Q_R(b) that is a COUNT with G_R = ∅:
+          [box] is Θ's conjunction of range bounds [col op bound] on [x] and
+          [y]; [disjunction], when not empty, is Θ's one disjunction of a
+          bound on each (the skyband's [x > f(b) OR y > g(b)]), counted by
+          inclusion–exclusion.  [source] says where the x order comes from:
+          the catalog's index led by [x], or a sort per execution. *)
   | A_vector of Relalg.Colprobe.verdict
       (** vectorized column probe: the inner query {!Relalg.Colprobe.check}
           accepted *)
@@ -227,13 +242,20 @@ val op_stats : t -> stats
 val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
 
 (** Decide the inner access path, in priority order: hash probe on
-    equality Θ conjuncts ≻ vectorized column probe ≻ sorted inner index on
-    a Θ bound ≻ row scan.  The sorted index is the catalog's
+    equality Θ conjuncts ≻ range count ≻ vectorized column probe ≻ sorted
+    inner index on a Θ bound ≻ row scan.  The range count needs BT
+    ([inner_index]), G_R = ∅, every aggregate a [COUNT( * )] or [COUNT(1)], and Θ
+    a conjunction of [r_col op f(b)] range bounds on exactly two inner
+    columns plus at most one disjunction of one bound on each of them.  The
+    sorted index — and the range count's x order — is the catalog's
     ({!Catalog_index}) when Q_R is a bare base table — one table, no local
-    predicate, no a-priori override — with an index led by the bound
-    column; otherwise each execution builds one.  Reads only the spec, the
-    inner base table with its catalog indexes and the config — no side
-    query is materialized — so EXPLAIN can call it; [execute] calls it on
-    every run and runs what it returns.  The notes say why the vector path was
-    rejected (the [vector off: …] lines of [stats.notes]). *)
+    predicate, no a-priori override — with an index led by a bound column;
+    otherwise each execution builds one.  Reads only the spec, the inner
+    base table with its catalog indexes and the config — no side query is
+    materialized — so EXPLAIN can call it; [execute] calls it on every run
+    and runs what it returns, timing each structure it builds in an
+    [inner index build] span.  The notes say why the range count was
+    rejected when Θ has range bounds but no equality conjunct (the
+    [range count off: …] lines of [stats.notes]) and why the vector path
+    was (the [vector off: …] lines). *)
 val choose_access : t -> access * string list

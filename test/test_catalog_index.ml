@@ -1,8 +1,10 @@
 (* NLJP's sorted inner index: the catalog's BT index when Q_R is a bare
-   base table, one built per execution otherwise.  EXPLAIN must print the
-   source the run then used, results must match the baseline executor, and
-   an append to the inner table must be seen by the next run — also by a
-   plan prepared before it. *)
+   base table, one built per execution otherwise.  A 2-D COUNT skyband
+   takes its range count's x order from the same source; a skyband that
+   also sums walks the sorted index.  EXPLAIN must print the source the run
+   then used, results must match the baseline executor, and an append to
+   the inner table must be seen by the next run — also by a plan prepared
+   before it. *)
 open Relalg
 open Core
 open Helpers
@@ -28,9 +30,17 @@ let player_catalog ~bt layout =
   Catalog.set_all_layouts c layout;
   c
 
+(* Skyband Q1 with a SUM beside the COUNT: outside the range count's shape *)
+let skyband_sum =
+  "SELECT R.playerid, R.year, R.round, COUNT(1), SUM(L.b_bb) \
+   FROM player_performance L, player_performance R \
+   WHERE L.b_h >= R.b_h AND L.b_hr >= R.b_hr AND (L.b_h > R.b_h OR L.b_hr > R.b_hr) \
+   GROUP BY R.playerid, R.year, R.round HAVING COUNT(1) <= 20"
+
 let queries =
   [ ("skyband Q1", Workload.Queries.skyband ~a:("b_h", "b_hr") ~k:20 ());
     ("skyband Q3", Workload.Queries.skyband ~a:("b_2b", "b_3b") ~k:20 ());
+    ("skyband Q1 + SUM", skyband_sum);
     ("pairs", Workload.Queries.pairs ~c:2 ~k:20 ());
     (* a local predicate on the inner side: Q_R is no longer the bare table *)
     ( "skyband Q1, inner σ",
@@ -86,26 +96,28 @@ let test_grid () =
             queries)
         [ true; false ])
     [ `Row; `Column ];
-  let reached suffix =
-    Hashtbl.fold (fun l () acc -> acc || String.ends_with ~suffix l) seen false
-  in
-  Alcotest.(check bool) "grid reaches the catalog index" true (reached "(catalog)");
-  Alcotest.(check bool) "grid reaches a per-execution build" true
-    (reached "(built per execution)")
+  let reached line = Hashtbl.mem seen ("inner access path: " ^ line) in
+  List.iter
+    (fun line -> Alcotest.(check bool) ("grid reaches " ^ line) true (reached line))
+    [ "range count on L.b_h, L.b_hr (catalog)";
+      "range count on L.b_h, L.b_hr (built per execution)";
+      "sorted inner index on L.b_h (catalog)";
+      "sorted inner index on L.b_h (built per execution)" ]
 
 let test_bt_off_builds () =
   let c = player_catalog ~bt:false `Row in
-  let q = Sqlfront.Parser.parse (snd (List.hd queries)) in
-  let _, rep = Runner.run c q in
-  Alcotest.(check (list string)) "no catalog index: built per execution"
-    [ "inner access path: sorted inner index on L.b_h (built per execution)" ]
-    (executed rep)
+  List.iter
+    (fun (sql, line) ->
+      let _, rep = Runner.run c (Sqlfront.Parser.parse sql) in
+      Alcotest.(check (list string)) "no catalog index: built per execution"
+        [ "inner access path: " ^ line ] (executed rep))
+    [ (snd (List.hd queries), "range count on L.b_h, L.b_hr (built per execution)");
+      (skyband_sum, "sorted inner index on L.b_h (built per execution)") ]
 
 let test_append () =
   List.iter
-    (fun layout ->
+    (fun (layout, (sql, line)) ->
       let c = player_catalog ~bt:true layout in
-      let sql = snd (List.hd queries) in
       let q = Sqlfront.Parser.parse sql in
       let prepared = Runner.prepare c q in
       let before = Catalog.stamp c Workload.Baseball.table_name in
@@ -122,7 +134,7 @@ let test_append () =
       check_cell "after append" c sql ~workers:1 seen;
       check_cell "after append, 2 workers" c sql ~workers:2 seen;
       Alcotest.(check bool) "still the catalog index" true
-        (Hashtbl.mem seen "inner access path: sorted inner index on L.b_h (catalog)");
+        (Hashtbl.mem seen ("inner access path: " ^ line));
       let baseline = Runner.run_baseline c q in
       Alcotest.(check bool) "appended rows change the answer" false
         (Relation.equal_bag baseline
@@ -140,7 +152,11 @@ let test_append () =
       | `Kept | `Refreshed ->
         let rel, _ = Runner.run_prepared prepared in
         check_bag "prepared before the append" baseline rel)
-    [ `Row; `Column ]
+    (List.concat_map
+       (fun layout ->
+         [ (layout, (snd (List.hd queries), "range count on L.b_h, L.b_hr (catalog)"));
+           (layout, (skyband_sum, "sorted inner index on L.b_h (catalog)")) ])
+       [ `Row; `Column ])
 
 let suite =
   [ t "EXPLAIN's index source is the executed one; results match the baseline"

@@ -204,7 +204,7 @@ let test_hash_precedence () =
 (* EXPLAIN and execution read one access decision: over the paper's query
    families and the range-window query, every layout × workers × transfer ×
    config cell must print the path the run then used — and the grid must
-   reach all four paths. *)
+   reach all five paths. *)
 let test_explain_agrees () =
   let catalog () =
     let c = Catalog.create () in
@@ -261,6 +261,7 @@ let test_explain_agrees () =
                       Hashtbl.replace seen
                         (match a with
                          | Nljp.A_hash _ -> "hash"
+                         | Nljp.A_range_count _ -> "range count"
                          | Nljp.A_vector _ -> "vector"
                          | Nljp.A_index _ -> "index"
                          | Nljp.A_scan -> "scan")
@@ -278,7 +279,7 @@ let test_explain_agrees () =
     [ `Row; `Column ];
   List.iter
     (fun path -> Alcotest.(check bool) ("grid reaches " ^ path) true (Hashtbl.mem seen path))
-    [ "hash"; "vector"; "index"; "scan"; "transfer" ]
+    [ "hash"; "range count"; "vector"; "index"; "scan"; "transfer" ]
 
 (* A probe whose binding column is a string compared against the numeric
    inner key: the typed kernels cannot specialize the comparison, so it runs
