@@ -554,6 +554,13 @@ let ablate () =
   let catalog = baseball_catalog ~rows:!rows () in
   let sql = Workload.Queries.skyband ~k:50 () in
   let q = Sqlfront.Parser.parse sql in
+  (* Every variant must return the unbounded storage-order run's rows. *)
+  let reference = ref None in
+  let check label r =
+    match !reference with
+    | None -> reference := Some r
+    | Some base -> check_equal ("ablate/" ^ label) base r
+  in
   (* Q_B exploration order (prune-only, so ordering is the only variable) *)
   Printf.printf "Q_B exploration order (skyband k=50, pruning only):\n";
   List.iter
@@ -561,10 +568,11 @@ let ablate () =
       let nljp_config =
         { (nljp_cfg ()) with Core.Nljp.memo = false; outer_order = order }
       in
-      let (_, rep), t =
+      let (r, rep), t =
         time (fun () ->
             Core.Runner.run ~tech:(Core.Optimizer.only `Pruning) ~nljp_config catalog q)
       in
+      check label r;
       let stats = Option.get rep.Core.Runner.nljp_stats in
       Printf.printf "  %-22s %8.3fs  pruned %d / %d, inner evals %d\n%!" label t
         stats.Core.Nljp.pruned stats.Core.Nljp.outer_rows stats.Core.Nljp.inner_evals)
@@ -579,11 +587,12 @@ let ablate () =
       let nljp_config =
         { (nljp_cfg ()) with Core.Nljp.max_cache_rows = cap }
       in
-      let (_, rep), t = time (fun () -> Core.Runner.run ~nljp_config catalog q) in
+      let cap_label = match cap with None -> "unbounded" | Some c -> string_of_int c in
+      let (r, rep), t = time (fun () -> Core.Runner.run ~nljp_config catalog q) in
+      check ("cap " ^ cap_label) r;
       let stats = Option.get rep.Core.Runner.nljp_stats in
       Printf.printf "  cap %-12s %8.3fs  cache rows %d, pruned %d, memo hits %d\n%!"
-        (match cap with None -> "unbounded" | Some c -> string_of_int c)
-        t
+        cap_label t
         (stats.Core.Nljp.prune_cache_rows + stats.Core.Nljp.memo_cache_rows)
         stats.Core.Nljp.pruned stats.Core.Nljp.memo_hits)
     [ None; Some 1000; Some 100; Some 10; Some 0 ];

@@ -103,17 +103,24 @@ let fresh_stats () =
     notes = [];
   }
 
-(* Global metric mirrors of the per-execution stats (DESIGN.md §9), bumped
-   once per [execute] on the spawning domain so Runner and the bench read
-   every NLJP counter from the one obs registry. *)
-let m_outer_rows = Obs.Metrics.counter "nljp.outer_rows"
-let m_inner_evals = Obs.Metrics.counter "nljp.inner_evals"
-let m_pruned = Obs.Metrics.counter "nljp.pruned"
-let m_memo_hits = Obs.Metrics.counter "nljp.memo_hits"
-let m_vector_evals = Obs.Metrics.counter "nljp.vector_evals"
-let m_vector_fallbacks = Obs.Metrics.counter "nljp.vector_fallbacks"
-let m_blocks_skipped = Obs.Metrics.counter "nljp.inner_blocks_skipped"
-let m_blocks_scanned = Obs.Metrics.counter "nljp.inner_blocks_scanned"
+(* The counters each chunk keeps, one entry per counter: the name the
+   [NLJP probe loop] span reports it under, its global metric mirror
+   (DESIGN.md §9, bumped once per [execute] on the spawning domain so
+   Runner and the bench read every NLJP counter from the one obs registry)
+   and the [stats] field, as a reader and a writer. *)
+let chunk_counters =
+  let c name get set = (name, Obs.Metrics.counter ("nljp." ^ name), get, set) in
+  [ c "outer_rows" (fun s -> s.outer_rows) (fun s v -> s.outer_rows <- v);
+    c "inner_evals" (fun s -> s.inner_evals) (fun s v -> s.inner_evals <- v);
+    c "pruned" (fun s -> s.pruned) (fun s v -> s.pruned <- v);
+    c "memo_hits" (fun s -> s.memo_hits) (fun s v -> s.memo_hits <- v);
+    c "vector_evals" (fun s -> s.vector_evals) (fun s v -> s.vector_evals <- v);
+    c "vector_fallbacks" (fun s -> s.vector_fallbacks) (fun s v -> s.vector_fallbacks <- v);
+    c "inner_blocks_skipped" (fun s -> s.inner_blocks_skipped)
+      (fun s v -> s.inner_blocks_skipped <- v);
+    c "inner_blocks_scanned" (fun s -> s.inner_blocks_scanned)
+      (fun s v -> s.inner_blocks_scanned <- v) ]
+
 let m_prune_cache_rows = Obs.Metrics.counter "nljp.prune_cache_rows"
 let m_memo_cache_rows = Obs.Metrics.counter "nljp.memo_cache_rows"
 let m_cache_bytes = Obs.Metrics.counter "nljp.cache_bytes"
@@ -135,7 +142,6 @@ type t = {
   numeric_theta : (Schema.col * bool) list;
       (* build-time numeric judgement of Θ's columns: p⪰'s arithmetic was
          derived under it, so [delta_refresh] rechecks it after appends *)
-  stats : stats;
 }
 
 (* ---- build-time checks ---- *)
@@ -276,7 +282,6 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
           prune_reason;
           memo_reason;
           numeric_theta;
-          stats = fresh_stats ();
         }
     end
   end
@@ -508,6 +513,10 @@ end
 (* ---- execution ---- *)
 
 type partition = { v : Row.t; states : Agg.state list; finals : Value.t array }
+
+(* What a chunk has learnt about one binding: Q_R(b)'s partitions, from its
+   own evaluation or the shared memo, or that Q_C pruned it. *)
+type verdict = Memo of partition list | Pruned
 
 (* Everything one outer-relation chunk produces; chunks are combined in
    chunk order so results are deterministic regardless of [workers]. *)
@@ -780,8 +789,7 @@ let range_counter rc ~binding ~x ~box ~disjunction =
 
 let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
-  let stats = op.stats in
-  let waves0 = stats.waves in
+  let stats = fresh_stats () in
   stats.notes <-
     (match op.prune_reason with
      | Some r when config.pruning -> [ "pruning off: " ^ r ]
@@ -1221,10 +1229,11 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
         s)
       compiled states
   in
-  (* Main loop over one chunk of the outer relation.  Probes a frozen
-     shared prune/memo cache (when given) plus chunk-local caches; every
-     value the closure captures from the surrounding scope is immutable or
-     a pure compiled closure, so chunks may run on separate domains.  The
+  (* The probe loop over one chunk of the outer relation (Listing 7): per
+     outer row a memo lookup, then Q_C's prune test, then Q_R(b).  Probes
+     the frozen shared prune/memo caches plus chunk-local ones; every value
+     the closure captures from the surrounding scope is immutable or a pure
+     compiled closure, so chunks may run on separate domains.  The
      subsumption test is compiled per chunk because its string-interning
      table is mutable. *)
   let process_chunk ~shared_prune ~shared_memo chunk =
@@ -1236,6 +1245,11 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
     in
     let local_prune = mk_prune_cache () in
     let local_memo : partition list Row.Tbl.t = Row.Tbl.create 64 in
+    (* With memo on, each binding's verdict so far.  Caches only grow within
+       a chunk, so a verdict never changes and a repeated binding costs one
+       lookup.  Kept apart from [local_memo], the table merged into the
+       tier: shared hits and pruned bindings stay out of the merge. *)
+    let verdicts : verdict Row.Tbl.t = Row.Tbl.create 64 in
     let out_rows = ref [] in
     let emit u v finals =
       let lam_row = Array.concat [ u; v; finals ] in
@@ -1243,32 +1257,24 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
         Array.of_list (List.map (fun (f, _) -> f lam_row) out_items) :: !out_rows
     in
     let acc : (Row.t * Row.t * Agg.state list) Row.Tbl.t = Row.Tbl.create 256 in
-    let prune_len () =
-      Prune_cache.length local_prune
-      + match shared_prune with Some c -> Prune_cache.length c | None -> 0
-    in
-    let memo_len () =
-      Row.Tbl.length local_memo
-      + match shared_memo with Some m -> Row.Tbl.length m | None -> 0
-    in
-    let memo_find b =
-      match Row.Tbl.find_opt local_memo b with
-      | Some parts -> Some parts
-      | None ->
-        (match shared_memo with Some m -> Row.Tbl.find_opt m b | None -> None)
+    let prune_len () = Prune_cache.length local_prune + Prune_cache.length shared_prune in
+    let memo_len () = Row.Tbl.length local_memo + Row.Tbl.length shared_memo in
+    let verdict b =
+      if not memo_active then None
+      else
+        match Row.Tbl.find_opt verdicts b with
+        | Some _ as v -> v
+        | None ->
+          (match Row.Tbl.find_opt shared_memo b with
+           | Some parts ->
+             Row.Tbl.add verdicts b (Memo parts);
+             Some (Memo parts)
+           | None -> None)
     in
     let pruned_now b =
-      pruning_active
-      &&
       match subsume_test with
       | None -> false
-      | Some test ->
-        let caches =
-          match shared_prune with
-          | Some c -> [ c; local_prune ]
-          | None -> [ local_prune ]
-        in
-        prune ~test ~caches b
+      | Some test -> prune ~test ~caches:[ shared_prune; local_prune ] b
     in
     let handle lrow parts =
       let u = Row.project lrow gl_idx in
@@ -1289,92 +1295,28 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
                 (List.combine states p.states))
           parts
     in
-    if memo_active && config.max_cache_rows = None then begin
-      (* Binding-batch dedup: collect the chunk's distinct bindings, resolve
-         each exactly once, then replay the rows against an array-indexed
-         resolution — repeated bindings skip the per-row memo hashing.
-         Resolution runs in first-occurrence order, which is exactly the
-         order the per-row loop evaluates fresh bindings in, so cache
-         contents, emission order and float merge order are unchanged.
-         (With a cache cap the per-row loop below is kept: capped stores
-         interleave with repeat rows and batching would change what gets
-         cached.) *)
-      let nrows = Array.length chunk in
-      let bid_of : int Row.Tbl.t = Row.Tbl.create 64 in
-      let bidx = Array.make (max 1 nrows) 0 in
-      let rev_dbind = ref [] in
-      let ndist = ref 0 in
-      for i = 0 to nrows - 1 do
+    Array.iter
+      (fun lrow ->
         st.outer_rows <- st.outer_rows + 1;
-        let b = Row.project chunk.(i) jl_idx in
-        match Row.Tbl.find_opt bid_of b with
-        | Some id -> bidx.(i) <- id
-        | None ->
-          let id = !ndist in
-          incr ndist;
-          Row.Tbl.add bid_of b id;
-          rev_dbind := b :: !rev_dbind;
-          bidx.(i) <- id
-      done;
-      let dbind = Array.of_list (List.rev !rev_dbind) in
-      let res =
-        Array.map
-          (fun b ->
-            match memo_find b with
-            | Some parts -> `Hit parts
-            | None ->
-              if pruned_now b then `Pruned
-              else begin
-                let parts = eval_inner st b in
-                if pruning_active && unpromising parts then
-                  Prune_cache.add local_prune b;
-                Row.Tbl.replace local_memo b parts;
-                `Fresh parts
-              end)
-          dbind
-      in
-      (* A fresh binding's first row is the eval itself; its repeats are
-         memo hits, same as the per-row loop would count them. *)
-      let seen = Array.make (max 1 !ndist) false in
-      for i = 0 to nrows - 1 do
-        let id = bidx.(i) in
-        match res.(id) with
-        | `Pruned -> st.pruned <- st.pruned + 1
-        | `Hit parts ->
+        let b = Row.project lrow jl_idx in
+        match verdict b with
+        | Some (Memo parts) ->
           st.memo_hits <- st.memo_hits + 1;
-          handle chunk.(i) parts
-        | `Fresh parts ->
-          if seen.(id) then st.memo_hits <- st.memo_hits + 1
-          else seen.(id) <- true;
-          handle chunk.(i) parts
-      done
-    end
-    else
-      Array.iter
-        (fun lrow ->
-          st.outer_rows <- st.outer_rows + 1;
-          let b = Row.project lrow jl_idx in
-          let result =
-            match (if memo_active then memo_find b else None) with
-            | Some parts ->
-              st.memo_hits <- st.memo_hits + 1;
-              Some parts
-            | None ->
-              if pruned_now b then begin
-                st.pruned <- st.pruned + 1;
-                None
-              end
-              else begin
-                let parts = eval_inner st b in
-                if pruning_active && unpromising parts && below_cap (prune_len ())
-                then Prune_cache.add local_prune b;
-                if memo_active && below_cap (memo_len ()) then
-                  Row.Tbl.replace local_memo b parts;
-                Some parts
-              end
-          in
-          match result with None -> () | Some parts -> handle lrow parts)
-        chunk;
+          handle lrow parts
+        | Some Pruned -> st.pruned <- st.pruned + 1
+        | None when pruned_now b ->
+          st.pruned <- st.pruned + 1;
+          if memo_active then Row.Tbl.add verdicts b Pruned
+        | None ->
+          let parts = eval_inner st b in
+          if pruning_active && unpromising parts && below_cap (prune_len ()) then
+            Prune_cache.add local_prune b;
+          if memo_active && below_cap (memo_len ()) then begin
+            Row.Tbl.add local_memo b parts;
+            Row.Tbl.add verdicts b (Memo parts)
+          end;
+          handle lrow parts)
+      chunk;
     {
       c_rows = List.rev !out_rows;
       c_acc = acc;
@@ -1389,134 +1331,97 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let loop_span = Option.map (fun p -> Obs.Span.enter ~parent:p "NLJP probe loop") span in
   let n = Relation.cardinality l_rel in
   let workers = max 1 config.workers in
-  (* Cross-query shared tier: when the caller owns a [shared_cache] for this
-     operator, seed the wave-shared prune/memo caches from it and persist
-     the merged caches back, under the same §7 discipline that makes the
-     wave merge safe — dropping or duplicating entries only costs pruning
-     and memo opportunity, never correctness.  The owner must reset the
-     tier on catalog mutation (cached entries describe the data they were
-     computed from) and must not overlap executions of one operator: tier
-     caches are read without locks during waves and mutated at boundaries. *)
-  let tier =
-    match shared with
-    | None -> None
-    | Some sc ->
-      let p =
-        match sc.sc_prune with
-        | Some p -> p
-        | None ->
-          let p = mk_prune_cache () in
-          sc.sc_prune <- Some p;
-          p
-      in
-      let m =
-        match sc.sc_memo with
-        | Some m -> m
-        | None ->
-          let m : partition list Row.Tbl.t = Row.Tbl.create 1024 in
-          sc.sc_memo <- Some m;
-          m
-      in
-      if Prune_cache.length p > 0 || Row.Tbl.length m > 0 then
-        stats.notes <-
-          stats.notes
-          @ [ Printf.sprintf "shared cache tier seeded: prune=%d memo=%d"
-                (Prune_cache.length p) (Row.Tbl.length m) ];
-      Some (p, m)
+  let workers = if n < workers * 32 then 1 else workers in
+  (* The shared tier: the caller's [shared_cache] for this operator, else a
+     fresh one.  Every wave probes it frozen and absorbs the chunk-local
+     caches at its end, under the §7 discipline that makes the merge safe —
+     dropping or duplicating entries only costs pruning and memo
+     opportunity, never correctness.  The owner of a caller's tier must
+     reset it on catalog mutation (cached entries describe the data they
+     were computed from) and must not overlap executions of one operator:
+     tier caches are read without locks during waves and mutated at
+     boundaries. *)
+  let shared = match shared with Some sc -> sc | None -> shared_cache () in
+  let tier_prune =
+    match shared.sc_prune with
+    | Some p -> p
+    | None ->
+      let p = mk_prune_cache () in
+      shared.sc_prune <- Some p;
+      p
   in
-  let chunk_results, final_prune, final_memo =
-    if workers = 1 || n < workers * 32 then begin
-      (* Sequential: one chunk; with a tier, it plays the frozen shared
-         cache and absorbs the chunk-local caches afterwards. *)
+  let tier_memo =
+    match shared.sc_memo with
+    | Some m -> m
+    | None ->
+      let m : partition list Row.Tbl.t = Row.Tbl.create 1024 in
+      shared.sc_memo <- Some m;
+      m
+  in
+  if Prune_cache.length tier_prune > 0 || Row.Tbl.length tier_memo > 0 then
+    stats.notes <-
+      stats.notes
+      @ [ Printf.sprintf "shared cache tier seeded: prune=%d memo=%d"
+            (Prune_cache.length tier_prune) (Row.Tbl.length tier_memo) ];
+  (* Waves of the outer side, each cut into [workers] chunks, one domain per
+     chunk.  Sequential execution is one wave of one chunk.  A parallel
+     columnar outer is consumed block by block ([workers] blocks per wave)
+     without ever materializing the whole row array; a row outer is sliced
+     [workers × 256] rows at a time. *)
+  let waves : Row.t array Seq.t =
+    match Relation.layout l_rel, Relation.cstore_opt l_rel with
+    | _ when workers = 1 -> Seq.return (Relation.rows l_rel)
+    | `Column, Some cs ->
+      let nb = Column.Cstore.nblocks cs in
+      let rec from bi () =
+        if bi >= nb then Seq.Nil
+        else begin
+          let hi = min nb (bi + workers) in
+          let parts =
+            List.init (hi - bi) (fun k ->
+                Column.Cstore.block_rows cs (Column.Cstore.block cs (bi + k)))
+          in
+          Seq.Cons (Array.concat parts, from hi)
+        end
+      in
+      from 0
+    | _ ->
+      let rows = Relation.rows l_rel in
+      let wave = workers * 256 in
+      let rec from pos () =
+        if pos >= n then Seq.Nil
+        else
+          let len = min wave (n - pos) in
+          Seq.Cons (Array.sub rows pos len, from (pos + len))
+      in
+      from 0
+  in
+  let results = ref [] in
+  Seq.iter
+    (fun wave ->
       stats.waves <- stats.waves + 1;
-      let shared_prune = Option.map fst tier in
-      let shared_memo = Option.map snd tier in
-      let r = process_chunk ~shared_prune ~shared_memo (Relation.rows l_rel) in
-      match tier with
-      | None -> ([ r ], r.c_prune, r.c_memo)
-      | Some (tp, tm) ->
-        Prune_cache.iter r.c_prune (fun b ->
-            if below_cap (Prune_cache.length tp) then Prune_cache.add tp b);
-        Row.Tbl.iter
-          (fun b parts ->
-            if (not (Row.Tbl.mem tm b)) && below_cap (Row.Tbl.length tm) then
-              Row.Tbl.add tm b parts)
-          r.c_memo;
-        ([ r ], tp, tm)
-    end
-    else begin
-      (* Process the outer side in waves of [workers] chunks.  During a
-         wave the shared caches are frozen — domains only read them, so no
-         locks are needed; at each wave boundary the domains' local caches
-         are merged into the shared ones here, on the spawning domain.  An
-         entry dropped by the cap (or duplicated because two domains found
-         the same binding unpromising) only costs pruning opportunities,
-         never correctness — §7's cache-bound argument. *)
-      let shared_prune =
-        match tier with Some (p, _) -> p | None -> mk_prune_cache ()
+      let rs =
+        Parallel.run_chunks ~workers wave
+          (process_chunk ~shared_prune:tier_prune ~shared_memo:tier_memo)
       in
-      let shared_memo : partition list Row.Tbl.t =
-        match tier with Some (_, m) -> m | None -> Row.Tbl.create 1024
-      in
-      (* Wave slices of the outer side.  A columnar outer is consumed block
-         by block ([workers] blocks per wave) without ever materializing
-         the whole row array; a row outer is sliced as before. *)
-      let slices : Row.t array Seq.t =
-        match Relation.layout l_rel, Relation.cstore_opt l_rel with
-        | `Column, Some cs ->
-          let nb = Column.Cstore.nblocks cs in
-          let rec from bi () =
-            if bi >= nb then Seq.Nil
-            else begin
-              let hi = min nb (bi + workers) in
-              let parts =
-                List.init (hi - bi) (fun k ->
-                    Column.Cstore.block_rows cs (Column.Cstore.block cs (bi + k)))
-              in
-              Seq.Cons (Array.concat parts, from hi)
-            end
-          in
-          from 0
-        | _ ->
-          let rows = Relation.rows l_rel in
-          let wave = workers * 256 in
-          let rec from pos () =
-            if pos >= n then Seq.Nil
-            else
-              let len = min wave (n - pos) in
-              Seq.Cons (Array.sub rows pos len, from (pos + len))
-          in
-          from 0
-      in
-      let results = ref [] in
-      Seq.iter
-        (fun slice ->
-        stats.waves <- stats.waves + 1;
-        let rs =
-          Parallel.run_chunks ~workers slice
-            (process_chunk ~shared_prune:(Some shared_prune)
-               ~shared_memo:(Some shared_memo))
-        in
-        List.iter
-          (fun r ->
-            Prune_cache.iter r.c_prune (fun b ->
-                if below_cap (Prune_cache.length shared_prune) then
-                  Prune_cache.add shared_prune b);
-            Row.Tbl.iter
-              (fun b parts ->
-                if
-                  (not (Row.Tbl.mem shared_memo b))
-                  && below_cap (Row.Tbl.length shared_memo)
-                then Row.Tbl.add shared_memo b parts)
-              r.c_memo)
-          rs;
-          (* Prepend and reverse once at the end: appending per wave would
-             rescan the accumulated list every wave (quadratic in waves). *)
-          results := List.rev_append rs !results)
-        slices;
-      (List.rev !results, shared_prune, shared_memo)
-    end
-  in
+      (* The wave boundary, on the spawning domain: the only place chunk
+         caches reach the tier, keep-first under the cap. *)
+      List.iter
+        (fun r ->
+          Prune_cache.iter r.c_prune (fun b ->
+              if below_cap (Prune_cache.length tier_prune) then
+                Prune_cache.add tier_prune b);
+          Row.Tbl.iter
+            (fun b parts ->
+              if (not (Row.Tbl.mem tier_memo b)) && below_cap (Row.Tbl.length tier_memo)
+              then Row.Tbl.add tier_memo b parts)
+            r.c_memo)
+        rs;
+      (* Prepend and reverse once at the end: appending per wave would
+         rescan the accumulated list every wave (quadratic in waves). *)
+      results := List.rev_append rs !results)
+    waves;
+  let chunk_results = List.rev !results in
   (* Combine chunk outputs in chunk order. *)
   let out_rows = ref [] in
   List.iter
@@ -1554,28 +1459,18 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
            in
            if phi_ok (Array.append v finals) then emit u v finals)
          acc);
-  (* Aggregate per-chunk stats into the operator's stats record. *)
+  (* Sum the chunks' counters and notes into this execution's stats. *)
   List.iter
     (fun r ->
-      let s = r.c_stats in
-      stats.outer_rows <- stats.outer_rows + s.outer_rows;
-      stats.inner_evals <- stats.inner_evals + s.inner_evals;
-      stats.pruned <- stats.pruned + s.pruned;
-      stats.memo_hits <- stats.memo_hits + s.memo_hits;
-      stats.vector_evals <- stats.vector_evals + s.vector_evals;
-      stats.vector_fallbacks <- stats.vector_fallbacks + s.vector_fallbacks;
-      stats.inner_blocks_skipped <-
-        stats.inner_blocks_skipped + s.inner_blocks_skipped;
-      stats.inner_blocks_scanned <-
-        stats.inner_blocks_scanned + s.inner_blocks_scanned;
+      List.iter (fun (_, _, get, set) -> set stats (get stats + get r.c_stats)) chunk_counters;
       List.iter
         (fun note ->
           if not (List.mem note stats.notes) then
             stats.notes <- stats.notes @ [ note ])
-        s.notes)
+        r.c_stats.notes)
     chunk_results;
-  stats.prune_cache_rows <- Prune_cache.length final_prune;
-  stats.memo_cache_rows <- Row.Tbl.length final_memo;
+  stats.prune_cache_rows <- Prune_cache.length tier_prune;
+  stats.memo_cache_rows <- Row.Tbl.length tier_memo;
   let memo_bytes =
     Row.Tbl.fold
       (fun b parts acc ->
@@ -1586,39 +1481,22 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
               + List.fold_left (fun a st -> a + Agg.state_bytes st) 0 p.states
               + (8 * Array.length p.finals))
             0 parts)
-      final_memo 0
+      tier_memo 0
   in
-  stats.cache_bytes <- Prune_cache.bytes final_prune + memo_bytes;
-  (* Publish this execution's totals into the metrics registry.  Cache and
-     wave figures are end-of-run values, not per-chunk sums, so they are
-     added here rather than in the chunk loop above. *)
-  let this_run get = List.fold_left (fun a r -> a + get r.c_stats) 0 chunk_results in
-  Obs.Metrics.add m_outer_rows (this_run (fun s -> s.outer_rows));
-  Obs.Metrics.add m_inner_evals (this_run (fun s -> s.inner_evals));
-  Obs.Metrics.add m_pruned (this_run (fun s -> s.pruned));
-  Obs.Metrics.add m_memo_hits (this_run (fun s -> s.memo_hits));
-  Obs.Metrics.add m_vector_evals (this_run (fun s -> s.vector_evals));
-  Obs.Metrics.add m_vector_fallbacks (this_run (fun s -> s.vector_fallbacks));
-  Obs.Metrics.add m_blocks_skipped (this_run (fun s -> s.inner_blocks_skipped));
-  Obs.Metrics.add m_blocks_scanned (this_run (fun s -> s.inner_blocks_scanned));
+  stats.cache_bytes <- Prune_cache.bytes tier_prune + memo_bytes;
+  (* Publish this execution's totals into the metrics registry. *)
+  List.iter (fun (_, m, get, _) -> Obs.Metrics.add m (get stats)) chunk_counters;
   Obs.Metrics.add m_prune_cache_rows stats.prune_cache_rows;
   Obs.Metrics.add m_memo_cache_rows stats.memo_cache_rows;
   Obs.Metrics.add m_cache_bytes stats.cache_bytes;
-  Obs.Metrics.add m_waves (stats.waves - waves0);
+  Obs.Metrics.add m_waves stats.waves;
   let result = Relation.of_rows out_schema (List.rev !out_rows) in
   (match loop_span with
    | None -> ()
    | Some ls ->
      let set = Obs.Span.set_counter ls in
-     set "outer_rows" (this_run (fun s -> s.outer_rows));
-     set "inner_evals" (this_run (fun s -> s.inner_evals));
-     set "pruned" (this_run (fun s -> s.pruned));
-     set "memo_hits" (this_run (fun s -> s.memo_hits));
-     set "vector_evals" (this_run (fun s -> s.vector_evals));
-     set "vector_fallbacks" (this_run (fun s -> s.vector_fallbacks));
-     set "inner_blocks_skipped" (this_run (fun s -> s.inner_blocks_skipped));
-     set "inner_blocks_scanned" (this_run (fun s -> s.inner_blocks_scanned));
-     set "waves" (stats.waves - waves0);
+     List.iter (fun (name, _, get, _) -> set name (get stats)) chunk_counters;
+     set "waves" stats.waves;
      (match est_distinct with Some d -> set "est_distinct_bindings" d | None -> ());
      Obs.Span.finish ~rows_in:n ~rows_out:(Relation.cardinality result) ls);
   (result, stats)
@@ -1654,10 +1532,6 @@ let describe op =
 
 let subsumption op = op.subsume
 
-(* The operator's cumulative stats record (mutated in place by [execute];
-   callers wanting per-execution deltas snapshot it around the call). *)
-let op_stats op = op.stats
-
 (* ---- incremental cache refresh after appends (delta maintenance) ----
 
    After [Catalog.append_rows] the shared cross-query tier can often be kept
@@ -1684,13 +1558,6 @@ let op_stats op = op.stats
 let m_delta_refreshes = Obs.Metrics.counter "nljp.delta_refreshes"
 let m_delta_entries_kept = Obs.Metrics.counter "nljp.delta_entries_kept"
 let m_delta_entries_dropped = Obs.Metrics.counter "nljp.delta_entries_dropped"
-
-type refresh = {
-  rf_prune_kept : int;
-  rf_prune_dropped : int;
-  rf_memo_kept : int;
-  rf_memo_dropped : int;
-}
 
 let delta_refresh op shared ~table ~delta =
   let { catalog; spec; cls; _ } = op in
@@ -1801,20 +1668,7 @@ let delta_refresh op shared ~table ~delta =
       in
       Obs.Metrics.add m_delta_entries_kept (prune_kept + memo_kept);
       Obs.Metrics.add m_delta_entries_dropped (prune_dropped + memo_dropped);
-      op.stats.notes <-
-        op.stats.notes
-        @ [ Printf.sprintf
-              "delta refresh (%s, +%d rows): prune kept %d dropped %d, memo \
-               kept %d dropped %d"
-              t_norm (Array.length drows) prune_kept prune_dropped memo_kept
-              memo_dropped ];
       `Refreshed
-        {
-          rf_prune_kept = prune_kept;
-          rf_prune_dropped = prune_dropped;
-          rf_memo_kept = memo_kept;
-          rf_memo_dropped = memo_dropped;
-        }
     end
   end
 

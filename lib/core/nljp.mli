@@ -54,7 +54,8 @@ type config = {
           lock-free: dropping or duplicating entries never changes results,
           only pruning opportunity).  Results are [Relation.equal_bag]-equal
           to sequential execution; stats counters are summed across chunks.
-          Small outer sides fall back to sequential execution. *)
+          Sequential execution — [workers = 1], or an outer side smaller
+          than [workers × 32] rows — is one wave of one chunk. *)
 }
 
 val default_config : config
@@ -105,6 +106,7 @@ type access =
     reports and the [execute] span. *)
 val access_to_string : access -> string
 
+(** One execution's counters, as [execute] returns them. *)
 type stats = {
   mutable outer_rows : int;
   mutable inner_evals : int;
@@ -115,7 +117,7 @@ type stats = {
   mutable cache_bytes : int;
   mutable pruning_on : bool;
   mutable memo_on : bool;
-  mutable access : access;  (** the inner access path the last run used *)
+  mutable access : access;  (** the inner access path the run used *)
   mutable vector_evals : int;  (** inner evals served by it *)
   mutable vector_fallbacks : int;
       (** evals the vectorized path abandoned mid-flight
@@ -186,18 +188,15 @@ val execute :
     reducers — given the side's span (see {!Sqlfront.Binder.bind}); by
     default the baseline executor runs them.
 
-    [shared] plugs in a cross-query cache tier (see {!shared_cache}); a
-    repeated execution then starts with the previous runs' prune/memo
-    entries already warm, and [stats] counts its hits as memo hits /
-    prunes. *)
+    Every execution probes a shared prune/memo tier, frozen during each
+    wave, and merges the chunks' caches into it at the wave's end.
+    [shared] plugs in a cross-query tier (see {!shared_cache}); a repeated
+    execution then starts with the previous runs' prune/memo entries
+    already warm, and [stats] counts its hits as memo hits / prunes.  By
+    default the tier is a fresh one, dropped after the call.
 
-(** Per-cache survival counts of one {!delta_refresh}. *)
-type refresh = {
-  rf_prune_kept : int;
-  rf_prune_dropped : int;
-  rf_memo_kept : int;
-  rf_memo_dropped : int;
-}
+    The returned [stats] is fresh for the call: it counts this execution
+    only, so two executions of one operator report their own counts. *)
 
 (** [delta_refresh op shared ~table ~delta] revalidates the shared tier
     after [delta] rows were appended to base table [table] (normalized
@@ -224,7 +223,7 @@ val delta_refresh :
   shared_cache ->
   table:string ->
   delta:Relalg.Relation.t ->
-  [ `Kept | `Refreshed of refresh | `Reprepare of string ]
+  [ `Kept | `Refreshed | `Reprepare of string ]
 
 (** Human-readable description of the component queries (cf. Listings 7
     and 10), including the derived p⪰. *)
@@ -232,10 +231,6 @@ val describe : t -> string
 
 (** The derived subsumption predicate, if pruning is active. *)
 val subsumption : t -> Subsume.t option
-
-(** The operator's stats record — cumulative across [execute] calls
-    (mutated in place); snapshot around a call for per-execution deltas. *)
-val op_stats : t -> stats
 
 (** The Q_B / Q_R component queries over their base tables, without the
     a-priori overrides — so they can be costed without running a reducer. *)

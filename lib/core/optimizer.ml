@@ -229,8 +229,8 @@ let adaptive_keep catalog rw =
 (* ---- predicate transfer (DESIGN.md §11) ---- *)
 
 (* Below this many total base rows the Bloom passes cost more than they
-   save; a ref so tests can lower it (or [transfer_force] past it). *)
-let transfer_min_rows = ref 4096
+   save; tests set [transfer_force] to run them anyway. *)
+let transfer_min_rows = 4096
 let transfer_force = ref false
 
 (* IN-subquery conjuncts (the a-priori reducer outputs) are not used as
@@ -344,8 +344,8 @@ let pick_transfer catalog q ~nljp ~overrides ~note =
                 (a, List.filter (function Ast.P_in _ -> false | _ -> true) ps))
               all_locals
         in
-        if (not !transfer_force) && total_rows < !transfer_min_rows then
-          reject (Printf.sprintf "inputs below %d rows" !transfer_min_rows)
+        if (not !transfer_force) && total_rows < transfer_min_rows then
+          reject (Printf.sprintf "inputs below %d rows" transfer_min_rows)
         else if List.for_all (fun (_, ps) -> ps = []) locals then
           if List.exists (fun (_, ps) -> ps <> []) all_locals then
             reject "only a-priori IN sources; re-running reducers costs more than the passes save"

@@ -54,10 +54,11 @@ val decide :
   nljp_config:Nljp.config ->
   decision
 
-(** Transfer gate's minimum total base rows (default 4096) and its bypass —
-    refs so tests can exercise the passes on tiny relations. *)
-val transfer_min_rows : int ref
+(** Transfer gate's minimum total base rows. *)
+val transfer_min_rows : int
 
+(** Bypass of [transfer_min_rows] — a ref so tests can exercise the passes
+    on tiny relations. *)
 val transfer_force : bool ref
 
 (** When set, IN-subquery conjuncts (a-priori reducer outputs) also act as

@@ -227,9 +227,9 @@ type prepared = {
   p_shared : Nljp.shared_cache;
   mutable p_transfer_run : Transfer.result option;
   p_mu : Mutex.t;
-      (* Serializes executions of one NLJP plan: the operator's stats record
-         and shared tier are mutated in place.  Distinct prepared plans
-         execute concurrently without contention. *)
+      (* Serializes executions of one NLJP plan: its shared tier is mutated
+         in place.  Distinct prepared plans execute concurrently without
+         contention. *)
 }
 
 (* The only place a block is planned.  A-priori reducers are iceberg
@@ -337,10 +337,7 @@ let rec refresh_prepared p ~table ~delta =
         p.p_transfer_run <- None;
         match p.p_plan with
         | Optimized { Optimizer.nljp = Some (op, _); _ } ->
-          (match Nljp.delta_refresh op p.p_shared ~table ~delta with
-           | `Kept -> `Kept
-           | `Refreshed _ -> `Refreshed
-           | `Reprepare reason -> `Reprepare reason)
+          Nljp.delta_refresh op p.p_shared ~table ~delta
         | Optimized _ | Baseline _ | With _ -> `Kept)
   in
   let outcome =
@@ -361,23 +358,6 @@ let prepared_shared_rows p =
   match p.p_plan with
   | Optimized { Optimizer.nljp = Some _; _ } -> Some (Nljp.shared_cache_rows p.p_shared)
   | Optimized _ | Baseline _ | With _ -> None
-
-(* Per-execution delta of the operator's cumulative stats record. *)
-let stats_delta (s0 : Nljp.stats) (s1 : Nljp.stats) =
-  {
-    s1 with
-    Nljp.outer_rows = s1.Nljp.outer_rows - s0.Nljp.outer_rows;
-    inner_evals = s1.Nljp.inner_evals - s0.Nljp.inner_evals;
-    pruned = s1.Nljp.pruned - s0.Nljp.pruned;
-    memo_hits = s1.Nljp.memo_hits - s0.Nljp.memo_hits;
-    vector_evals = s1.Nljp.vector_evals - s0.Nljp.vector_evals;
-    vector_fallbacks = s1.Nljp.vector_fallbacks - s0.Nljp.vector_fallbacks;
-    inner_blocks_skipped =
-      s1.Nljp.inner_blocks_skipped - s0.Nljp.inner_blocks_skipped;
-    inner_blocks_scanned =
-      s1.Nljp.inner_blocks_scanned - s0.Nljp.inner_blocks_scanned;
-    waves = s1.Nljp.waves - s0.Nljp.waves;
-  }
 
 (* Compressed-storage tier: blocks decoded vs answered directly on the
    encoded form, and block-cache traffic (lib/column DESIGN.md §13). *)
@@ -594,7 +574,6 @@ and run_decision ?span ~analyze p (d : Optimizer.decision) =
     let transfer_filters =
       match transfer_result with Some r -> r.Transfer.r_filters | None -> []
     in
-    let before = { (Nljp.op_stats op) with Nljp.notes = [] } in
     let rel, stats =
       in_span span "execute" (fun s ->
           stamp_block_estimate ~analyze p.p_catalog s d.Optimizer.query;
@@ -602,7 +581,6 @@ and run_decision ?span ~analyze p (d : Optimizer.decision) =
             Nljp.execute ?span:s ~estimate:analyze ~transfer:transfer_filters
               ~shared:p.p_shared ~subquery op
           in
-          let stats = stats_delta before stats in
           span_rows_out s (Relation.cardinality rel);
           span_counter s "outer_rows" stats.Nljp.outer_rows;
           span_counter s "inner_evals" stats.Nljp.inner_evals;

@@ -50,9 +50,8 @@ val run_baseline :
     prepared against: after any catalog mutation, compare
     {!prepared_version} with {!Relalg.Catalog.version} and re-prepare, or
     carry the plan across an append with {!refresh_prepared}.  Executions
-    of one NLJP plan are serialized internally (the operator's stats and
-    shared tier are mutated in place); distinct prepared plans may execute
-    concurrently. *)
+    of one NLJP plan are serialized internally (its shared tier is mutated
+    in place); distinct prepared plans may execute concurrently. *)
 
 type prepared
 
@@ -102,8 +101,7 @@ val prepare :
 (** Execute a prepared plan.  [span] attaches the query lifecycle (per-CTE
     [cte:<name>], [transfer], [execute] children with row counts and
     operator counters); omitted, tracing costs nothing.  The report's
-    [nljp_stats] is this execution's delta (not the operator's cumulative
-    totals).
+    [nljp_stats] counts this execution only.
 
     [analyze] (requires [span]) turns the trace into EXPLAIN ANALYZE
     accounting: baseline-executed blocks attach their full physical plan as

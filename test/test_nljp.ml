@@ -111,6 +111,20 @@ let behavior =
           (stats.Nljp.prune_cache_rows + stats.Nljp.memo_cache_rows = 0
           || stats.Nljp.cache_bytes > 0);
         Alcotest.(check bool) "outer rows seen" true (stats.Nljp.outer_rows > 0));
+    t "each execution returns its own stats" (fun () ->
+        let catalog = random_catalog 23 in
+        let spec = analyze catalog (skyband_sql 5) [ "L" ] in
+        match Nljp.build catalog spec Nljp.default_config with
+        | Error e -> Alcotest.fail e
+        | Ok op ->
+          let counts () =
+            let _, s = Nljp.execute op in
+            [ s.Nljp.outer_rows; s.Nljp.inner_evals; s.Nljp.pruned; s.Nljp.memo_hits;
+              s.Nljp.prune_cache_rows; s.Nljp.memo_cache_rows; s.Nljp.waves ]
+          in
+          let first = counts () in
+          Alcotest.(check bool) "first run counts rows" true (List.hd first > 0);
+          Alcotest.(check (list int)) "second run counts the same" first (counts ()));
     t "describe mentions the component queries" (fun () ->
         let catalog = random_catalog 3 in
         let spec = analyze catalog (skyband_sql 5) [ "L" ] in
