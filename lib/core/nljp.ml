@@ -31,8 +31,7 @@ type index_source = Catalog_index of Index.Sorted.t | Built_per_execution
 type access =
   | A_hash of (Schema.col * Expr.t) list
   | A_range_count of {
-      x : Schema.col;
-      y : Schema.col;
+      cols : Schema.col list;
       box : (Schema.col * Expr.cmp * Expr.t) list;
       disjunction : (Schema.col * Expr.cmp * Expr.t) list;
       source : index_source;
@@ -55,8 +54,9 @@ let access_to_string =
   | A_hash probes ->
     let n = List.length probes in
     Printf.sprintf "hash probe (%d equality conjunct%s)" n (if n = 1 then "" else "s")
-  | A_range_count { x; y; source; _ } ->
-    Printf.sprintf "range count on %s, %s (%s)" (Qspec.col_name x) (Qspec.col_name y)
+  | A_range_count { cols; source; _ } ->
+    Printf.sprintf "range count on %s (%s)"
+      (String.concat ", " (List.map Qspec.col_name cols))
       (source_name source)
   | A_vector _ -> "vectorized column probe (zone-map skipping)"
   | A_index { col; source; _ } ->
@@ -142,6 +142,13 @@ type t = {
   numeric_theta : (Schema.col * bool) list;
       (* build-time numeric judgement of Θ's columns: p⪰'s arithmetic was
          derived under it, so [delta_refresh] rechecks it after appends *)
+  eq_dims : int list;
+      (* binding dimensions on which p⪰ implies equality (CI on) *)
+  ci_restrict : [ `W_le_wp | `Wp_le_w ] option;
+      (* with no [eq_dims], the order p⪰ implies on a numeric first binding
+         column (CI on) *)
+  auto_order : [ `Default | `Asc of int | `Desc of int ];
+      (* the Q_B order [`Auto] stands for *)
 }
 
 (* ---- build-time checks ---- *)
@@ -259,6 +266,61 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
     if (not key_case) && not algebraic_ok then
       Error "non-algebraic aggregates with G_L not a key cannot be combined"
     else begin
+      (* p⪰'s order on each binding dimension i — whether it implies
+         w_i ≤ w'_i, and whether w'_i ≤ w_i — decided once per operator:
+         it fixes the prune cache's layout and the [`Auto] outer order. *)
+      let dim_order =
+        match subsume with
+        | None -> [||]
+        | Some su ->
+          let implies a b =
+            Qelim.Qe.implies_atom su.Subsume.formula
+              (Qelim.Atom.le (Qelim.Linexpr.var a) (Qelim.Linexpr.var b))
+          in
+          Array.init (List.length left.Qspec.join_cols) (fun i ->
+              let w = Printf.sprintf "w%d" i and wp = Printf.sprintf "wp%d" i in
+              (implies w wp, implies wp w))
+      in
+      let order0 = if dim_order = [||] then (false, false) else dim_order.(0) in
+      (* Binding dimensions on which p⪰ implies equality: only cache entries
+         agreeing with the probe there can ever match, so partition on them. *)
+      let eq_dims =
+        if not config.cache_index then []
+        else
+          List.filter
+            (fun i -> fst dim_order.(i) && snd dim_order.(i))
+            (List.init (Array.length dim_order) Fun.id)
+      in
+      (* With no equality dimensions, CI falls back to ordering the cache by
+         the first binding column when p⪰ constrains its order. *)
+      let ci_restrict =
+        let first_binding_numeric =
+          match left.Qspec.join_cols with
+          | [] -> false
+          | c :: _ -> col_numeric catalog spec c
+        in
+        if subsume = None || (not config.cache_index) || eq_dims <> []
+           || not first_binding_numeric
+        then None
+        else
+          match order0 with
+          | true, _ -> Some `W_le_wp
+          | false, true -> Some `Wp_le_w
+          | false, false -> None
+      in
+      (* [`Auto] wants the most-subsuming bindings first so the cache fills
+         with maximally useful unpromising entries: with an anti-monotone Φ
+         a binding b prunes when b ⪰ cached, so cache ⪰-small entries early
+         — if p⪰ implies w0 ≤ wp0 ("subsuming means smaller"), that is
+         descending order on the first binding column; the monotone case
+         and the opposite p⪰ direction mirror this. *)
+      let auto_order =
+        let anti = Monotone.is_anti_monotone cls in
+        match order0 with
+        | true, false -> if anti then `Desc 0 else `Asc 0
+        | false, true -> if anti then `Asc 0 else `Desc 0
+        | _ -> `Default
+      in
       let numeric_theta =
         match
           Expr.canonicalize
@@ -282,6 +344,9 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
           prune_reason;
           memo_reason;
           numeric_theta;
+          eq_dims;
+          ci_restrict;
+          auto_order;
         }
     end
   end
@@ -553,11 +618,13 @@ let binding_theta catalog (spec : Qspec.t) ~outer ~inner =
   (jl_idx, binding,
    Expr.canonicalize (Schema.append binding inner) (Qspec.theta_expr catalog spec))
 
-(* Q_R(b) as a 2-D dominance count: G_R = ∅, every aggregate a COUNT of
-   every row, and Θ a conjunction of [r_col op f(b)] range bounds on exactly
-   two inner columns, plus at most one disjunction of one bound on each of
-   them (the skyband's [x > f(b) OR y > g(b)]).  Returns the two columns,
-   the bounds and the disjunction's bounds, or why the shape misses. *)
+(* Q_R(b) as a k-D dominance count: G_R = ∅, every aggregate a COUNT of
+   every row, and Θ a conjunction of [r_col op f(b)] range bounds on k ≥ 2
+   inner columns, plus at most one disjunction of such bounds, each on a
+   column the conjunction bounds (the skyband's [x > f(b) OR y > g(b)], the
+   pairs' 4-way OR).  Returns the bounded columns in order of first
+   appearance, the bounds and the disjunction's bounds, or why the shape
+   misses. *)
 let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
   let ( let* ) = Result.bind in
   let probe conj =
@@ -565,11 +632,12 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
       (fun (i, cmp, f) -> (Schema.nth inner i, cmp, f))
       (Compile.inner_probe ~binding ~inner conj)
   in
-  let is_range (_, cmp, _) =
-    match cmp with
-    | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> true
-    | Expr.Eq | Expr.Ne -> false
+  let range conj =
+    match probe conj with
+    | Some (_, (Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _) as b -> b
+    | _ -> None
   in
+  let rec disjuncts = function Expr.Or (p, q) -> disjuncts p @ disjuncts q | e -> [ e ] in
   let* () = if group_cols = [] then Ok () else Error "inner GROUP BY columns (G_R)" in
   let* () =
     match
@@ -588,13 +656,13 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
     List.fold_left
       (fun acc conj ->
         let* box, ors = acc in
-        match conj, probe conj with
+        match conj, range conj with
         | Expr.Const (Value.Bool true), _ -> Ok (box, ors)
-        | _, Some b when is_range b -> Ok (b :: box, ors)
-        | Expr.Or (p, q), None ->
-          (match probe p, probe q with
-           | Some a, Some b when is_range a && is_range b -> Ok (box, [ a; b ] :: ors)
-           | _ -> Error "Θ has a disjunction outside the bound shape")
+        | _, Some b -> Ok (b :: box, ors)
+        | Expr.Or _, None ->
+          let ds = List.map range (disjuncts conj) in
+          if List.for_all Option.is_some ds then Ok (box, List.filter_map Fun.id ds :: ors)
+          else Error "Θ has a disjunction outside the bound shape"
         | _ -> Error "Θ has a conjunct outside the range-bound shape")
       (Ok ([], [])) (Expr.conjuncts theta)
   in
@@ -603,15 +671,14 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
     List.fold_left (fun acc (c, _, _) -> if List.mem c acc then acc else acc @ [ c ]) [] box
   in
   match cols, disjunctions with
-  | [ x; y ], [] -> Ok (x, y, box, [])
-  | [ x; y ], [ [ (a, _, _) as da; (b, _, _) as db ] ]
-    when (a = x && b = y) || (a = y && b = x) ->
-    Ok (x, y, box, [ da; db ])
-  | [ _; _ ], [ _ ] -> Error "the disjunction is not one bound on each bounded column"
-  | [ _; _ ], _ -> Error "Θ has more than one disjunction"
-  | _ ->
+  | ([] | [ _ ]), _ ->
     let n = List.length cols in
     Error (Printf.sprintf "bounds span %d inner column%s" n (if n = 1 then "" else "s"))
+  | _, [] -> Ok (cols, box, [])
+  | _, [ ds ] ->
+    if List.for_all (fun (c, _, _) -> List.mem c cols) ds then Ok (cols, box, ds)
+    else Error "a disjunct bounds an inner column the conjunction does not"
+  | _ -> Error "Θ has more than one disjunction"
 
 (* The inner access path for Q_R(b), in priority order: hash probe on the
    equality Θ conjuncts [r_col = f(b)] (what the paper gets from PostgreSQL
@@ -634,7 +701,8 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
    gets an index built per execution.  The catalog index is read at each
    call, never kept in a prepared operator, so appends (which rebuild it)
    are seen.  The range count takes its x order from the same catalog
-   index, led by either of its two columns, else sorts per execution. *)
+   index, led by the first of its columns that has one, else sorts per
+   execution. *)
 let choose_access op =
   let { catalog; spec; overrides; config; _ } = op in
   let right = spec.Qspec.right in
@@ -672,15 +740,16 @@ let choose_access op =
       with
       | Error r -> Error r
       | Ok _ when not config.inner_index -> Error "disabled by configuration"
-      | Ok (x, y, box, disjunction) ->
+      | Ok (cols, box, disjunction) ->
         (* x is a column whose order the catalog already holds, if any *)
-        let x, y, source =
-          match catalog_index x, catalog_index y with
-          | Some idx, _ -> (x, y, Catalog_index idx)
-          | None, Some idx -> (y, x, Catalog_index idx)
-          | None, None -> (x, y, Built_per_execution)
+        let cols, source =
+          match
+            List.find_map (fun c -> Option.map (fun i -> (c, i)) (catalog_index c)) cols
+          with
+          | Some (x, idx) -> (x :: List.filter (fun c -> c <> x) cols, Catalog_index idx)
+          | None -> (cols, Built_per_execution)
         in
-        Ok (A_range_count { x; y; box; disjunction; source })
+        Ok (A_range_count { cols; box; disjunction; source })
   in
   let vector =
     if not config.vector then Error "disabled by configuration"
@@ -732,12 +801,12 @@ let choose_access op =
   in
   (access, notes)
 
-(* Q_R(b)'s COUNT from the range-count structure [rc] over (x, y), for
+(* Q_R(b)'s COUNT from the range-count structure [rc] over [cols], for
    the bounds [box] and [disjunction] of {!A_range_count} compiled against
    the [binding] schema.  A bound whose value is NULL or NaN holds for no
    row, so the count is 0; a disjunct whose value is holds for no row
    either, so its negation constrains nothing. *)
-let range_counter rc ~binding ~x ~box ~disjunction =
+let range_counter rc ~binding ~cols ~box ~disjunction =
   let side : Expr.cmp -> _ = function
     | Expr.Ge -> (`Lo, `Inclusive)
     | Expr.Gt -> (`Lo, `Strict)
@@ -752,14 +821,20 @@ let range_counter rc ~binding ~x ~box ~disjunction =
     | `Hi, `Inclusive -> (`Lo, `Strict)
     | `Hi, `Strict -> (`Lo, `Inclusive)
   in
-  let compile side_of (c, cmp, f) = (c = x, side_of cmp, Compile.scalar binding f) in
+  let dims = Array.of_list cols in
+  let dim c =
+    let rec go d = if dims.(d) = c then d else go (d + 1) in
+    go 0
+  in
+  let compile side_of (c, cmp, f) = (dim c, side_of cmp, Compile.scalar binding f) in
   let box = List.map (compile side) box in
-  (* A row fails [A OR B] iff it satisfies both negations, so
-     count(box ∧ (A ∨ B)) = count(box) − count(box ∧ ¬A ∧ ¬B). *)
+  (* A row fails [A1 OR … OR Ak] iff it satisfies every negation, so
+     count(box ∧ (A1 ∨ … ∨ Ak)) = count(box) − count(box ∧ ¬A1 ∧ … ∧ ¬Ak):
+     one complement box, whatever k. *)
   let outside = List.map (compile negated) disjunction in
   let comparable v = not (Value.is_null v || Value.is_nan v) in
-  (* Tighten the box (xlo, xhi, ylo, yhi) by one bound. *)
-  let tighten (xlo, xhi, ylo, yhi) (is_x, (dir, strictness), v) =
+  (* Tighten one range of [ranges] by one bound. *)
+  let tighten ranges (d, (dir, strictness), v) =
     let pick wins cur =
       match cur with
       | None -> Some (v, strictness)
@@ -767,28 +842,30 @@ let range_counter rc ~binding ~x ~box ~disjunction =
         let c = Value.compare_total v u in
         if wins c || (c = 0 && strictness = `Strict) then Some (v, strictness) else cur
     in
-    let above c = c > 0 and below c = c < 0 in
-    match is_x, dir with
-    | true, `Lo -> (pick above xlo, xhi, ylo, yhi)
-    | true, `Hi -> (xlo, pick below xhi, ylo, yhi)
-    | false, `Lo -> (xlo, xhi, pick above ylo, yhi)
-    | false, `Hi -> (xlo, xhi, ylo, pick below yhi)
+    let lo, hi = ranges.(d) in
+    ranges.(d) <-
+      (match dir with
+       | `Lo -> (pick (fun c -> c > 0) lo, hi)
+       | `Hi -> (lo, pick (fun c -> c < 0) hi))
   in
-  let count (xlo, xhi, ylo, yhi) = Index.Range_count.count rc ~xlo ~xhi ~ylo ~yhi in
-  let values b = List.map (fun (is_x, side, f) -> (is_x, side, f b)) in
+  let values b = List.map (fun (d, side, f) -> (d, side, f b)) in
   fun b ->
     let bounds = values b box in
     if not (List.for_all (fun (_, _, v) -> comparable v) bounds) then 0
     else
-      let inside = List.fold_left tighten (None, None, None, None) bounds in
-      let n = count inside in
+      let inside = Array.make (Array.length dims) (None, None) in
+      List.iter (tighten inside) bounds;
+      let n = Index.Range_count.count rc inside in
       if n = 0 || outside = [] then n
-      else
+      else begin
         let negations = List.filter (fun (_, _, v) -> comparable v) (values b outside) in
-        n - count (List.fold_left tighten inside negations)
+        List.iter (tighten inside) negations;
+        n - Index.Range_count.count rc inside
+      end
 
 let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
+  let { eq_dims; ci_restrict; _ } = op in
   let stats = fresh_stats () in
   stats.notes <-
     (match op.prune_reason with
@@ -868,25 +945,8 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let jl_idx, binding_schema, theta =
     binding_theta catalog spec ~outer:l_schema ~inner:r_schema
   in
-  (* Optional Q_B exploration order (an ORDER BY on the binding query).
-     [`Auto] wants the most-subsuming bindings first so the cache fills with
-     maximally useful unpromising entries: with an anti-monotone Φ a binding
-     b prunes when b ⪰ cached, so cache ⪰-small entries early — if p⪰
-     implies w0 ≤ wp0 ("subsuming means smaller"), that is descending order
-     on the first binding column; the monotone case and the opposite p⪰
-     direction mirror this. *)
-  let auto_order () =
-    match subsume with
-    | None -> `Default
-    | Some su ->
-      let w0 = Qelim.Linexpr.var "w0" and wp0 = Qelim.Linexpr.var "wp0" in
-      let w_le_wp = Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le w0 wp0) in
-      let wp_le_w = Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le wp0 w0) in
-      let anti = Monotone.is_anti_monotone cls in
-      if w_le_wp && not wp_le_w then if anti then `Desc 0 else `Asc 0
-      else if wp_le_w && not w_le_wp then if anti then `Asc 0 else `Desc 0
-      else `Default
-  in
+  (* Optional Q_B exploration order (an ORDER BY on the binding query);
+     [`Auto] is the order [build] derived from p⪰. *)
   let l_rel =
     let by dim flipped =
       match List.nth_opt jl_idx dim with
@@ -899,10 +959,12 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
           l_rel
     in
     let order =
-      match config.outer_order with `Auto -> auto_order () | o -> (o :> [ `Default | `Auto | `Asc of int | `Desc of int ])
+      match config.outer_order with
+      | `Auto -> op.auto_order
+      | (`Default | `Asc _ | `Desc _) as o -> o
     in
     match order with
-    | `Default | `Auto -> l_rel
+    | `Default -> l_rel
     | `Asc dim -> by dim false
     | `Desc dim -> by dim true
   in
@@ -1032,17 +1094,17 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
      by the (possibly parallel) probes. *)
   let range_count =
     match access with
-    | A_range_count { x; y; box; disjunction; source } ->
-      let xi = Schema.index_of_col r_schema x and yi = Schema.index_of_col r_schema y in
+    | A_range_count { cols; box; disjunction; source } ->
+      let idxs = List.map (Schema.index_of_col r_schema) cols in
       Obs.Metrics.incr m_range_count_builds;
       let rc =
         inner_build (fun () ->
             match source with
-            | Catalog_index idx -> Index.Range_count.of_sorted idx ~x:xi ~y:yi
+            | Catalog_index idx -> Index.Range_count.of_sorted idx ~cols:idxs
             | Built_per_execution ->
-              Index.Range_count.build (Relation.rows r_rel) ~x:xi ~y:yi)
+              Index.Range_count.build (Relation.rows r_rel) ~cols:idxs)
       in
-      Some (range_counter rc ~binding:binding_schema ~x ~box ~disjunction)
+      Some (range_counter rc ~binding:binding_schema ~cols ~box ~disjunction)
     | _ -> None
   in
   (* Pruning setup. *)
@@ -1050,49 +1112,12 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let memo_active = config.memo && op.memo_reason = None in
   stats.pruning_on <- pruning_active;
   stats.memo_on <- memo_active;
-  let first_binding_numeric =
-    match left_side.Qspec.join_cols with
-    | [] -> false
-    | c :: _ -> col_numeric catalog spec c
-  in
   let key_to_float v =
     match v with
     | Value.Int i -> float_of_int i
     | Value.Float f -> f
     | Value.Bool b -> if b then 1. else 0.
     | Value.Null | Value.Str _ -> 0.
-  in
-  (* Binding dimensions on which p⪰ implies equality: only cache entries
-     agreeing with the probe there can ever match, so partition on them. *)
-  let eq_dims =
-    match subsume with
-    | Some su when pruning_active && config.cache_index ->
-      List.filter_map
-        (fun i ->
-          let w = Qelim.Linexpr.var (Printf.sprintf "w%d" i) in
-          let wp = Qelim.Linexpr.var (Printf.sprintf "wp%d" i) in
-          if
-            Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le w wp)
-            && Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le wp w)
-          then Some i
-          else None)
-        (List.init (List.length left_side.Qspec.join_cols) Fun.id)
-    | _ -> []
-  in
-  let ci_restrict =
-    (* With no equality dimensions, CI falls back to ordering the cache by
-       the first binding column when p⪰ constrains its order. *)
-    match subsume with
-    | Some su
-      when pruning_active && config.cache_index && eq_dims = []
-           && first_binding_numeric ->
-      let w0 = Qelim.Linexpr.var "w0" and wp0 = Qelim.Linexpr.var "wp0" in
-      let imp_w_le_wp = Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le w0 wp0) in
-      let imp_wp_le_w = Qelim.Qe.implies_atom su.Subsume.formula (Qelim.Atom.le wp0 w0) in
-      if imp_w_le_wp then Some `W_le_wp
-      else if imp_wp_le_w then Some `Wp_le_w
-      else None
-    | _ -> None
   in
   let mk_prune_cache () =
     if eq_dims <> [] then Prune_cache.partitioned eq_dims

@@ -23,7 +23,7 @@ type config = {
           the dimensions where p⪰ implies equality, else binary-searched on
           the first binding column when p⪰ implies an order on it *)
   inner_index : bool;
-      (** BT: answer a 2-D dominance COUNT from a range-count structure
+      (** BT: answer a k-D dominance COUNT from a range-count structure
           ({!A_range_count}), else probe the materialized inner side through
           a sorted index derived from a Θ bound (equality conjuncts always
           probe a hash index, mirroring PostgreSQL's prepared Q_R plans) *)
@@ -77,19 +77,21 @@ type access =
       (** hash-index probe: one (inner column, binding key expression) per
           equality Θ conjunct *)
   | A_range_count of {
-      x : Relalg.Schema.col;
-      y : Relalg.Schema.col;
+      cols : Relalg.Schema.col list;
       box : (Relalg.Schema.col * Relalg.Expr.cmp * Relalg.Expr.t) list;
       disjunction : (Relalg.Schema.col * Relalg.Expr.cmp * Relalg.Expr.t) list;
       source : index_source;
     }
-      (** 2-D range count ({!Relalg.Index.Range_count}) over the inner
-          points [(x, y)], for a Q_R(b) that is a COUNT with G_R = ∅:
-          [box] is Θ's conjunction of range bounds [col op bound] on [x] and
-          [y]; [disjunction], when not empty, is Θ's one disjunction of a
-          bound on each (the skyband's [x > f(b) OR y > g(b)]), counted by
-          inclusion–exclusion.  [source] says where the x order comes from:
-          the catalog's index led by [x], or a sort per execution. *)
+      (** k-D range count ({!Relalg.Index.Range_count}) over the inner
+          points on [cols] (k ≥ 2, x first), for a Q_R(b) that is a COUNT
+          with G_R = ∅: [box] is Θ's conjunction of range bounds
+          [col op bound], which bounds every column of [cols];
+          [disjunction], when not empty, is Θ's one disjunction of such
+          bounds (the skyband's [x > f(b) OR y > g(b)], the pairs' 4-way
+          OR), counted as count(box) − count(box ∧ every negated disjunct),
+          one complement box whatever its arity.  [source] says where the x
+          order comes from: the catalog's index led by x, or a sort per
+          execution. *)
   | A_vector of Relalg.Colprobe.verdict
       (** vectorized column probe: the inner query {!Relalg.Colprobe.check}
           accepted *)
@@ -135,7 +137,11 @@ type t
     query shape cannot run as NLJP at all (Φ or Λ not applicable to the
     inner side).  [overrides] plugs substituted FROM items (e.g. a-priori
     reducers, Listing 11) into the side queries by alias; they must preserve
-    each table's schema and only remove rows. *)
+    each table's schema and only remove rows.  The operator also carries
+    what p⪰ decides once: the prune cache's layout (partitioned on the
+    dimensions where p⪰ implies equality, else sorted on the first binding
+    column when p⪰ orders it, else flat) and the order [`Auto] stands for;
+    every [execute] of it reads them. *)
 val build :
   ?overrides:(string * Sqlfront.Ast.table_ref) list ->
   Relalg.Catalog.t ->
@@ -240,12 +246,13 @@ val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
     equality Θ conjuncts ≻ range count ≻ vectorized column probe ≻ sorted
     inner index on a Θ bound ≻ row scan.  The range count needs BT
     ([inner_index]), G_R = ∅, every aggregate a [COUNT( * )] or [COUNT(1)], and Θ
-    a conjunction of [r_col op f(b)] range bounds on exactly two inner
-    columns plus at most one disjunction of one bound on each of them.  The
-    sorted index — and the range count's x order — is the catalog's
-    ({!Catalog_index}) when Q_R is a bare base table — one table, no local
-    predicate, no a-priori override — with an index led by a bound column;
-    otherwise each execution builds one.  Reads only the spec, the inner
+    a conjunction of [r_col op f(b)] range bounds on k ≥ 2 inner columns
+    plus at most one disjunction (nested [OR]s flatten) of such bounds, each
+    on a column the conjunction bounds.  The sorted index — and the range
+    count's x order — is the catalog's ({!Catalog_index}) when Q_R is a bare
+    base table — one table, no local predicate, no a-priori override — with
+    an index led by a bound column (for the range count, the first such
+    column is x); otherwise each execution builds one.  Reads only the spec, the inner
     base table with its catalog indexes and the config — no side query is
     materialized — so EXPLAIN can call it; [execute] calls it on every run
     and runs what it returns, timing each structure it builds in an

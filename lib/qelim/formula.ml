@@ -113,6 +113,21 @@ let prune_implied ~keep_stronger atoms =
   in
   go [] atoms
 
+(* Drop each compound member of a conjunction (disjunction) that one of
+   its sibling [atoms] absorbs: a member whose [member] parts hold an atom
+   [d] with [covers a d] for some sibling atom [a]. *)
+let absorb atoms others ~member ~covers =
+  List.filter
+    (fun g ->
+      match member g with
+      | None -> true
+      | Some parts ->
+        not
+          (List.exists
+             (function Atom d -> List.exists (fun a -> covers a d) atoms | _ -> false)
+             parts))
+    others
+
 let rec simplify f =
   match f with
   | True | False | Atom _ -> simplify_leaf f
@@ -132,6 +147,12 @@ let rec simplify f =
           gs
       in
       let atoms = prune_implied ~keep_stronger:true atoms in
+      (* Absorption: a ∧ (b ∨ …) ≡ a when a ⇒ b. *)
+      let others =
+        absorb atoms others
+          ~member:(function Or ds -> Some ds | _ -> None)
+          ~covers:Atom.implies
+      in
       conj (List.map atom atoms @ others)
     end
   | Or gs ->
@@ -145,6 +166,12 @@ let rec simplify f =
           gs
       in
       let atoms = prune_implied ~keep_stronger:false atoms in
+      (* Absorption: a ∨ (b ∧ …) ≡ a when b ⇒ a. *)
+      let others =
+        absorb atoms others
+          ~member:(function And cs -> Some cs | _ -> None)
+          ~covers:(fun a c -> Atom.implies c a)
+      in
       disj (List.map atom atoms @ others)
     end
   | Exists _ | Forall _ -> invalid_arg "Formula.simplify: quantified input"

@@ -39,7 +39,10 @@ val eval : (string -> Rat.t) -> t -> bool
 val eval_float : (string -> float) -> t -> bool
 
 (** Flatten, fold constants, drop duplicate or implied atoms in
-    conjunctions/disjunctions.  Quantifier-free input only. *)
+    conjunctions/disjunctions, and absorb clauses: a conjunction drops a
+    disjunction one of whose atoms a sibling atom implies (a ∧ (b ∨ …) ≡ a
+    when a ⇒ b), a disjunction a conjunction one of whose atoms implies a
+    sibling atom.  Quantifier-free input only. *)
 val simplify : t -> t
 
 val to_string : t -> string

@@ -122,36 +122,105 @@ end
 module Range_count = struct
   type bound = (Value.t * [ `Strict | `Inclusive ]) option
 
-  (* y coordinates: unboxed when every one is an [Int], which the block
-     sorts and searches then compare without touching a [Value.t]. *)
-  type coords = Ints of int array | Values of Value.t array
+  (* One coordinate of every point, unboxed when every one is an [Int] or
+     every one a [Float]: block sorts, searches and scans then compare
+     without touching a [Value.t]. *)
+  type coords = Ints of int array | Floats of float array | Values of Value.t array
 
   (* The points are rows of [rows] — all of them in place when [order] is
      [None], else the rows at the positions [order] lists — in ascending x
-     order.  [blocks] holds their y coordinates cut into runs of [block]
-     points, each run sorted.  A count binary-searches the rows for the x
-     range, scans the rows of the partial runs at its two ends and
-     binary-searches every full run in between.  The rows are the ones the
-     caller already holds, so a build allocates [blocks] and, when it drops
+     order, x being column [cols.(0)].  [blocks] holds their y coordinates
+     (column [cols.(1)]) cut into runs of [block] points, each run sorted;
+     [extra] holds each further column's coordinates in the same order, and
+     [lo]/[hi] each run's least and greatest coordinate there, indexed by
+     run.  A count binary-searches the rows for the x range, scans the rows
+     of the partial runs at its two ends and binary-searches every full run
+     in between for the y range, which it counts whole when the run's box
+     on the extra columns lies inside the query, skips when the two are
+     disjoint and scans otherwise.  The rows are the ones the caller
+     already holds, so a build allocates the coordinates and, when it drops
      or sorts rows, [order]. *)
   type t = {
     rows : Row.t array;
     order : int array option;
-    x : int;
-    y : int;
+    cols : int array;
     blocks : coords;
+    extra : coords array;
+    lo : coords array;
+    hi : coords array;
   }
 
   let block = 256
 
   let comparable v = not (Value.is_null v || Value.is_nan v)
 
-  let length = function Ints a -> Array.length a | Values a -> Array.length a
+  let length = function
+    | Ints a -> Array.length a
+    | Floats a -> Array.length a
+    | Values a -> Array.length a
 
   let cardinality t = length t.blocks
 
   let point_row rows order i = match order with None -> rows.(i) | Some o -> rows.(o.(i))
   let row t i = point_row t.rows t.order i
+
+  (* Column [c] of the first [m] points ([point_row rows order]), unboxed
+     when the values allow it: one pass when they are all [Int]s, the
+     common case. *)
+  let coords rows order m c =
+    let f i = (point_row rows order i).(c) in
+    let ints = Array.make m 0 in
+    let rec fill_ints i =
+      i >= m
+      || match f i with
+         | Value.Int v ->
+           ints.(i) <- v;
+           fill_ints (i + 1)
+         | _ -> false
+    in
+    if fill_ints 0 then Ints ints
+    else begin
+      let floats = Array.make m 0. in
+      let rec fill_floats i =
+        i >= m
+        || match f i with
+           | Value.Float v ->
+             floats.(i) <- v;
+             fill_floats (i + 1)
+           | _ -> false
+      in
+      if fill_floats 0 then Floats floats else Values (Array.init m f)
+    end
+
+  (* [c.(i)] against [v] under {!Value.compare_total}, without boxing an
+     unboxed coordinate. *)
+  let compare_at c i v =
+    match c, v with
+    | Ints a, Value.Int b -> Int.compare a.(i) b
+    | Ints a, Value.Float b -> Float.compare (float_of_int a.(i)) b
+    | Floats a, Value.Float b -> Float.compare a.(i) b
+    | Floats a, Value.Int b -> Float.compare a.(i) (float_of_int b)
+    | Ints a, _ -> Value.compare_total (Value.Int a.(i)) v
+    | Floats a, _ -> Value.compare_total (Value.Float a.(i)) v
+    | Values a, _ -> Value.compare_total a.(i) v
+
+  (* [c.(i)] against [c.(j)]. *)
+  let compare_within = function
+    | Ints a -> fun i j -> Int.compare a.(i) a.(j)
+    | Floats a -> fun i j -> Float.compare a.(i) a.(j)
+    | Values a -> fun i j -> Value.compare_total a.(i) a.(j)
+
+  let above lo c i =
+    match lo with
+    | None -> true
+    | Some (v, `Inclusive) -> compare_at c i v >= 0
+    | Some (v, `Strict) -> compare_at c i v > 0
+
+  let below hi c i =
+    match hi with
+    | None -> true
+    | Some (v, `Inclusive) -> compare_at c i v <= 0
+    | Some (v, `Strict) -> compare_at c i v < 0
 
   let sort_slice cmp a s e =
     let run = Array.sub a s (e - s) in
@@ -186,39 +255,93 @@ module Range_count = struct
       true
     end
 
-  let sort_runs c =
-    let n = length c in
+  (* Reorder [c.(s) .. c.(s + len - 1)] so that position [s + j] holds what
+     [s + perm.(j)] held.  One loop per case: a float array read through
+     polymorphic code would box every element. *)
+  let permute c s perm =
+    let len = Array.length perm in
+    match c with
+    | Ints a ->
+      let run = Array.sub a s len in
+      Array.iteri (fun j p -> a.(s + j) <- run.(p)) perm
+    | Floats a ->
+      let run = Array.sub a s len in
+      Array.iteri (fun j p -> a.(s + j) <- run.(p)) perm
+    | Values a ->
+      let run = Array.sub a s len in
+      Array.iteri (fun j p -> a.(s + j) <- run.(p)) perm
+
+  let runs c = (length c + block - 1) / block
+
+  (* Sort every run of [ys] and carry [extra] along: integer y values with
+     no extra coordinates in place, the rest through a permutation. *)
+  let sort_runs ys extra =
+    let n = length ys in
     let counts = Array.make (4 * block) 0 in
-    for r = 0 to ((n + block - 1) / block) - 1 do
+    let cmp = compare_within ys in
+    for r = 0 to runs ys - 1 do
       let s = r * block in
       let e = min n (s + block) in
-      match c with
-      | Ints a -> if not (counting_sort counts a s e) then sort_slice Int.compare a s e
-      | Values a -> sort_slice Value.compare_total a s e
+      match ys with
+      | Ints a when Array.length extra = 0 ->
+        if not (counting_sort counts a s e) then sort_slice Int.compare a s e
+      | _ ->
+        let perm = Array.init (e - s) Fun.id in
+        Array.stable_sort (fun i j -> cmp (s + i) (s + j)) perm;
+        permute ys s perm;
+        Array.iter (fun c -> permute c s perm) extra
     done
 
-  (* [order] lists the points' positions in [rows] in x order ([None]: every
-     row, in place); every point is comparable on x and y. *)
-  let make rows ~x ~y order =
-    let y_at i = (point_row rows order i).(y) in
-    let m = match order with None -> Array.length rows | Some o -> Array.length o in
-    let ys = Array.make m 0 in
-    let rec fill i =
-      i >= m
-      || match y_at i with
-         | Value.Int v ->
-           ys.(i) <- v;
-           fill (i + 1)
-         | _ -> false
+  (* Each run's least ([`Min]) or greatest coordinate of [c]. *)
+  let run_bounds c which =
+    let n = length c and cmp = compare_within c in
+    let best =
+      Array.init (runs c) (fun r ->
+          let b = ref (r * block) in
+          for i = !b + 1 to min n ((r + 1) * block) - 1 do
+            let k = cmp i !b in
+            if (which = `Min && k < 0) || (which = `Max && k > 0) then b := i
+          done;
+          !b)
     in
-    let blocks = if fill 0 then Ints ys else Values (Array.init m y_at) in
-    sort_runs blocks;
-    { rows; order; x; y; blocks }
+    match c with
+    | Ints a -> Ints (Array.map (Array.get a) best)
+    | Floats a -> Floats (Array.map (Array.get a) best)
+    | Values a -> Values (Array.map (Array.get a) best)
 
-  (* Positions of the rows that are points (comparable on x and y); [None]
-     when all are. *)
-  let points rows ~x ~y =
-    let point r = comparable rows.(r).(x) && comparable rows.(r).(y) in
+  (* [order] lists the points' positions in [rows] in x order ([None]: every
+     row, in place); every point is comparable on every column. *)
+  let make rows ~cols order =
+    let m = match order with None -> Array.length rows | Some o -> Array.length o in
+    let blocks = coords rows order m cols.(1) in
+    let extra =
+      Array.init (Array.length cols - 2) (fun d -> coords rows order m cols.(d + 2))
+    in
+    sort_runs blocks extra;
+    {
+      rows;
+      order;
+      cols;
+      blocks;
+      extra;
+      lo = Array.map (fun c -> run_bounds c `Min) extra;
+      hi = Array.map (fun c -> run_bounds c `Max) extra;
+    }
+
+  let check_cols cols =
+    if Array.length cols < 2 then invalid_arg "Index.Range_count: fewer than two columns"
+
+  (* Positions of the rows that are points (comparable on every column);
+     [None] when all are. *)
+  let points rows ~cols =
+    let k = Array.length cols and x = cols.(0) and y = cols.(1) in
+    let rec extra_from row d =
+      d >= k || (comparable row.(cols.(d)) && extra_from row (d + 1))
+    in
+    let point r =
+      let row = rows.(r) in
+      comparable row.(x) && comparable row.(y) && (k = 2 || extra_from row 2)
+    in
     let n = Array.length rows in
     let m = ref 0 in
     for r = 0 to n - 1 do
@@ -236,20 +359,27 @@ module Range_count = struct
       Some keep
     end
 
-  let of_sorted (idx : Sorted.t) ~x ~y =
+  let of_sorted (idx : Sorted.t) ~cols =
+    let cols = Array.of_list cols in
+    check_cols cols;
     (match idx.Sorted.key_idxs with
-     | k :: _ when k = x -> ()
+     | k :: _ when k = cols.(0) -> ()
      | _ -> invalid_arg "Index.Range_count.of_sorted: index not led by x");
-    make idx.Sorted.rows ~x ~y (points idx.Sorted.rows ~x ~y)
+    make idx.Sorted.rows ~cols (points idx.Sorted.rows ~cols)
 
-  let build rows ~x ~y =
+  let build rows ~cols =
+    let cols = Array.of_list cols in
+    check_cols cols;
     let order =
-      match points rows ~x ~y with
+      match points rows ~cols with
       | Some o -> o
       | None -> Array.init (Array.length rows) Fun.id
     in
-    Array.stable_sort (fun a b -> Value.compare_total rows.(a).(x) rows.(b).(x)) order;
-    make rows ~x ~y (Some order)
+    (* sorted on the x coordinates, extracted (unboxed where they allow) *)
+    let cmp = compare_within (coords rows (Some order) (Array.length order) cols.(0)) in
+    let perm = Array.init (Array.length order) Fun.id in
+    Array.stable_sort cmp perm;
+    make rows ~cols (Some (Array.map (Array.get order) perm))
 
   (* First position in [lo, hi) whose value ([at i]) is >= v (> v if
      strict); the values are ascending there. *)
@@ -263,20 +393,23 @@ module Range_count = struct
     in
     go lo hi
 
-  (* The same over a run of [blocks], without boxing an [Int] one. *)
+  (* The same over a run of [blocks], without boxing an unboxed one or
+     allocating: it runs twice per full block of every count. *)
   let search_run c lo hi v strict =
-    match c, v with
-    | Ints a, Value.Int b ->
-      let rec go lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if (if strict then a.(mid) <= b else a.(mid) < b) then go (mid + 1) hi
-          else go lo mid
-      in
-      go lo hi
-    | Ints a, _ -> search (fun i -> Value.Int a.(i)) lo hi v strict
-    | Values a, _ -> search (Array.get a) lo hi v strict
+    let lo = ref lo and hi = ref hi in
+    (match c, v with
+     | Ints a, Value.Int b ->
+       while !lo < !hi do
+         let mid = (!lo + !hi) / 2 in
+         if (if strict then a.(mid) <= b else a.(mid) < b) then lo := mid + 1 else hi := mid
+       done
+     | _ ->
+       while !lo < !hi do
+         let mid = (!lo + !hi) / 2 in
+         let k = compare_at c mid v in
+         if (if strict then k <= 0 else k < 0) then lo := mid + 1 else hi := mid
+       done);
+    !lo
 
   let start_pos search lo hi = function
     | None -> lo
@@ -288,7 +421,7 @@ module Range_count = struct
     | Some (v, `Inclusive) -> search lo hi v true
     | Some (v, `Strict) -> search lo hi v false
 
-  let within ~lo ~hi v =
+  let within (lo, hi) v =
     (match lo with
      | None -> true
      | Some (b, `Inclusive) -> Value.compare_total v b >= 0
@@ -299,14 +432,22 @@ module Range_count = struct
     | Some (b, `Inclusive) -> Value.compare_total v b <= 0
     | Some (b, `Strict) -> Value.compare_total v b < 0
 
-  let count t ~xlo ~xhi ~ylo ~yhi =
+  let count t box =
+    if Array.length box <> Array.length t.cols then
+      invalid_arg "Index.Range_count.count: one range per column";
     let n = cardinality t in
-    let on_x = search (fun i -> (row t i).(t.x)) in
+    let xlo, xhi = box.(0) and ylo, yhi = box.(1) in
+    let on_x = search (fun i -> (row t i).(t.cols.(0))) in
     let start = start_pos on_x 0 n xlo and stop = stop_pos on_x 0 n xhi in
+    let k = Array.length t.cols in
     let scan a b =
       let c = ref 0 in
       for i = a to b - 1 do
-        if within ~lo:ylo ~hi:yhi (row t i).(t.y) then incr c
+        let r = row t i and d = ref 1 in
+        while !d < k && within box.(!d) r.(t.cols.(!d)) do
+          incr d
+        done;
+        if !d = k then incr c
       done;
       !c
     in
@@ -316,12 +457,45 @@ module Range_count = struct
     else if first_full >= last_full then scan start stop
     else begin
       let on_y = search_run t.blocks in
+      let extras = Array.length t.extra in
+      (* The full run [r]'s box on the extra columns against the query's:
+         [`Inside], [`Disjoint] or [`Overlaps]. *)
+      let run_box r =
+        let rec go d inside =
+          if d >= extras then if inside then `Inside else `Overlaps
+          else
+            let lo, hi = box.(d + 2) and rlo = t.lo.(d) and rhi = t.hi.(d) in
+            if not (above lo rhi r && below hi rlo r) then `Disjoint
+            else go (d + 1) (inside && above lo rlo r && below hi rhi r)
+        in
+        go 0 true
+      in
+      let in_extras i =
+        let d = ref 0 in
+        while
+          !d < extras
+          &&
+          let lo, hi = box.(!d + 2) in
+          above lo t.extra.(!d) i && below hi t.extra.(!d) i
+        do
+          incr d
+        done;
+        !d = extras
+      in
       let c = ref (scan start first_full + scan last_full stop) in
       let b = ref first_full in
       while !b < last_full do
         let e = !b + block in
         let lo = start_pos on_y !b e ylo and hi = stop_pos on_y !b e yhi in
-        if hi > lo then c := !c + (hi - lo);
+        if hi > lo then begin
+          match if extras = 0 then `Inside else run_box (!b / block) with
+          | `Inside -> c := !c + (hi - lo)
+          | `Disjoint -> ()
+          | `Overlaps ->
+            for i = lo to hi - 1 do
+              if in_extras i then incr c
+            done
+        end;
         b := e
       done;
       !c

@@ -5,7 +5,7 @@
     by a column list and supports range restriction on the first column (the
     paper's {e BT} secondary B-tree on comparison attributes); it is the one
     index kind the catalog registers on a base table.  [Range_count] counts
-    the points of two columns inside a box (NLJP's 2-D dominance counts). *)
+    the points of k ≥ 2 columns inside a box (NLJP's dominance counts). *)
 
 module Hash : sig
   type t
@@ -45,14 +45,20 @@ module Sorted : sig
   val cardinality : t -> int
 end
 
-(** A static 2-D range-count structure over the points [(row.(x), row.(y))]:
-    the points in x order, cut into fixed blocks whose y values are sorted.
-    A count costs two binary searches on x, a scan of at most two partial
-    blocks and one or two binary searches per full block in between —
-    O(n/B log B + B) for n points and block size B — against the O(n) walk of
-    a sorted index's x range.  The points stay in the rows given; a build
-    allocates the block-sorted y column and, when it drops or sorts rows,
-    their positions.
+(** A static k-D range-count structure (k ≥ 2) over the points
+    [(row.(c0), row.(c1), …)] of the columns [cols = [c0; c1; …]], called x,
+    y and the extra columns: the points in x order, cut into fixed blocks
+    whose y values are sorted; each block also holds the extra coordinates
+    in the same y order, with its least and greatest value on each extra
+    column (the block's box).  A count costs two binary searches on x, a
+    scan of at most two partial blocks and one or two binary searches per
+    full block in between — O(n/B log B + B) for n points and block size B
+    at k = 2, against the O(n) walk of a sorted index's x range.  When
+    k > 2, a full block's y range counts whole when its box lies inside the
+    query, is skipped when the two are disjoint and is scanned otherwise.
+    The points stay in the rows given; a build allocates the coordinates —
+    unboxed when a column is all [Int] or all [Float] — and, when it drops or
+    sorts rows, their positions.
 
     Comparisons follow {!Value.compare_total}, which agrees with SQL
     predicate comparison ({!Value.compare_sql_code}) on the non-NULL,
@@ -64,16 +70,18 @@ module Range_count : sig
   (** [None] means unbounded on that side. *)
   type bound = (Value.t * [ `Strict | `Inclusive ]) option
 
-  (** [of_sorted idx ~x ~y] holds the rows of [idx], an index led by column
-      [x] (else [Invalid_argument]), minus those whose x or y is NULL or NaN
-      (no range predicate holds on them); they are already in x order. *)
-  val of_sorted : Sorted.t -> x:int -> y:int -> t
+  (** [of_sorted idx ~cols] holds the rows of [idx], an index led by the
+      first of [cols] (else [Invalid_argument]), minus those with a NULL or
+      NaN in any of [cols] (no range predicate holds on them); they are
+      already in x order.  [cols] has at least two columns. *)
+  val of_sorted : Sorted.t -> cols:int list -> t
 
-  (** [build rows ~x ~y]: the same over unordered rows, sorted here by x
-      under {!Value.compare_total}. *)
-  val build : Row.t array -> x:int -> y:int -> t
+  (** [build rows ~cols]: the same over unordered rows, sorted here by the
+      first column under {!Value.compare_total}. *)
+  val build : Row.t array -> cols:int list -> t
 
-  (** Points with x within [xlo]..[xhi] and y within [ylo]..[yhi]; 0 when a
-      range is empty. *)
-  val count : t -> xlo:bound -> xhi:bound -> ylo:bound -> yhi:bound -> int
+  (** Points inside [box], one [(lo, hi)] range per column, in the order of
+      [cols] ([Invalid_argument] for another length); 0 when a range is
+      empty. *)
+  val count : t -> (bound * bound) array -> int
 end

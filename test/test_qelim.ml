@@ -355,6 +355,115 @@ let normal_form_props =
            (not (Formula.eval (env_of (xv, yv)) f))
            || Formula.eval (env_of (0, yv)) residue)) ]
 
+(* ---- absorption ---- *)
+
+(* Atoms over a few shared linear parts, so that atoms of a conjunction
+   and of its clauses imply one another often enough for absorption to
+   fire. *)
+let shared_atom_gen =
+  let open QCheck.Gen in
+  let parts =
+    [ v "x"; v "y"; Linexpr.sub (v "x") (v "y"); Linexpr.add (v "x") (v "y") ]
+  in
+  map3
+    (fun e k op -> { Atom.e = Linexpr.add e (c k); op })
+    (oneofl parts) (int_range (-2) 2)
+    (frequency [ (4, return Atom.Le); (3, return Atom.Lt); (1, return Atom.Eq) ])
+
+(* Conjunctions of atoms and clauses, disjunctions of atoms and cubes,
+   nested once. *)
+let clause_formula_gen =
+  let open QCheck.Gen in
+  let atoms lo hi =
+    map (List.map Formula.atom) (list_size (int_range lo hi) shared_atom_gen)
+  in
+  let clause = map Formula.disj (atoms 2 4) and cube = map Formula.conj (atoms 2 4) in
+  let mixed a b =
+    map2 (fun xs ys -> xs @ ys) (atoms 1 4) (list_size (int_range 1 4) (oneof [ a; b ]))
+  in
+  let level1 =
+    oneof [ map Formula.conj (mixed clause cube); map Formula.disj (mixed cube clause) ]
+  in
+  oneof
+    [ level1; map Formula.conj (mixed level1 clause); map Formula.disj (mixed level1 cube) ]
+
+let rec size = function
+  | Formula.True | Formula.False | Formula.Atom _ -> 1
+  | Formula.Not g | Formula.Exists (_, g) | Formula.Forall (_, g) -> 1 + size g
+  | Formula.And gs | Formula.Or gs -> List.fold_left (fun n g -> n + size g) 1 gs
+
+let x_le k = Formula.atom (Atom.le (v "x") (c k))
+let y_le k = Formula.atom (Atom.le (v "y") (c k))
+let x_lt k = Formula.atom (Atom.lt (v "x") (c k))
+
+let absorption_tests =
+  [ t "simplify absorbs a clause one of whose atoms a conjunct implies" (fun () ->
+        (* x ≤ 1 ∧ (x ≤ 2 ∨ y ≤ 0) ∧ (x < 1 ∨ y ≤ 0): the first clause goes,
+           the second stays (x ≤ 1 does not imply x < 1) *)
+        let f =
+          Formula.conj
+            [ x_le 1; Formula.disj [ x_le 2; y_le 0 ]; Formula.disj [ x_lt 1; y_le 0 ] ]
+        in
+        let kept = Formula.conj [ x_le 1; Formula.disj [ x_lt 1; y_le 0 ] ] in
+        Alcotest.(check string) "kept"
+          (Formula.to_string (Formula.simplify kept))
+          (Formula.to_string (Formula.simplify f)));
+    t "simplify absorbs a cube one of whose atoms implies a disjunct" (fun () ->
+        (* x ≤ 1 ∨ (x < 1 ∧ y ≤ 0) ∨ (x ≤ 2 ∧ y ≤ 0): the first cube goes,
+           the second stays (x ≤ 2 does not imply x ≤ 1) *)
+        let f =
+          Formula.disj
+            [ x_le 1; Formula.conj [ x_lt 1; y_le 0 ]; Formula.conj [ x_le 2; y_le 0 ] ]
+        in
+        let kept = Formula.disj [ x_le 1; Formula.conj [ x_le 2; y_le 0 ] ] in
+        Alcotest.(check string) "kept"
+          (Formula.to_string (Formula.simplify kept))
+          (Formula.to_string (Formula.simplify f)));
+    t "absorption fires on clause-bearing formulas" (fun () ->
+        (* the property below would say nothing if it never did *)
+        let rand = Random.State.make [| 20 |] in
+        let shrunk = ref 0 in
+        for _ = 1 to 200 do
+          let f = clause_formula_gen rand in
+          if size (Formula.simplify f) < size f then incr shrunk
+        done;
+        Alcotest.(check bool) "a quarter of 200 shrink" true (!shrunk >= 50));
+    t "pairs Q4's p>= is its four atoms" (fun () ->
+        let catalog = Relalg.Catalog.create () in
+        ignore (Workload.Baseball.register catalog ~rows:300 ~seed:2017);
+        let _, rep =
+          Core.Runner.run catalog
+            (Sqlfront.Parser.parse (Workload.Queries.pairs ~c:3 ~k:50 ()))
+        in
+        let p =
+          match rep.Core.Runner.nljp_describe with
+          | None -> Alcotest.fail "pairs Q4 does not run NLJP"
+          | Some d ->
+            let prefix = "-- Q_C(b') (pruning): " in
+            let n = String.length prefix in
+            List.find_map
+              (fun l ->
+                if String.starts_with ~prefix l then
+                  Some (String.sub l n (String.length l - n))
+                else None)
+              (String.split_on_char '\n' d)
+        in
+        Alcotest.(check (option string)) "Subsume.to_string"
+          (Some
+             "p>=(w, w') = (w0 + -wp0 <= 0 & w1 + -wp1 <= 0 & w2 + -wp2 <= 0 & \
+              w3 + -wp3 <= 0)  [w0=L.hits1, w1=L.hruns1, w2=L.hits2, w3=L.hruns2]")
+          p) ]
+
+let absorption_props =
+  let arb = QCheck.make ~print:Formula.to_string clause_formula_gen in
+  let coord = QCheck.map (fun k -> float_of_int k /. 2.) (QCheck.int_range (-8) 8) in
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"simplify preserves eval_float (clause-bearing formulas)"
+         ~count:500 (QCheck.triple arb coord coord)
+         (fun (f, xv, yv) ->
+           let env name = if name = "x" then xv else if name = "y" then yv else 0. in
+           Formula.eval_float env f = Formula.eval_float env (Formula.simplify f))) ]
+
 let suite =
   rat_tests @ rat_props @ linexpr_tests @ fme_props @ derivations @ formula_tests
-  @ normal_form_props
+  @ normal_form_props @ absorption_tests @ absorption_props

@@ -1,10 +1,10 @@
-(* NLJP's range count: a 2-D COUNT Q_R(b) answered from a block-sorted
+(* NLJP's range count: a k-D COUNT Q_R(b) answered from a block-sorted
    structure instead of walking the sorted index.  The structure itself is
-   checked against brute force; the access path differentially against the
-   baseline executor, on data with NULL, NaN, duplicate points, boundary
-   integers and a mixed Int/Float column, across layouts, workers and the
-   catalog's BT indexes, before and after an append — and its prune and
-   memo decisions must be those of the row path. *)
+   checked against brute force at k = 2, 3 and 4; the access path
+   differentially against the baseline executor, on data with NULL, NaN,
+   duplicate points, boundary integers and a mixed Int/Float column, across
+   layouts, workers and the catalog's BT indexes, before and after an append
+   — and its prune and memo decisions must be those of the row path. *)
 open Relalg
 open Core
 open Helpers
@@ -14,23 +14,26 @@ let t name f = Alcotest.test_case name `Quick f
 (* ---- the structure against brute force ---- *)
 
 (* The structure holds no point with a NULL or NaN coordinate, bounded or
-   not: NLJP bounds both columns, and no bound holds on such a value. *)
-let brute rows ~x ~y ~xlo ~xhi ~ylo ~yhi =
-  let within lo hi v =
-    let ok op b = Compile.value_cmp op v b in
-    (not (Value.is_null v || Value.is_nan v))
-    && (match lo with
-     | None -> true
-     | Some (b, `Inclusive) -> ok Expr.Ge b
-     | Some (b, `Strict) -> ok Expr.Gt b)
-    &&
-    match hi with
-    | None -> true
-    | Some (b, `Inclusive) -> ok Expr.Le b
-    | Some (b, `Strict) -> ok Expr.Lt b
-  in
+   not: NLJP bounds every column, and no bound holds on such a value. *)
+let within (lo, hi) v =
+  let ok op b = Compile.value_cmp op v b in
+  (not (Value.is_null v || Value.is_nan v))
+  && (match lo with
+   | None -> true
+   | Some (b, `Inclusive) -> ok Expr.Ge b
+   | Some (b, `Strict) -> ok Expr.Gt b)
+  &&
+  match hi with
+  | None -> true
+  | Some (b, `Inclusive) -> ok Expr.Le b
+  | Some (b, `Strict) -> ok Expr.Lt b
+
+let brute rows ~cols box =
   Array.fold_left
-    (fun n r -> if within xlo xhi r.(x) && within ylo yhi r.(y) then n + 1 else n)
+    (fun n r ->
+      if List.for_all2 (fun c range -> within range r.(c)) cols (Array.to_list box)
+      then n + 1
+      else n)
     0 rows
 
 let test_structure () =
@@ -75,8 +78,8 @@ let test_structure () =
                               (Array.to_list rows)) [ 0 ]
       in
       let structures =
-        [ ("sorted here", Index.Range_count.build rows ~x:0 ~y:1);
-          ("from the index", Index.Range_count.of_sorted sorted ~x:0 ~y:1) ]
+        [ ("sorted here", Index.Range_count.build rows ~cols:[ 0; 1 ]);
+          ("from the index", Index.Range_count.of_sorted sorted ~cols:[ 0; 1 ]) ]
       in
       for _ = 1 to 300 do
         let value () =
@@ -87,13 +90,14 @@ let test_structure () =
         in
         let xlo = bound value and xhi = bound value in
         let ylo = bound value and yhi = bound value in
-        let expected = brute rows ~x:0 ~y:1 ~xlo ~xhi ~ylo ~yhi in
+        let box = [| (xlo, xhi); (ylo, yhi) |] in
+        let expected = brute rows ~cols:[ 0; 1 ] box in
         List.iter
           (fun (how, rc) ->
             Alcotest.(check int)
               (Printf.sprintf "%s, %s" label how)
               expected
-              (Index.Range_count.count rc ~xlo ~xhi ~ylo ~yhi))
+              (Index.Range_count.count rc box))
           structures
       done)
     [ ("int points", 1500, int_value, int_value);
@@ -103,11 +107,110 @@ let test_structure () =
       ("small", 40, int_value, int_value);
       ("no points", 6, (fun () -> Value.Null), int_value) ]
 
+(* k = 3 and 4 over Int, Float and mixed columns.  NULL and NaN sit in
+   the extra dimensions only, so x and y stay comparable and only the
+   blocks' extra coordinates must drop them.  Coordinates come from small
+   domains (many duplicate points) plus the int boundary, and most bounds
+   are coordinates of the points themselves, so every bound ties with
+   points, strictly and inclusively.  The sizes straddle the 256-point
+   block. *)
+let test_structure_kd () =
+  let rng = Workload.Prng.create 20 in
+  let nonempty = ref 0 in
+  let pick n = Workload.Prng.int rng n in
+  let int_value () =
+    match pick 30 with
+    | 0 -> iv max_int
+    | 1 -> iv min_int
+    | 2 -> iv (max_int - 1)
+    | _ -> iv (pick 6)
+  in
+  let float_value () = fv (float_of_int (pick 8) /. 2.) in
+  let mixed_value () =
+    match pick 3 with
+    | 0 -> iv (pick 4)
+    | 1 -> fv (float_of_int (pick 4))
+    | _ -> fv (float_of_int (pick 4) +. 0.5)
+  in
+  let with_missing value () =
+    match pick 12 with 0 -> Value.Null | 1 -> fv Float.nan | _ -> value ()
+  in
+  let kinds =
+    [ ("int", [ int_value; int_value; int_value; int_value ]);
+      ("float", [ float_value; float_value; float_value; float_value ]);
+      ("mixed", [ mixed_value; mixed_value; mixed_value; mixed_value ]);
+      ("int x, float y, mixed and int extra",
+       [ int_value; float_value; mixed_value; int_value ]) ]
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (kind, values) ->
+          let values = List.filteri (fun d _ -> d < k) values in
+          let gens = List.mapi (fun d v -> if d >= 2 then with_missing v else v) values in
+          List.iter
+            (fun n ->
+              let rows =
+                Array.init n (fun i ->
+                    Array.of_list (List.map (fun g -> g ()) gens @ [ iv i ]))
+              in
+              let cols = List.init k Fun.id in
+              let sorted =
+                Index.Sorted.build
+                  (Relation.of_rows
+                     (Schema.of_names (List.init (k + 1) (Printf.sprintf "c%d")))
+                     (Array.to_list rows))
+                  [ 0 ]
+              in
+              let structures =
+                [ ("sorted here", Index.Range_count.build rows ~cols);
+                  ("from the index", Index.Range_count.of_sorted sorted ~cols) ]
+              in
+              (* a bound: mostly a point's own (comparable) coordinate *)
+              let bound_value d =
+                let rec go tries =
+                  let v =
+                    if n > 0 && tries > 0 && pick 4 > 0 then rows.(pick n).(d)
+                    else (List.nth values d) ()
+                  in
+                  if Value.is_null v || Value.is_nan v then go (tries - 1) else v
+                in
+                go 3
+              in
+              let bound v = Some (v, if pick 3 = 0 then `Strict else `Inclusive) in
+              let range d =
+                match pick 4 with
+                | 0 -> (None, None)
+                | 1 -> (bound (bound_value d), None)
+                | 2 -> (None, bound (bound_value d))
+                | _ ->
+                  let a = bound_value d and b = bound_value d in
+                  if Value.compare_total a b <= 0 then (bound a, bound b)
+                  else (bound b, bound a)
+              in
+              for _ = 1 to 120 do
+                let box = Array.init k range in
+                let expected = brute rows ~cols box in
+                if expected > 0 then incr nonempty;
+                List.iter
+                  (fun (how, rc) ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "k=%d, %s, n=%d, %s" k kind n how)
+                      expected
+                      (Index.Range_count.count rc box))
+                  structures
+              done)
+            [ 0; 1; 255; 256; 257; 1000 ])
+        kinds)
+    [ 3; 4 ];
+  (* 2 × 4 × 5 non-empty sizes × 120 boxes *)
+  Alcotest.(check bool) "a third of the boxes hold points" true (!nonempty >= 1600)
+
 (* ---- the access path against the baseline executor ---- *)
 
-(* pts(id, g, x, y, m): x and y integers with NULLs, the int boundary and
-   many duplicate points; m mixes Int and Float (3 next to 3.0) with NaN
-   and NULL. *)
+(* pts(id, g, x, y, m, z): x, y and z integers with NULLs, the int
+   boundary and many duplicate points; m mixes Int and Float (3 next to 3.0)
+   with NaN and NULL. *)
 let point rng i =
   let x =
     if i mod 17 = 0 then Value.Null
@@ -131,14 +234,19 @@ let point rng i =
       | 1 -> iv k
       | _ -> fv (float_of_int k)
   in
-  [| iv i; iv (i mod 40); x; y; m |]
+  let z =
+    if i mod 41 = 0 then Value.Null
+    else if i mod 43 = 0 then iv min_int
+    else iv (i * 7 mod 13)
+  in
+  [| iv i; iv (i mod 40); x; y; m; z |]
 
 let pts_catalog ~bt layout =
   let rng = Workload.Prng.create 2017 in
   let c = Catalog.create () in
   Catalog.add_table c ~keys:[ [ "id" ] ] "pts"
     (Relation.of_rows
-       (Schema.of_names [ "id"; "g"; "x"; "y"; "m" ])
+       (Schema.of_names [ "id"; "g"; "x"; "y"; "m"; "z" ])
        (List.init 600 (point rng)));
   if bt then begin
     Catalog.build_sorted_index c "pts" [ "x"; "y" ];
@@ -154,6 +262,7 @@ let appended c =
   Array.init 8 (fun i ->
       let r = Array.copy src.(3 * i) in
       r.(0) <- iv (10_000 + i);
+      if i = 4 then r.(5) <- iv min_int;
       if i = 5 then r.(2) <- iv max_int;
       if i = 6 then r.(3) <- Value.Null;
       if i = 7 then r.(4) <- fv Float.nan;
@@ -196,7 +305,38 @@ let queries =
        SELECT L.g, COUNT(*) FROM p L, p R WHERE L.x < R.x AND L.y < R.y \
        GROUP BY L.g HAVING COUNT(*) <= 10",
       ( "range count on R.x, R.y (built per execution)",
-        "range count on R.x, R.y (built per execution)" ) ) ]
+        "range count on R.x, R.y (built per execution)" ) );
+    (* the pairs' shape (Q4-Q7), mirrored so that every x range starts at
+       the first point and spans full blocks: four bounds and the 4-way OR
+       of their strict forms.  z, first, has no index: x, the first column
+       that has one, leads *)
+    ( "pairs shape",
+      "SELECT R.id, COUNT(*) FROM pts L, pts R \
+       WHERE L.z <= R.z AND L.x <= R.x AND L.m <= R.m AND L.y <= R.y \
+       AND (L.z < R.z OR L.x < R.x OR L.m < R.m OR L.y < R.y) \
+       GROUP BY R.id HAVING COUNT(*) <= 40",
+      ( "range count on L.x, L.z, L.m, L.y (catalog)",
+        "range count on L.z, L.x, L.m, L.y (built per execution)" ) );
+    (* the same over AVG columns of a CTE, as Q4 and Q6 run it: all-Float
+       coordinates, NULL and NaN averages *)
+    ( "pairs over a CTE",
+      "WITH p AS (SELECT id, AVG(x) AS a, AVG(y) AS b, AVG(m) AS c, AVG(z) AS d \
+       FROM pts GROUP BY id) \
+       SELECT L.id, COUNT(*) FROM p L, p R \
+       WHERE R.a >= L.a AND R.b >= L.b AND R.c >= L.c AND R.d >= L.d \
+       AND (R.a > L.a OR R.b > L.b OR R.c > L.c OR R.d > L.d) \
+       GROUP BY L.id HAVING COUNT(*) <= 40",
+      ( "range count on R.a, R.b, R.c, R.d (built per execution)",
+        "range count on R.a, R.b, R.c, R.d (built per execution)" ) );
+    (* three columns, a window on one, and a 3-way OR whose disjuncts
+       repeat a column and nest *)
+    ( "3-D window",
+      "SELECT R.id, COUNT(*) FROM pts L, pts R \
+       WHERE L.y <= R.y AND L.z <= R.z AND L.x <= R.x AND L.x > R.x - 6 \
+       AND ((L.y < R.y OR L.z < R.z) OR L.y < R.y - 2) \
+       GROUP BY R.id HAVING COUNT(*) >= 3",
+      ( "range count on L.x, L.y, L.z (catalog)",
+        "range count on L.y, L.z, L.x (built per execution)" ) ) ]
 
 let rec main_stats (rep : Runner.report) =
   match rep.Runner.nljp_stats with
@@ -297,15 +437,31 @@ let test_off_notes () =
          WHERE L.x >= R.x AND L.y >= R.y GROUP BY R.id HAVING COUNT(*) <= 9",
         "sorted inner index on L.x (catalog)",
         [ "range count off: SUM(L.g) is not COUNT(*)" ] );
+      (* three bounded columns are counted *)
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y AND L.m > R.m GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
-        [ "range count off: bounds span 3 inner columns" ] );
+        "range count on L.x, L.y, L.m (catalog)", [] );
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y AND (L.x > R.x OR L.m > R.m) \
          GROUP BY R.id HAVING COUNT(*) <= 9",
         "sorted inner index on L.x (catalog)",
-        [ "range count off: the disjunction is not one bound on each bounded column" ] );
+        [ "range count off: a disjunct bounds an inner column the conjunction \
+           does not" ] );
+      ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
+         WHERE L.x >= R.x AND L.y >= R.y AND L.z >= R.z \
+         AND (L.x > R.x OR L.y > R.y) AND (L.y > R.y OR L.z > R.z) \
+         GROUP BY R.id HAVING COUNT(*) <= 9",
+        "sorted inner index on L.x (catalog)",
+        [ "range count off: Θ has more than one disjunction" ] );
+      ( "SELECT R.id, COUNT(*), SUM(L.g) FROM pts L, pts R \
+         WHERE L.x >= R.x AND L.y >= R.y AND L.z >= R.z AND (L.x > R.x OR L.z > R.z) \
+         GROUP BY R.id HAVING COUNT(*) <= 9",
+        "sorted inner index on L.x (catalog)",
+        [ "range count off: SUM(L.g) is not COUNT(*)" ] );
+      ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
+         WHERE L.x >= R.x AND L.x < R.x + 4 GROUP BY R.id HAVING COUNT(*) <= 9",
+        "sorted inner index on L.x (catalog)",
+        [ "range count off: bounds span 1 inner column" ] );
       (* an equality conjunct takes the hash probe: no range-count note *)
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.g = R.g AND L.x >= R.x AND L.y >= R.y GROUP BY R.id HAVING COUNT(*) <= 9",
@@ -313,5 +469,6 @@ let test_off_notes () =
 
 let suite =
   [ t "range count structure agrees with brute force" test_structure;
+    t "k-D range count structure agrees with brute force" test_structure_kd;
     t "range count agrees with the baseline and the row path" test_differential;
     t "the shape's misses are noted" test_off_notes ]

@@ -202,9 +202,10 @@ let test_hash_precedence () =
       (List.exists (fun n -> contains n "hash probe") s.Nljp.notes)
 
 (* EXPLAIN and execution read one access decision: over the paper's query
-   families and the range-window query, every layout × workers × transfer ×
-   config cell must print the path the run then used — and the grid must
-   reach all five paths. *)
+   families, the range-window query and a 4-D skyband over the catalog's
+   BT indexes, every layout × workers × transfer × config cell must print
+   the path the run then used — and the grid must reach all five paths, the
+   range count at k = 2 and k = 4. *)
 let test_explain_agrees () =
   let catalog () =
     let c = Catalog.create () in
@@ -220,7 +221,14 @@ let test_explain_agrees () =
       Workload.Queries.complex ~threshold:2;
       Workload.Queries.complex_filtered ~threshold:1 ();
       Workload.Queries.listing1 ~threshold:3;
-      clustered_sql ]
+      clustered_sql;
+      (* b_bb has no index: b_2b, the first column that has one, leads *)
+      "SELECT R.playerid, R.year, R.round, COUNT(1) \
+       FROM player_performance L, player_performance R \
+       WHERE L.b_bb >= R.b_bb AND L.b_2b >= R.b_2b AND L.b_h >= R.b_h \
+       AND L.b_hr >= R.b_hr AND (L.b_bb > R.b_bb OR L.b_2b > R.b_2b \
+       OR L.b_h > R.b_h OR L.b_hr > R.b_hr) \
+       GROUP BY R.playerid, R.year, R.round HAVING COUNT(1) <= 20" ]
   in
   let configs =
     [ Nljp.default_config;
@@ -261,7 +269,8 @@ let test_explain_agrees () =
                       Hashtbl.replace seen
                         (match a with
                          | Nljp.A_hash _ -> "hash"
-                         | Nljp.A_range_count _ -> "range count"
+                         | Nljp.A_range_count { cols; _ } ->
+                           Printf.sprintf "range count, k=%d" (List.length cols)
                          | Nljp.A_vector _ -> "vector"
                          | Nljp.A_index _ -> "index"
                          | Nljp.A_scan -> "scan")
@@ -279,7 +288,8 @@ let test_explain_agrees () =
     [ `Row; `Column ];
   List.iter
     (fun path -> Alcotest.(check bool) ("grid reaches " ^ path) true (Hashtbl.mem seen path))
-    [ "hash"; "range count"; "vector"; "index"; "scan"; "transfer" ]
+    [ "hash"; "range count, k=2"; "range count, k=4"; "vector"; "index"; "scan";
+      "transfer" ]
 
 (* A probe whose binding column is a string compared against the numeric
    inner key: the typed kernels cannot specialize the comparison, so it runs
