@@ -36,11 +36,6 @@ let layout : [ `Row | `Column ] ref =
 
 let layout_name () = match !layout with `Row -> "row" | `Column -> "column"
 
-(* --no-vector (or SI_VECTOR=0) disables the vectorized NLJP inner loop,
-   so row-vs-vectorized ablations can run from the same binary. *)
-let vector_on =
-  ref (match Sys.getenv_opt "SI_VECTOR" with Some "0" -> false | _ -> true)
-
 (* --no-transfer forces predicate transfer off; otherwise the runner's own
    SI_TRANSFER default applies (on unless 0/false/off/no). *)
 let transfer_opt : bool option ref = ref None
@@ -53,13 +48,10 @@ let transfer_enabled () =
      | Some ("0" | "false" | "off" | "no") -> false
      | _ -> true)
 
-let nljp_cfg () =
-  { Core.Nljp.default_config with Core.Nljp.vector = !vector_on }
-
-(* Smart-path runner honoring the bench-wide vector and transfer switches. *)
+(* Smart-path runner honoring the bench-wide transfer switch. *)
 let run_smart ?tech ?workers ?memo_strategy ?adaptive_apriori catalog q =
-  Core.Runner.run ?tech ~nljp_config:(nljp_cfg ()) ?workers ?memo_strategy
-    ?adaptive_apriori ?transfer:!transfer_opt catalog q
+  Core.Runner.run ?tech ?workers ?memo_strategy ?adaptive_apriori
+    ?transfer:!transfer_opt catalog q
 
 (* ---- machine-readable results (--json FILE) ---- *)
 
@@ -68,7 +60,6 @@ type json_row = {
   j_technique : string;
   j_workers : int;
   j_layout : string;
-  j_vector : bool;  (* the SI_VECTOR / --no-vector switch at record time *)
   j_transfer : bool;  (* the SI_TRANSFER / --no-transfer switch *)
   j_ms_raw : float;
   j_ms_scaled : float;
@@ -133,7 +124,6 @@ let record ?(workers = 1) ?(counters = []) ?ms_scaled ?load_ms ~technique name
       j_technique = technique;
       j_workers = workers;
       j_layout = layout_name ();
-      j_vector = !vector_on;
       j_transfer = transfer_enabled ();
       j_ms_raw = ms_raw;
       j_ms_scaled = Option.value ms_scaled ~default:ms_raw;
@@ -155,7 +145,6 @@ let row_to_json r : Obs.Json.t =
       ("workers", Obs.Json.Num (float_of_int r.j_workers));
       ("layout", Obs.Json.Str r.j_layout);
       ("git_sha", Obs.Json.Str (Lazy.force git_sha));
-      ("si_vector", Obs.Json.Bool r.j_vector);
       ("si_transfer", Obs.Json.Bool r.j_transfer);
       ("ms_raw", Obs.Json.Num r.j_ms_raw);
       ("ms_scaled", Obs.Json.Num r.j_ms_scaled);
@@ -394,17 +383,25 @@ let fig4 () =
   let sql = List.assoc "Q1" Workload.Queries.figure1 in
   let q = Sqlfront.Parser.parse sql in
   let configs = [ ("PK", false, false); ("PK+BT", true, false); ("PK+BT+CI", true, true) ] in
-  Printf.printf "%-10s %12s %14s %14s %14s\n" "indexes" "base" "prune" "memo" "prune+memo";
+  Printf.printf "%-10s %12s %14s %14s %14s  %s\n" "indexes" "base" "prune" "memo"
+    "prune+memo" "inner access path";
   List.iter
     (fun (label, bt, ci) ->
       let catalog = baseball_catalog ~bt ~rows:!rows () in
       let base, base_t = time (fun () -> run_base catalog q) in
       let nljp_config =
-        { (nljp_cfg ()) with Core.Nljp.inner_index = bt; cache_index = ci }
+        { Core.Nljp.default_config with Core.Nljp.inner_index = bt; cache_index = ci }
       in
+      (* the access paths the runs report, in first-seen order *)
+      let paths = ref [] in
       let run_tech tech =
-        let (r, _), t = time (fun () -> Core.Runner.run ~tech ~nljp_config catalog q) in
+        let (r, rep), t = time (fun () -> Core.Runner.run ~tech ~nljp_config catalog q) in
         check_equal ("fig4/" ^ label) base r;
+        Option.iter
+          (fun s ->
+            let p = Core.Nljp.access_to_string s.Core.Nljp.access in
+            if not (List.mem p !paths) then paths := !paths @ [ p ])
+          rep.Core.Runner.nljp_stats;
         t
       in
       let prune_t = run_tech (Core.Optimizer.only `Pruning) in
@@ -412,8 +409,9 @@ let fig4 () =
       let both_t =
         run_tech { Core.Optimizer.no_techniques with memo = true; pruning = true }
       in
-      Printf.printf "%-10s %10.2fs %12.3fs %12.3fs %12.3fs\n%!" label base_t prune_t
-        memo_t both_t)
+      Printf.printf "%-10s %10.2fs %12.3fs %12.3fs %12.3fs  %s\n%!" label base_t prune_t
+        memo_t both_t
+        (match !paths with [] -> "no NLJP run" | ps -> String.concat " / " ps))
     configs;
   (* Skyband prune caches stay tiny (a few dominators prune everything), so
      CI cannot matter there at any scale.  Its lever is the complex query,
@@ -424,7 +422,7 @@ let fig4 () =
   let q_cplx = Sqlfront.Parser.parse (Workload.Queries.complex ~threshold:(max 5 (rows_kv / 100))) in
   let run_ci ci =
     let nljp_config =
-      { (nljp_cfg ()) with Core.Nljp.memo = false; cache_index = ci }
+      { Core.Nljp.default_config with Core.Nljp.memo = false; cache_index = ci }
     in
     let (_, rep), t =
       time (fun () ->
@@ -566,7 +564,7 @@ let ablate () =
   List.iter
     (fun (label, order) ->
       let nljp_config =
-        { (nljp_cfg ()) with Core.Nljp.memo = false; outer_order = order }
+        { Core.Nljp.default_config with Core.Nljp.memo = false; outer_order = order }
       in
       let (r, rep), t =
         time (fun () ->
@@ -585,7 +583,7 @@ let ablate () =
   List.iter
     (fun cap ->
       let nljp_config =
-        { (nljp_cfg ()) with Core.Nljp.max_cache_rows = cap }
+        { Core.Nljp.default_config with Core.Nljp.max_cache_rows = cap }
       in
       let cap_label = match cap with None -> "unbounded" | Some c -> string_of_int c in
       let (r, rep), t = time (fun () -> Core.Runner.run ~nljp_config catalog q) in
@@ -755,7 +753,7 @@ let micro () =
              ignore (Core.Runner.cache_bytes rep)));
       Test.make ~name:"fig4_q1_no_ci"
         (Staged.stage (fun () ->
-             let cfg = { (nljp_cfg ()) with Core.Nljp.cache_index = false } in
+             let cfg = { Core.Nljp.default_config with Core.Nljp.cache_index = false } in
              ignore
                (Core.Runner.run ~nljp_config:cfg bb
                   (Sqlfront.Parser.parse (List.assoc "Q1" Workload.Queries.figure1)))));
@@ -945,104 +943,6 @@ let col () =
       ("basket_listing1", basket_catalog,
        Workload.Queries.listing1 ~threshold:(max 5 (!rows / 120))) ]
 
-(* ---- vectorized NLJP inner loop: row-at-a-time vs typed kernels ---- *)
-
-let vec () =
-  Printf.printf
-    "=== Vectorized NLJP inner loop: zone-map skipping + typed kernels ===\n";
-  Printf.printf
-    "(clustered inner key; each binding is a selective [lo, hi] window whose\n\
-    \ parameterized zone probes refute most blocks before any row is touched;\n\
-    \ surviving blocks aggregate through unboxed COUNT/SUM kernels)\n\n";
-  let n = max 50_000 !rows in
-  let ev_schema = Schema.of_names [ "k"; "x" ] in
-  let ev_rows =
-    Array.init n (fun i ->
-        [| Value.Int i; Value.Float (float_of_int (i * 7 mod 1000) /. 10.) |])
-  in
-  let width = 1500 in
-  let probe_schema = Schema.of_names [ "id"; "lo"; "hi" ] in
-  let probe_rows =
-    (* 120 distinct windows, each bound twice: the repeats land as memo hits
-       in every leg, so the legs differ only in the inner loop itself. *)
-    Array.init 240 (fun j ->
-        let lo = j / 2 * 6131 mod (n - width) in
-        [| Value.Int j; Value.Int lo; Value.Int (lo + width) |])
-  in
-  let mk lay =
-    let catalog = Catalog.create () in
-    Catalog.add_table catalog "ev" (Relation.make ev_schema ev_rows);
-    Catalog.add_table catalog ~keys:[ [ "id" ] ] "probe"
-      (Relation.make probe_schema probe_rows);
-    if lay = `Column then Catalog.set_all_layouts catalog `Column;
-    catalog
-  in
-  let sql =
-    "SELECT L.id, COUNT(*), SUM(R.x) FROM probe L, ev R WHERE R.k >= L.lo \
-     AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= 1"
-  in
-  let q = Sqlfront.Parser.parse sql in
-  let reps = 5 in
-  let saved_layout = !layout in
-  let leg lay vector bt =
-    layout := lay;
-    let catalog = mk lay in
-    let cfg =
-      { (nljp_cfg ()) with Core.Nljp.vector = vector; inner_index = bt }
-    in
-    let out = ref None in
-    let (), t, c =
-      time_obs (fun () ->
-          for _ = 1 to reps do
-            out := Some (Core.Runner.run ~nljp_config:cfg catalog q)
-          done)
-    in
-    let r, rep = Option.get !out in
-    (r, rep, t /. float_of_int reps, c)
-  in
-  let r_rowbt, _, t_rowbt, _ = leg `Row true true in
-  let r_colbt, _, t_colbt, colbt_c = leg `Column false true in
-  let r_scan, _, t_scan, scan_c = leg `Column false false in
-  let r_vec, rep_vec, t_vec, vec_c = leg `Column true true in
-  check_equal "vec/col+bt" r_rowbt r_colbt;
-  check_equal "vec/col+scan" r_rowbt r_scan;
-  check_equal "vec/col+vec" r_rowbt r_vec;
-  let vector_engaged, vevals, skipped, scanned =
-    match rep_vec.Core.Runner.nljp_stats with
-    | Some s ->
-      ( (match s.Core.Nljp.access with Core.Nljp.A_vector _ -> true | _ -> false),
-        s.Core.Nljp.vector_evals,
-        s.Core.Nljp.inner_blocks_skipped, s.Core.Nljp.inner_blocks_scanned )
-    | None -> (false, 0, 0, 0)
-  in
-  Printf.printf
-    "inner rows=%d, outer bindings=%d (120 distinct windows of %d keys), %d reps\n\n"
-    n (Array.length probe_rows) width reps;
-  Printf.printf "%-34s %10s\n" "inner path" "per run";
-  Printf.printf "%-34s %8.3fs\n" "row layout, sorted index" t_rowbt;
-  Printf.printf "%-34s %8.3fs\n" "column, row-at-a-time + index" t_colbt;
-  Printf.printf "%-34s %8.3fs\n" "column, row-at-a-time full scan" t_scan;
-  Printf.printf "%-34s %8.3fs  (evals=%d, blocks skipped=%d scanned=%d)\n\n"
-    "column, vectorized kernels" t_vec vevals skipped scanned;
-  Printf.printf
-    "vectorized vs row-at-a-time scan %.1fx; vs sorted-index row path %.1fx\n\n"
-    (t_scan /. t_vec) (t_colbt /. t_vec);
-  record ~technique:"rowpath" ~counters:scan_c "vec_inner" (t_scan *. 1000.);
-  record ~technique:"rowpath+bt" ~counters:colbt_c "vec_inner"
-    (t_colbt *. 1000.);
-  record ~technique:"vector" ~counters:vec_c "vec_inner" (t_vec *. 1000.);
-  layout := saved_layout;
-  if not vector_engaged then
-    Printf.printf "!! vectorized path did not engage — investigate\n%!";
-  if skipped = 0 then
-    Printf.printf
-      "!! expected per-binding zone probes to skip blocks — investigate\n%!";
-  if t_scan < 3. *. t_vec then
-    Printf.printf
-      "!! vectorized speedup over the row-at-a-time inner loop below 3x \
-       (%.1fx) — investigate\n%!"
-      (t_scan /. t_vec)
-
 (* ---- compressed columnar storage: the .sic disk tier ---- *)
 
 (* --cache-mb caps the block cache for the capped leg of the sic target
@@ -1222,9 +1122,6 @@ let () =
     | "--json" :: path :: rest ->
       json_path := Some path;
       parse_args rest
-    | "--no-vector" :: rest ->
-      vector_on := false;
-      parse_args rest
     | "--no-transfer" :: rest ->
       transfer_opt := Some false;
       parse_args rest
@@ -1250,7 +1147,6 @@ let () =
   if want "fang" then fang ();
   if want "par" then par ();
   if want "col" then col ();
-  if want "vec" then vec ();
   if want "sic" then sic_bench ();
   if want "micro" then micro ();
   match !json_path with Some path -> write_json path | None -> ()

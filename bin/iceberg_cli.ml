@@ -100,22 +100,19 @@ let with_sql_errors f =
 
 (* EXPLAIN: print the plan the run would execute and return — only CTE
    blocks execute.  [None] transfer defers to the SI_TRANSFER default. *)
-let explain_query ?workers ?transfer catalog tech nljp_config sql =
+let explain_query ?workers ?transfer catalog tech sql =
   let q = Sqlfront.Parser.parse sql in
   print_string
-    (Core.Explain.query ~tech:(tech_of_string tech) ~nljp_config ?workers ?transfer catalog q);
+    (Core.Explain.query ~tech:(tech_of_string tech) ?workers ?transfer catalog q);
   0
 
 let run_cmd tables synth rows layout cache_mb sic_resident tech workers
-    no_vector no_transfer verbose max_rows explain analyze json trace sql =
+    no_transfer verbose max_rows explain analyze json trace sql =
   with_sql_errors @@ fun () ->
   let catalog = setup ?cache_mb ~sic_resident tables synth rows layout in
-  let nljp_config =
-    { Core.Nljp.default_config with Core.Nljp.vector = not no_vector }
-  in
   (* [None] defers to the SI_TRANSFER environment default in Runner. *)
   let transfer = if no_transfer then Some false else None in
-  if explain then explain_query ~workers ?transfer catalog tech nljp_config sql
+  if explain then explain_query ~workers ?transfer catalog tech sql
   else if analyze then begin
     (* EXPLAIN ANALYZE: execute with full instrumentation and print the
        annotated tree (estimates next to actuals, per-node Q-error) plus
@@ -125,7 +122,7 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
     let tech = tech_of_string tech in
     let t0 = Unix.gettimeofday () in
     let result, rep, node =
-      Core.Analyze.run ~tech ~nljp_config ~workers ?transfer catalog q
+      Core.Analyze.run ~tech ~workers ?transfer catalog q
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let flips = Core.Analyze.decision_flips catalog rep node in
@@ -157,8 +154,8 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
       if tech = "none" then (Core.Runner.run_baseline ~workers catalog q, None)
       else
         let r, rep =
-          Core.Runner.run ?span:root ~tech:(tech_of_string tech) ~nljp_config
-            ~workers ?transfer catalog q
+          Core.Runner.run ?span:root ~tech:(tech_of_string tech) ~workers ?transfer
+            catalog q
         in
         (r, Some rep)
     in
@@ -184,13 +181,10 @@ let run_cmd tables synth rows layout cache_mb sic_resident tech workers
     0
   end
 
-let explain_cmd tables synth rows layout tech no_vector sql =
+let explain_cmd tables synth rows layout tech sql =
   with_sql_errors @@ fun () ->
   let catalog = setup tables synth rows layout in
-  let nljp_config =
-    { Core.Nljp.default_config with Core.Nljp.vector = not no_vector }
-  in
-  explain_query catalog tech nljp_config sql
+  explain_query catalog tech sql
 
 let compare_cmd tables synth rows layout workers sql =
   with_sql_errors @@ fun () ->
@@ -567,15 +561,6 @@ let no_transfer_arg =
               base relations along equality join edges before NLJP). \
               Equivalent to $(b,SI_TRANSFER=0); mainly for ablation.")
 
-let no_vector_arg =
-  Arg.(
-    value & flag
-    & info [ "no-vector" ]
-        ~doc:"Disable the vectorized NLJP inner loop (per-binding zone-map \
-              block skipping + typed aggregation kernels over columnar \
-              inner sides); the row-at-a-time inner path runs instead. \
-              Mainly for ablation.")
-
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Show optimizer decisions.")
 
@@ -624,7 +609,7 @@ let run_t =
     Term.(
       const run_cmd $ tables_arg $ synth_arg $ rows_arg $ layout_arg
       $ cache_mb_arg $ sic_resident_arg $ tech_arg
-      $ workers_arg $ no_vector_arg $ no_transfer_arg $ verbose_arg
+      $ workers_arg $ no_transfer_arg $ verbose_arg
       $ max_rows_arg $ explain_flag $ analyze_flag $ json_flag $ trace_arg
       $ sql_arg)
 
@@ -682,7 +667,7 @@ let explain_t =
        ~doc:"Show the optimizer's chosen plan without executing the query")
     Term.(
       const explain_cmd $ tables_arg $ synth_arg $ rows_arg $ layout_arg
-      $ tech_arg $ no_vector_arg $ sql_arg)
+      $ tech_arg $ sql_arg)
 
 let compare_t =
   Cmd.v

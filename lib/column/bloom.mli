@@ -1,7 +1,7 @@
 (** Register-blocked Bloom filters over {!Value.t} (DESIGN.md §11).
 
     Built by the predicate-transfer pass (one filter per transferred join
-    edge) and probed by scans and the vectorized NLJP inner loop.  Each key
+    edge) and probed by base-table scans.  Each key
     maps to a single 63-bit word of the filter and sets [k] bits inside it,
     so a membership probe touches one cache line — the layout of the
     Predicate Transfer paper's per-edge filters adapted to OCaml's boxed-free

@@ -58,7 +58,7 @@ let arith name fi ff a b =
    operands whose sum flips sign overflowed the 63-bit range.  SUM/AVG fold
    through this, so large sums degrade to float precision rather than
    silently wrapping — and the vectorized kernels replay the same rule
-   (Colprobe.step_sum_int) to stay bit-identical. *)
+   (Colagg.step_sum_int) to stay bit-identical. *)
 let add a b =
   match a, b with
   | Int x, Int y ->

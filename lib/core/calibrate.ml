@@ -12,10 +12,7 @@
      distinct-count statistics vs actual memo hits (pick_memprune's payoff);
    - [prune:inner_evals] — distinct bindings the model expects to evaluate
      vs inner evaluations actually performed (the gap is what pruning and
-     memoization removed — unmodeled);
-   - [access:vector_evals] — inner evaluations the vectorized path was
-     planned for vs those it actually served (fallbacks degrade to the row
-     path). *)
+     memoization removed — unmodeled). *)
 
 type row = {
   c_workload : string;
@@ -74,8 +71,6 @@ let technique_rows ~workload ~query node =
          let memo_hits = Option.value (c "memo_hits") ~default:0 in
          let inner_evals = Option.value (c "inner_evals") ~default:0 in
          let pruned = Option.value (c "pruned") ~default:0 in
-         let vector_evals = Option.value (c "vector_evals") ~default:0 in
-         let fallbacks = Option.value (c "vector_fallbacks") ~default:0 in
          let est_repeats = float_of_int (max 0 (outer - est_distinct)) in
          rows :=
            mk ~workload ~query ~metric:"memo:repeat_bindings"
@@ -91,14 +86,7 @@ let technique_rows ~workload ~query node =
                   "pruned=%d evals avoided by subsumption (unmodeled)" pruned)
              (float_of_int est_distinct)
              (float_of_int inner_evals)
-           :: !rows;
-         if vector_evals + fallbacks > 0 then
-           rows :=
-             mk ~workload ~query ~metric:"access:vector_evals"
-               ~note:(Printf.sprintf "row-path fallbacks=%d" fallbacks)
-               (float_of_int inner_evals)
-               (float_of_int vector_evals)
-             :: !rows
+           :: !rows
      end);
     List.iter go n.Analyze.n_children
   in

@@ -1,8 +1,7 @@
 (** Cost-model calibration: replay a workload under EXPLAIN ANALYZE and
     tabulate estimated vs actual per technique — plan-node cardinalities,
-    the a-priori gate's keep ratio, memo repeat-binding payoff, pruning's
-    unmodeled eval savings, and the vectorized access path's realized
-    coverage (DESIGN.md §10). *)
+    the a-priori gate's keep ratio, memo repeat-binding payoff and pruning's
+    unmodeled eval savings (DESIGN.md §10). *)
 
 type row = {
   c_workload : string;

@@ -6,8 +6,8 @@
     chosen generalized-a-priori reducers with the plan line of each, the
     NLJP outer/inner split with its component queries and memo/prune
     configuration (including the reasons when either is off), the
-    inner-side access path in priority order (hash probe ≻ vectorized
-    column probe ≻ sorted inner index ≻ row scan), the predicate-transfer
+    inner-side access path in priority order (hash probe ≻ range count ≻
+    row scan), the predicate-transfer
     plan, and the cost model's per-node estimates for the baseline
     physical plan.  [tech], [nljp_config], [workers], [memo_strategy] and
     [transfer] are {!Runner.prepare}'s.

@@ -6,7 +6,6 @@ type config = {
   memo : bool;
   cache_index : bool;
   inner_index : bool;
-  vector : bool;
   outer_order : [ `Default | `Auto | `Asc of int | `Desc of int ];
   max_cache_rows : int option;
   workers : int;
@@ -18,7 +17,6 @@ let default_config =
     memo = true;
     cache_index = true;
     inner_index = true;
-    vector = true;
     outer_order = `Default;
     max_cache_rows = None;
     workers = 1;
@@ -36,13 +34,6 @@ type access =
       disjunction : (Schema.col * Expr.cmp * Expr.t) list;
       source : index_source;
     }
-  | A_vector of Colprobe.verdict
-  | A_index of {
-      col : Schema.col;
-      op : Expr.cmp;
-      bound : Expr.t;
-      source : index_source;
-    }
   | A_scan
 
 let access_to_string =
@@ -58,10 +49,6 @@ let access_to_string =
     Printf.sprintf "range count on %s (%s)"
       (String.concat ", " (List.map Qspec.col_name cols))
       (source_name source)
-  | A_vector _ -> "vectorized column probe (zone-map skipping)"
-  | A_index { col; source; _ } ->
-    Printf.sprintf "sorted inner index on %s (%s)" (Qspec.col_name col)
-      (source_name source)
   | A_scan -> "row scan"
 
 type stats = {
@@ -75,10 +62,6 @@ type stats = {
   mutable pruning_on : bool;
   mutable memo_on : bool;
   mutable access : access;
-  mutable vector_evals : int;
-  mutable vector_fallbacks : int;
-  mutable inner_blocks_skipped : int;
-  mutable inner_blocks_scanned : int;
   mutable waves : int;
   mutable notes : string list;
 }
@@ -95,10 +78,6 @@ let fresh_stats () =
     pruning_on = false;
     memo_on = false;
     access = A_scan;
-    vector_evals = 0;
-    vector_fallbacks = 0;
-    inner_blocks_skipped = 0;
-    inner_blocks_scanned = 0;
     waves = 0;
     notes = [];
   }
@@ -113,19 +92,12 @@ let chunk_counters =
   [ c "outer_rows" (fun s -> s.outer_rows) (fun s v -> s.outer_rows <- v);
     c "inner_evals" (fun s -> s.inner_evals) (fun s v -> s.inner_evals <- v);
     c "pruned" (fun s -> s.pruned) (fun s v -> s.pruned <- v);
-    c "memo_hits" (fun s -> s.memo_hits) (fun s v -> s.memo_hits <- v);
-    c "vector_evals" (fun s -> s.vector_evals) (fun s v -> s.vector_evals <- v);
-    c "vector_fallbacks" (fun s -> s.vector_fallbacks) (fun s v -> s.vector_fallbacks <- v);
-    c "inner_blocks_skipped" (fun s -> s.inner_blocks_skipped)
-      (fun s v -> s.inner_blocks_skipped <- v);
-    c "inner_blocks_scanned" (fun s -> s.inner_blocks_scanned)
-      (fun s v -> s.inner_blocks_scanned <- v) ]
+    c "memo_hits" (fun s -> s.memo_hits) (fun s v -> s.memo_hits <- v) ]
 
 let m_prune_cache_rows = Obs.Metrics.counter "nljp.prune_cache_rows"
 let m_memo_cache_rows = Obs.Metrics.counter "nljp.memo_cache_rows"
 let m_cache_bytes = Obs.Metrics.counter "nljp.cache_bytes"
 let m_waves = Obs.Metrics.counter "nljp.waves"
-let m_index_builds = Obs.Metrics.counter "nljp.index_builds"
 let m_range_count_builds = Obs.Metrics.counter "nljp.range_count_builds"
 
 type t = {
@@ -682,27 +654,21 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
 
 (* The inner access path for Q_R(b), in priority order: hash probe on the
    equality Θ conjuncts [r_col = f(b)] (what the paper gets from PostgreSQL
-   preparing Q_R once) ≻ range count (a 2-D dominance COUNT answered from a
-   block-sorted structure, no range walked) ≻ vectorized column probe (it
-   subsumes the sorted index: its zone-map tests restrict the scan
-   block-wise, for every probe at once) ≻ sorted inner index on a Θ bound
-   (the BT configuration) ≻ row scan.  The range count and the sorted index
-   both need BT ([config.inner_index]).  Decided from the spec, the inner
-   base table, its catalog indexes and the config alone — no side query is
-   materialized — so [execute] runs it and EXPLAIN prints it.  The notes
-   say why the range count (when Θ has range bounds but no equality) and
-   the vector path were rejected.
+   preparing Q_R once) ≻ range count (a k-D dominance COUNT answered from a
+   block-sorted structure, no range walked; it needs BT,
+   [config.inner_index]) ≻ row scan.  Decided from the spec, the inner base
+   table, its catalog indexes and the config alone — no side query is
+   materialized — so [execute] runs it and EXPLAIN prints it.  The notes say
+   why the range count was rejected when Θ has range bounds but no equality.
 
-   The sorted index is the catalog's own when Q_R is a bare base table (one
-   table, no local predicate, no a-priori override): Q_R's rows are then the
-   table's rows at the same positions.  A transferred Bloom filter cannot
-   narrow such a side in a way that matters — it only drops rows that match
-   no binding, and Θ is tested on every candidate.  Any other inner side
-   gets an index built per execution.  The catalog index is read at each
-   call, never kept in a prepared operator, so appends (which rebuild it)
-   are seen.  The range count takes its x order from the same catalog
-   index, led by the first of its columns that has one, else sorts per
-   execution. *)
+   The range count takes its x order from the catalog's BT index when Q_R is
+   a bare base table (one table, no local predicate, no a-priori override)
+   with an index led by one of its columns: Q_R's rows are then the table's
+   rows at the same positions.  A transferred Bloom filter cannot narrow
+   such a side in a way that matters — it only drops rows that match no
+   binding.  Any other inner side is sorted per execution.  The catalog
+   index is read at each call, never kept in a prepared operator, so appends
+   (which rebuild it) are seen. *)
 let choose_access op =
   let { catalog; spec; overrides; config; _ } = op in
   let right = spec.Qspec.right in
@@ -731,75 +697,30 @@ let choose_access op =
       Catalog.sorted_index_on (Catalog.find catalog tname) col.Schema.name
     | _ -> None
   in
-  let range_count =
-    if eqs <> [] then Error "equality Θ conjunct uses the hash probe path"
-    else
-      match
-        range_count_shape ~binding ~inner:r_schema ~theta ~aggs
-          ~group_cols:right.Qspec.group_cols
-      with
-      | Error r -> Error r
-      | Ok _ when not config.inner_index -> Error "disabled by configuration"
-      | Ok (cols, box, disjunction) ->
-        (* x is a column whose order the catalog already holds, if any *)
-        let cols, source =
-          match
-            List.find_map (fun c -> Option.map (fun i -> (c, i)) (catalog_index c)) cols
-          with
-          | Some (x, idx) -> (x :: List.filter (fun c -> c <> x) cols, Catalog_index idx)
-          | None -> (cols, Built_per_execution)
-        in
-        Ok (A_range_count { cols; box; disjunction; source })
-  in
-  let vector =
-    if not config.vector then Error "disabled by configuration"
-    else if eqs <> [] then Error "equality Θ conjunct uses the hash probe path"
-    else if Result.is_ok range_count then Error "the range count answers Q_R(b)"
-    else
-      match right.Qspec.tables with
-      | [ (_, alias) ] when List.mem_assoc alias overrides ->
-        Error "inner FROM item is overridden (a-priori reducer)"
-      | [ _ ] when right.Qspec.local <> [] ->
-        Error "inner-side local predicates materialize a row relation"
-      | [ (tname, _) ] ->
-        let rel = (Catalog.find catalog tname).Catalog.rel in
-        if Relation.layout rel <> `Column then Error "inner side is not column-primary"
-        else
-          Colprobe.check ~binding ~inner:r_schema ~store:(Relation.cstore rel) ~theta ~aggs
-      | _ -> Error "inner side joins several tables"
-  in
-  let access =
-    match eqs, range_count, vector with
-    | _ :: _, _, _ -> A_hash eqs
-    | [], Ok rc, _ -> rc
-    | [], Error _, Ok v -> A_vector v
-    | [], Error _, Error _ ->
-      (* no equality conjunct: every probe is a range bound *)
-      (* a bound the catalog indexes wins; else the first bound, indexed
-         per execution *)
-      let indexed =
-        List.find_map
-          (fun (col, op, bound) ->
-            Option.map
-              (fun idx -> A_index { col; op; bound; source = Catalog_index idx })
-              (catalog_index col))
-          probes
+  let range_count () =
+    match
+      range_count_shape ~binding ~inner:r_schema ~theta ~aggs
+        ~group_cols:right.Qspec.group_cols
+    with
+    | Error r -> Error r
+    | Ok _ when not config.inner_index -> Error "disabled by configuration"
+    | Ok (cols, box, disjunction) ->
+      (* x is a column whose order the catalog already holds, if any *)
+      let cols, source =
+        match
+          List.find_map (fun c -> Option.map (fun i -> (c, i)) (catalog_index c)) cols
+        with
+        | Some (x, idx) -> (x :: List.filter (fun c -> c <> x) cols, Catalog_index idx)
+        | None -> (cols, Built_per_execution)
       in
-      if not config.inner_index then A_scan
-      else
-        match indexed, probes with
-        | Some a, _ -> a
-        | None, (col, op, bound) :: _ ->
-          A_index { col; op; bound; source = Built_per_execution }
-        | None, [] -> A_scan
+      Ok (A_range_count { cols; box; disjunction; source })
   in
-  let notes =
-    (match range_count with
-     | Error r when eqs = [] && probes <> [] -> [ "range count off: " ^ r ]
-     | _ -> [])
-    @ match vector with Error r -> [ "vector off: " ^ r ] | Ok _ -> []
-  in
-  (access, notes)
+  match eqs with
+  | _ :: _ -> (A_hash eqs, [])
+  | [] ->
+    (match range_count () with
+     | Ok rc -> (rc, [])
+     | Error r -> (A_scan, if probes <> [] then [ "range count off: " ^ r ] else []))
 
 (* Q_R(b)'s COUNT from the range-count structure [rc] over [cols], for
    the bounds [box] and [disjunction] of {!A_range_count} compiled against
@@ -1033,19 +954,12 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   Option.iter
     (fun s -> Obs.Span.note s ("inner access path: " ^ access_to_string access))
     span;
-  let colprobe =
-    match access with
-    | A_vector v -> Some (Colprobe.build v ~inner:(Relation.cstore r_rel) ~gr_idx)
-    | _ -> None
-  in
   (* Force the inner side's row view now, on this domain, when a row-path
      access method will run inside worker domains ([eval_inner] must not
-     race on the lazy row cache).  The vectorized path and the catalog's
-     index never touch it. *)
+     race on the lazy row cache).  The range count never reads it there. *)
   (match access with
-   | A_vector _ | A_range_count _ | A_index { source = Catalog_index _; _ } -> ()
-   | A_hash _ | A_index { source = Built_per_execution; _ } | A_scan ->
-     ignore (Relation.rows r_rel : Row.t array));
+   | A_range_count _ -> ()
+   | A_hash _ | A_scan -> ignore (Relation.rows r_rel : Row.t array));
   (* Every structure an execution builds over the inner side is timed as
      an [inner index build] child of [span]. *)
   let inner_build f =
@@ -1053,8 +967,7 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
     | None -> f ()
     | Some parent -> Obs.Span.with_span ~parent "inner index build" (fun _ -> f ())
   in
-  (* The inner rows a binding's Q_R(b) considers, through the chosen path;
-     the vector path's row fallback scans them all. *)
+  (* The inner rows a binding's Q_R(b) considers, through the chosen path. *)
   let candidates : Row.t -> (Row.t -> unit) -> unit =
     match access with
     | A_hash probes ->
@@ -1067,28 +980,7 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
         Array.of_list (List.map (fun (_, e) -> Compile.scalar binding_schema e) probes)
       in
       fun b k -> List.iter k (Index.Hash.probe idx (Array.map (fun f -> f b) fs))
-    | A_index { col; op; bound; source } ->
-      let idx =
-        match source with
-        | Catalog_index idx -> idx
-        | Built_per_execution ->
-          Obs.Metrics.incr m_index_builds;
-          inner_build (fun () ->
-              Index.Sorted.build r_rel [ Schema.index_of_col r_schema col ])
-      in
-      let f = Compile.scalar binding_schema bound in
-      fun b k ->
-        let lo, hi =
-          match op with
-          | Expr.Le -> (None, Some (f b, `Inclusive))
-          | Expr.Lt -> (None, Some (f b, `Strict))
-          | Expr.Ge -> (Some (f b, `Inclusive), None)
-          | Expr.Gt -> (Some (f b, `Strict), None)
-          | Expr.Eq -> (Some (f b, `Inclusive), Some (f b, `Inclusive))
-          | Expr.Ne -> (None, None)
-        in
-        Index.Sorted.iter_range idx ~lo ~hi k
-    | A_vector _ | A_range_count _ | A_scan -> fun _ k -> Relation.iter k r_rel
+    | A_range_count _ | A_scan -> fun _ k -> Relation.iter k r_rel
   in
   (* The range count's structure, built once per execution and only read
      by the (possibly parallel) probes. *)
@@ -1157,10 +1049,8 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
           Prune_cache.exists cache ~probe:b ~restrict (fun cached -> test b cached))
         caches
   in
-  (* Q_R(b): evaluate the inner query for one binding, counting the eval
-     against the caller's (chunk-local) stats.  [row_eval] is the row-path
-     body, also the degradation target when the vectorized evaluator hits a
-     block it cannot handle ([Colprobe.Fallback]). *)
+  (* Q_R(b) on the row path: the inner rows [candidates] yields that satisfy
+     Θ, grouped by G_R and aggregated. *)
   let row_eval b =
     let parts : Agg.state list Row.Tbl.t = Row.Tbl.create 8 in
     let order = ref [] in
@@ -1196,37 +1086,11 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
       in
       [ { v = [||]; states; finals } ]
   in
+  (* Q_R(b): evaluate the inner query for one binding, counting the eval
+     against the caller's (chunk-local) stats. *)
   let eval_inner st b =
     st.inner_evals <- st.inner_evals + 1;
-    match colprobe, range_count with
-    | None, Some count -> count_parts (count b)
-    | None, None -> row_eval b
-    | Some cp, _ ->
-      (match Colprobe.eval cp b with
-       | out ->
-         st.vector_evals <- st.vector_evals + 1;
-         st.inner_blocks_skipped <-
-           st.inner_blocks_skipped + out.Colprobe.blocks_skipped;
-         st.inner_blocks_scanned <-
-           st.inner_blocks_scanned + out.Colprobe.blocks_scanned;
-         List.map
-           (fun (v, states) ->
-             let finals =
-               Array.of_list (List.map2 (fun c st -> c.Agg.final st) compiled states)
-             in
-             { v; states; finals })
-           out.Colprobe.groups
-       | exception Colprobe.Fallback reason ->
-         (* A block's physical layout contradicted the build-time check:
-            degrade this binding to the row path (a full inner scan — the
-            vector path only engages when no hash/index access applies) and
-            record why, once per distinct reason.  [Relation.iter] may force
-            the inner row view lazily here; racing domains at worst
-            duplicate that materialization, never tear it. *)
-         st.vector_fallbacks <- st.vector_fallbacks + 1;
-         let note = "vector off: " ^ reason in
-         if not (List.mem note st.notes) then st.notes <- st.notes @ [ note ];
-         row_eval b)
+    match range_count with Some count -> count_parts (count b) | None -> row_eval b
   in
   (* Definition 5.  With G_R = ∅ the condition reduces to ¬Φ(R⋉w), which for
      an empty join set means evaluating Φ on the empty input (COUNT = 0 may
@@ -1484,15 +1348,10 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
            in
            if phi_ok (Array.append v finals) then emit u v finals)
          acc);
-  (* Sum the chunks' counters and notes into this execution's stats. *)
+  (* Sum the chunks' counters into this execution's stats. *)
   List.iter
     (fun r ->
-      List.iter (fun (_, _, get, set) -> set stats (get stats + get r.c_stats)) chunk_counters;
-      List.iter
-        (fun note ->
-          if not (List.mem note stats.notes) then
-            stats.notes <- stats.notes @ [ note ])
-        r.c_stats.notes)
+      List.iter (fun (_, _, get, set) -> set stats (get stats + get r.c_stats)) chunk_counters)
     chunk_results;
   stats.prune_cache_rows <- Prune_cache.length tier_prune;
   stats.memo_cache_rows <- Row.Tbl.length tier_memo;
@@ -1612,7 +1471,7 @@ let delta_refresh op shared ~table ~delta =
       let _, binding_schema, theta =
         binding_theta catalog spec ~outer:left_side.Qspec.schema ~inner:r_schema
       in
-      let probes, gates, _exact =
+      let probes, gates =
         Compile.param_probes ~binding:binding_schema ~inner:r_schema theta
       in
       (* Column span of each inner FROM item inside r_schema ([side_schema]

@@ -24,17 +24,9 @@ type config = {
           the first binding column when p⪰ implies an order on it *)
   inner_index : bool;
       (** BT: answer a k-D dominance COUNT from a range-count structure
-          ({!A_range_count}), else probe the materialized inner side through
-          a sorted index derived from a Θ bound (equality conjuncts always
-          probe a hash index, mirroring PostgreSQL's prepared Q_R plans) *)
-  vector : bool;
-      (** Vectorized inner loop ({!Relalg.Colprobe}): when the inner side is
-          column-primary, no equality conjunct feeds the hash probe, and
-          Q_R(b) compiles entirely to [r_col op f(binding)] probes + typed
-          aggregation kernels, evaluate it per binding by zone-map block
-          skipping and selection-vector kernels over the unboxed column
-          vectors, never materializing an inner row.  Falls back to the row
-          path — with the reason recorded in [stats.notes] — otherwise. *)
+          ({!A_range_count}); any other shape without an equality conjunct
+          scans the inner side (equality conjuncts always probe a hash
+          index, mirroring PostgreSQL's prepared Q_R plans) *)
   outer_order : [ `Default | `Auto | `Asc of int | `Desc of int ];
       (** §7 leaves Q_B's exploration order unspecified and flags choosing
           it as future work; [`Asc i]/[`Desc i] sort the outer input by the
@@ -60,14 +52,14 @@ type config = {
 
 val default_config : config
 
-(** Where a sorted inner index comes from. *)
+(** Where the range count's x order comes from. *)
 type index_source =
   | Catalog_index of Relalg.Index.Sorted.t
       (** the base table's BT index, registered in the catalog at setup and
           read at each execution *)
   | Built_per_execution
       (** sorted from the materialized Q_R by each execution (counted in
-          [nljp.index_builds]) *)
+          [nljp.range_count_builds], like every range-count build) *)
 
 (** The inner side's access path for Q_R(b), as {!choose_access} decided it.
     [execute] builds its structure from this value, EXPLAIN prints it and
@@ -92,17 +84,7 @@ type access =
           one complement box whatever its arity.  [source] says where the x
           order comes from: the catalog's index led by x, or a sort per
           execution. *)
-  | A_vector of Relalg.Colprobe.verdict
-      (** vectorized column probe: the inner query {!Relalg.Colprobe.check}
-          accepted *)
-  | A_index of {
-      col : Relalg.Schema.col;
-      op : Relalg.Expr.cmp;
-      bound : Relalg.Expr.t;
-      source : index_source;
-    }
-      (** sorted inner index on [col], ranged per binding by [col op bound] *)
-  | A_scan
+  | A_scan  (** every inner row, tested against Θ per binding *)
 
 (** [access_to_string a] is the text after [inner access path: ] in EXPLAIN,
     reports and the [execute] span. *)
@@ -120,13 +102,6 @@ type stats = {
   mutable pruning_on : bool;
   mutable memo_on : bool;
   mutable access : access;  (** the inner access path the run used *)
-  mutable vector_evals : int;  (** inner evals served by it *)
-  mutable vector_fallbacks : int;
-      (** evals the vectorized path abandoned mid-flight
-          ([Relalg.Colprobe.Fallback]) and redid on the row path *)
-  mutable inner_blocks_skipped : int;
-      (** blocks refuted per binding by a zone-map probe, summed over evals *)
-  mutable inner_blocks_scanned : int;
   mutable waves : int;  (** outer-side slices processed (1 when sequential) *)
   mutable notes : string list;
 }
@@ -243,21 +218,19 @@ val subsumption : t -> Subsume.t option
 val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
 
 (** Decide the inner access path, in priority order: hash probe on
-    equality Θ conjuncts ≻ range count ≻ vectorized column probe ≻ sorted
-    inner index on a Θ bound ≻ row scan.  The range count needs BT
-    ([inner_index]), G_R = ∅, every aggregate a [COUNT( * )] or [COUNT(1)], and Θ
-    a conjunction of [r_col op f(b)] range bounds on k ≥ 2 inner columns
-    plus at most one disjunction (nested [OR]s flatten) of such bounds, each
-    on a column the conjunction bounds.  The sorted index — and the range
-    count's x order — is the catalog's ({!Catalog_index}) when Q_R is a bare
-    base table — one table, no local predicate, no a-priori override — with
-    an index led by a bound column (for the range count, the first such
-    column is x); otherwise each execution builds one.  Reads only the spec, the inner
-    base table with its catalog indexes and the config — no side query is
-    materialized — so EXPLAIN can call it; [execute] calls it on every run
-    and runs what it returns, timing each structure it builds in an
-    [inner index build] span.  The notes say why the range count was
-    rejected when Θ has range bounds but no equality conjunct (the
-    [range count off: …] lines of [stats.notes]) and why the vector path
-    was (the [vector off: …] lines). *)
+    equality Θ conjuncts ≻ range count ≻ row scan.  The range count needs BT
+    ([inner_index]), G_R = ∅, every aggregate a [COUNT( * )] or [COUNT(1)],
+    and Θ a conjunction of [r_col op f(b)] range bounds on k ≥ 2 inner
+    columns plus at most one disjunction (nested [OR]s flatten) of such
+    bounds, each on a column the conjunction bounds; every other shape
+    without an equality conjunct scans.  The range count's x order is the
+    catalog's ({!Catalog_index}) when Q_R is a bare base table — one table,
+    no local predicate, no a-priori override — with an index led by one of
+    its columns (the first such column is x); otherwise each execution sorts
+    Q_R.  Reads only the spec, the inner base table with its catalog indexes
+    and the config — no side query is materialized — so EXPLAIN can call
+    it; [execute] calls it on every run and runs what it returns, timing
+    each structure it builds in an [inner index build] span.  The notes say
+    why the range count was rejected when Θ has range bounds but no
+    equality conjunct (the [range count off: …] lines of [stats.notes]). *)
 val choose_access : t -> access * string list

@@ -586,7 +586,6 @@ and run_decision ?span ~analyze p (d : Optimizer.decision) =
           span_counter s "inner_evals" stats.Nljp.inner_evals;
           span_counter s "pruned" stats.Nljp.pruned;
           span_counter s "memo_hits" stats.Nljp.memo_hits;
-          span_counter s "vector_evals" stats.Nljp.vector_evals;
           span_counter s "waves" stats.Nljp.waves;
           List.iter (span_note s) stats.Nljp.notes;
           (rel, stats))
@@ -668,20 +667,12 @@ let report_to_string rep =
        Buffer.add_string b
          (Printf.sprintf "%sinner access path: %s\n" pad
             (Nljp.access_to_string s.Nljp.access));
-       (match s.Nljp.access with
-        | Nljp.A_vector _ ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "%svectorized inner loop: evals=%d blocks skipped=%d scanned=%d\n"
-               pad s.Nljp.vector_evals s.Nljp.inner_blocks_skipped
-               s.Nljp.inner_blocks_scanned)
-        | _ -> ());
        List.iter (fun n -> Buffer.add_string b (pad ^ "note: " ^ n ^ "\n")) s.Nljp.notes
      | None -> ());
     List.iter (fun n -> Buffer.add_string b (pad ^ n ^ "\n")) rep.notes;
     List.iter
       (fun (name, r) ->
-        (* nested notes (e.g. "vector off" degrades) render through [go] *)
+        (* nested notes (e.g. "range count off") render through [go] *)
         Buffer.add_string b (Printf.sprintf "%scte:%s:\n" pad name);
         go (indent + 2) r)
       rep.cte_reports

@@ -6,10 +6,9 @@
     under its local predicates plus the Bloom filters received so far, and
     publish a Bloom filter over each outgoing join column's surviving
     values.  The final per-alias filter sets are handed to
-    {!Nljp.execute}, which registers them in the catalog around plan
-    execution so base scans probe them (composing with zone-map skipping —
-    {!Relalg.Colscan.select_bloom}) and the vectorized inner path refutes
-    blocks against them.
+    {!Nljp.execute}, which passes them to each side's plan execution so
+    base scans probe them through {!Relalg.Colscan.select_bloom}, composing
+    with zone-map skipping.
 
     Soundness: a filter may only drop rows that join no tuple of the final
     result.  Blooms have no false negatives, so a row is dropped only when

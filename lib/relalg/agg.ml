@@ -148,7 +148,7 @@ let compile schema func =
           | _ -> bad ());
     }
 
-(* Raw state constructors for the vectorized kernels (Colprobe): a kernel
+(* Raw state constructors for the vectorized kernels (Colagg): a kernel
    accumulates into unboxed scratch and boxes the result as a state once at
    the end of an evaluation; the states interoperate with [compile]'s
    [merge]/[final] for the matching function. *)

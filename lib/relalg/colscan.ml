@@ -40,10 +40,74 @@ let counters () = (Obs.Metrics.read blocks_skipped, Obs.Metrics.read blocks_scan
 
 open Column
 
-(* The typed row-test kernels live in Colprobe (shared with the vectorized
-   NLJP inner loop); a zone probe is the constant-valued special case. *)
+(* Compile one zone probe (column, op, constant) into an [int -> bool] over
+   a block, reading the typed vector directly.  NULL rows never match (SQL
+   comparison semantics), which the numeric fast paths get from the null
+   bitmap and the generic path gets from Compile.value_cmp. *)
 let probe_test cs (b : Cstore.block) (p : Compile.zone_probe) : int -> bool =
-  Colprobe.row_test cs b p.Compile.zp_col p.Compile.zp_op p.Compile.zp_const
+  let col = p.Compile.zp_col and op = p.Compile.zp_op and v = p.Compile.zp_const in
+  let vec = b.Cstore.cols.(col) in
+  let null_guard bm test =
+    match bm with
+    | None -> test
+    | Some bm -> fun i -> (not (Bitset.get bm i)) && test i
+  in
+  let generic () =
+    let vc = Compile.value_cmp op in
+    fun i -> vc (Cstore.value_at cs b col i) v
+  in
+  if Value.is_nan v then (fun _ -> false)  (* NaN compares false to everything *)
+  else
+  match vec, v with
+  | Cstore.C_int (a, bm), Value.Int k ->
+    let test =
+      match op with
+      | Expr.Eq -> fun i -> a.(i) = k
+      | Expr.Ne -> fun i -> a.(i) <> k
+      | Expr.Lt -> fun i -> a.(i) < k
+      | Expr.Le -> fun i -> a.(i) <= k
+      | Expr.Gt -> fun i -> a.(i) > k
+      | Expr.Ge -> fun i -> a.(i) >= k
+    in
+    null_guard bm test
+  | Cstore.C_int (a, bm), Value.Float f ->
+    let test =
+      match op with
+      | Expr.Eq -> fun i -> float_of_int a.(i) = f
+      | Expr.Ne -> fun i -> float_of_int a.(i) <> f
+      | Expr.Lt -> fun i -> float_of_int a.(i) < f
+      | Expr.Le -> fun i -> float_of_int a.(i) <= f
+      | Expr.Gt -> fun i -> float_of_int a.(i) > f
+      | Expr.Ge -> fun i -> float_of_int a.(i) >= f
+    in
+    null_guard bm test
+  | Cstore.C_float (a, bm), (Value.Int _ | Value.Float _) ->
+    let f = match v with Value.Int k -> float_of_int k | Value.Float f -> f | _ -> 0. in
+    let test =
+      (* [Ne] is spelled [< ||  >] so a stored NaN matches nothing, like the
+         row path; the other operators get that from IEEE semantics. *)
+      match op with
+      | Expr.Eq -> fun i -> a.(i) = f
+      | Expr.Ne -> fun i -> a.(i) < f || a.(i) > f
+      | Expr.Lt -> fun i -> a.(i) < f
+      | Expr.Le -> fun i -> a.(i) <= f
+      | Expr.Gt -> fun i -> a.(i) > f
+      | Expr.Ge -> fun i -> a.(i) >= f
+    in
+    null_guard bm test
+  | Cstore.C_dict (codes, bm), Value.Str s ->
+    (match op, Cstore.dict cs col with
+     | ((Expr.Eq | Expr.Ne) as op), Some d ->
+       (* Equality against the dictionary is one code comparison per row;
+          an absent string matches nothing (Eq) / every non-null row (Ne). *)
+       let eq = op = Expr.Eq in
+       (match Dict.find_opt d s with
+        | Some code ->
+          if eq then null_guard bm (fun i -> codes.(i) = code)
+          else null_guard bm (fun i -> codes.(i) <> code)
+        | None -> if eq then fun _ -> false else null_guard bm (fun _ -> true))
+     | _ -> generic ())
+  | _ -> generic ()
 
 (* Scan one block, pushing kept rows (in order).  [tests] are the typed
    probe kernels when the probes cover the predicate; otherwise [keep]

@@ -211,8 +211,9 @@ let pred schema e = pr schema (fold_constants e)
 
 (* Conjuncts of shape [r_col op f(binding)] compile once into (column,
    op, binding-scalar) triples: given a binding b, [pp_val b] is the
-   comparison constant, testable against each inner block's zone map before
-   any vector is touched (the per-binding generalization of [zone_probes]).
+   comparison constant, testable against a zone map over inner rows (the
+   per-binding generalization of [zone_probes]; NLJP's delta refresh tests
+   appended rows this way).
    Conjuncts mentioning the binding only become gates — evaluated once per
    binding; a false gate proves Q_R(b) empty without reading the inner side
    at all. *)
@@ -245,7 +246,7 @@ let inner_probe ~binding ~inner conj =
   | _ -> None
 
 let param_probes ~binding ~inner e =
-  let probes = ref [] and gates = ref [] and exact = ref true in
+  let probes = ref [] and gates = ref [] in
   List.iter
     (fun conj ->
       match conj, inner_probe ~binding ~inner conj with
@@ -253,9 +254,9 @@ let param_probes ~binding ~inner e =
       | _, Some (i, op, f) ->
         probes := { pp_col = i; pp_op = op; pp_val = scalar binding f } :: !probes
       | _, None when binding_only ~binding conj -> gates := pred binding conj :: !gates
-      | _ -> exact := false)
+      | _ -> ())
     (Expr.conjuncts (fold_constants e));
-  (List.rev !probes, List.rev !gates, !exact)
+  (List.rev !probes, List.rev !gates)
 
 (* ---- join-pair compiler ---- *)
 

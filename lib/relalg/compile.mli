@@ -74,18 +74,17 @@ val inner_probe :
   binding:Schema.t -> inner:Schema.t -> Expr.t -> (int * Expr.cmp * Expr.t) option
 
 (** A parameterized probe [r_col op f(binding)]: the comparison constant is
-    recomputed per binding by [pp_val], so the same compiled probe skips
-    different blocks for different bindings (per-binding data skipping). *)
+    recomputed per binding by [pp_val], so one compiled probe is tested
+    against a zone map for each binding in turn. *)
 type param_probe = { pp_col : int; pp_op : Expr.cmp; pp_val : Row.t -> Value.t }
 
-(** [param_probes ~binding ~inner theta] splits [theta]'s top-level
-    AND-chain into probes ([inner column] op [binding-only expression]) and
-    gates (conjuncts over the binding alone, evaluated once per binding).
-    The boolean is true when probes + gates are exactly [theta]; only then
-    may a scan evaluate the probes as typed kernels in place of the row
-    predicate.  Column names resolve like [join_pred binding inner]. *)
+(** [param_probes ~binding ~inner theta] collects from [theta]'s top-level
+    AND-chain the probes ([inner column] op [binding-only expression]) and
+    the gates (conjuncts over the binding alone, evaluated once per
+    binding); other conjuncts are left out.  Each is a necessary condition
+    for [theta].  Column names resolve like [join_pred binding inner]. *)
 val param_probes :
   binding:Schema.t ->
   inner:Schema.t ->
   Expr.t ->
-  param_probe list * (Row.t -> bool) list * bool
+  param_probe list * (Row.t -> bool) list

@@ -85,8 +85,7 @@ let test_parallel_totals () =
   List.iter
     (fun name ->
       Alcotest.(check int) name (counter d1 name) (counter d3 name))
-    [ "nljp.outer_rows"; "nljp.inner_evals"; "nljp.vector_evals";
-      "nljp.pruned"; "nljp.memo_hits" ];
+    [ "nljp.outer_rows"; "nljp.inner_evals"; "nljp.pruned"; "nljp.memo_hits" ];
   List.iter
     (fun d ->
       Alcotest.(check int) "evals + pruned + memo hits partition the outer"
@@ -264,7 +263,7 @@ let test_span_roundtrip () =
     Obs.Span.with_span ~parent:root "execute" (fun s ->
         Obs.Span.set_counter s "outer_rows" 123;
         Obs.Span.set_counter s "memo_hits" 7;
-        Obs.Span.note s "vector off: disabled by configuration";
+        Obs.Span.note s "range count off: disabled by configuration";
         s.Obs.Span.rows_out <- Some 40;
         s)
   in

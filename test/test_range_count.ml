@@ -435,7 +435,7 @@ let test_off_notes () =
         Alcotest.(check (list string)) (sql ^ ": note") note off)
     [ ( "SELECT R.id, COUNT(*), SUM(L.g) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
+        "row scan",
         [ "range count off: SUM(L.g) is not COUNT(*)" ] );
       (* three bounded columns are counted *)
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
@@ -444,23 +444,23 @@ let test_off_notes () =
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y AND (L.x > R.x OR L.m > R.m) \
          GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
+        "row scan",
         [ "range count off: a disjunct bounds an inner column the conjunction \
            does not" ] );
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y AND L.z >= R.z \
          AND (L.x > R.x OR L.y > R.y) AND (L.y > R.y OR L.z > R.z) \
          GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
+        "row scan",
         [ "range count off: Θ has more than one disjunction" ] );
       ( "SELECT R.id, COUNT(*), SUM(L.g) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.y >= R.y AND L.z >= R.z AND (L.x > R.x OR L.z > R.z) \
          GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
+        "row scan",
         [ "range count off: SUM(L.g) is not COUNT(*)" ] );
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
          WHERE L.x >= R.x AND L.x < R.x + 4 GROUP BY R.id HAVING COUNT(*) <= 9",
-        "sorted inner index on L.x (catalog)",
+        "row scan",
         [ "range count off: bounds span 1 inner column" ] );
       (* an equality conjunct takes the hash probe: no range-count note *)
       ( "SELECT R.id, COUNT(*) FROM pts L, pts R \
