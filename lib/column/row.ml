@@ -19,10 +19,11 @@ let compare a b =
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
 
-(* SQL: a NULL in an equi-join key matches nothing, so key-based join
-   operators (hash, merge) must drop such rows rather than let the
-   hashtable's structural equality pair NULL with NULL. *)
-let has_null t = Array.exists (fun v -> v = Value.Null) t
+(* SQL: a NULL in an equi-join key matches nothing, and neither does a NaN
+   (it compares false against everything, itself included), so key-based
+   joins must drop such rows rather than let the hashtable's structural
+   equality pair NULL with NULL or NaN with NaN. *)
+let has_null t = Array.exists (fun v -> v = Value.Null || Value.is_nan v) t
 
 let to_string t =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string t)) ^ ")"

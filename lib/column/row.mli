@@ -10,10 +10,11 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val has_null : t -> bool
-(** [true] when any field is [Value.Null] — an equi-join key containing a
-    NULL matches nothing under SQL semantics, while {!Tbl}'s structural
-    equality would pair it with an identical key; key-based joins must
-    check this before inserting or probing. *)
+(** [true] when any field is [Value.Null] or a NaN — an equi-join key
+    containing either matches nothing (both compare false against
+    everything), while {!Tbl}'s structural equality would pair it with an
+    identical key; key-based joins must check this before inserting or
+    probing. *)
 
 val to_string : t -> string
 

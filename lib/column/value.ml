@@ -22,12 +22,25 @@ let rank = function
   | Int _ | Float _ -> 2
   | Str _ -> 3
 
+(* An int against a float, exactly: [float_of_int] rounds ints beyond 2^53,
+   which would make 2^62 - 1 equal 2^62. and, through it, 2^62 - 2, while
+   the ints themselves differ — no total order.  NaN sorts first, as
+   [compare] places it. *)
+let compare_int_float x f =
+  if Float.is_nan f then 1
+  else if f >= 0x1p62 then -1
+  else if f < -0x1p62 then 1
+  else
+    (* |f| <= 2^62: its integral part is an int, exactly *)
+    let i = Float.to_int f in
+    if x <> i then compare x i else compare 0. (f -. Float.of_int i)
+
 let compare_total a b =
   match a, b with
   | Int x, Int y -> compare x y
   | Float x, Float y -> compare x y
-  | Int x, Float y -> compare (float_of_int x) y
-  | Float x, Int y -> compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | Str x, Str y -> compare x y
   | Bool x, Bool y -> compare x y
   | Null, Null -> 0
@@ -150,3 +163,63 @@ let hash = function
   | Float x -> if Float.is_integer x then Hashtbl.hash (int_of_float x) else Hashtbl.hash x
   | Str s -> Hashtbl.hash s
   | Bool b -> Hashtbl.hash b
+
+module Sum = struct
+  (* ints as hi·2^32 + lo with 0 <= lo < 2^32; floats summed apart *)
+  type t = {
+    mutable hi : int;
+    mutable lo : int;
+    mutable fl : float;
+    mutable ints : bool;
+    mutable floats : bool;
+  }
+
+  let create () = { hi = 0; lo = 0; fl = 0.; ints = false; floats = false }
+  let mask = (1 lsl 32) - 1
+
+  let carry s =
+    s.hi <- s.hi + (s.lo asr 32);
+    s.lo <- s.lo land mask
+
+  (* [v] added [len] times; exact while [len < 2^30]. *)
+  let add_int_run s v len =
+    if len > 0 then begin
+      s.ints <- true;
+      s.hi <- s.hi + ((v asr 32) * len);
+      s.lo <- s.lo + ((v land mask) * len);
+      carry s
+    end
+
+  let add_int s v = add_int_run s v 1
+
+  let add_float s f =
+    s.floats <- true;
+    s.fl <- s.fl +. f
+
+  let add s = function
+    | Null -> ()
+    | Int x -> add_int s x
+    | Float f -> add_float s f
+    | Str _ | Bool _ -> type_error "sum: non-numeric operand"
+
+  let merge s o =
+    s.hi <- s.hi + o.hi;
+    s.lo <- s.lo + o.lo;
+    carry s;
+    s.fl <- s.fl +. o.fl;
+    s.ints <- s.ints || o.ints;
+    s.floats <- s.floats || o.floats
+
+  let is_empty s = not (s.ints || s.floats)
+  let fits s = s.hi >= -(1 lsl 30) && s.hi < 1 lsl 30
+  let int_float s = (float_of_int s.hi *. 4294967296.) +. float_of_int s.lo
+
+  let to_float s =
+    if s.floats then int_float s +. s.fl else int_float s
+
+  let value s =
+    if is_empty s then Null
+    else if s.floats then Float (int_float s +. s.fl)
+    else if fits s then Int ((s.hi lsl 32) + s.lo)
+    else Float (int_float s)
+end

@@ -24,6 +24,10 @@ val is_nan : t -> bool
     Unlike SQL predicate comparison this is total so rows can be ordered. *)
 val compare_total : t -> t -> int
 
+(** [compare_total (Int x) (Float f)], exactly: ints beyond 2^53 stay apart
+    from the floats they round to.  A NaN [f] sorts first. *)
+val compare_int_float : int -> float -> int
+
 val equal_total : t -> t -> bool
 
 (** SQL predicate comparison: [None] when either side is [Null], otherwise
@@ -35,8 +39,7 @@ val compare_sql : t -> t -> int option
 val compare_sql_code : t -> t -> int
 
 (** Arithmetic; NULL propagates.  [add] on two ints promotes the result to
-    float when the sum overflows instead of wrapping silently — the rule
-    SUM/AVG accumulation folds through. *)
+    float when the sum overflows instead of wrapping silently. *)
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -63,3 +66,33 @@ val of_csv_field : string -> t
 val approx_bytes : t -> int
 
 val hash : t -> int
+
+(** The running total of SUM and AVG.  It does not depend on the order the
+    inputs arrive in, so a sum split into partials and merged equals a
+    single pass: ints add exactly (in two words), floats apart, and {!value}
+    is the exact int sum when it fits 63 bits, else that sum as a float
+    rounded once, plus the float inputs.  A left fold of {!add} does depend
+    on it once a partial sum overflows: [max_int + 2 + min_int] is [0.]
+    folded left to right and [1] folded from the right. *)
+module Sum : sig
+  type value := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> value -> unit
+  (** NULL is skipped; a string or bool raises [Type_error]. *)
+
+  val add_int_run : t -> int -> int -> unit
+  (** [add_int_run s v len] adds [v] [len] times, exactly for [len < 2^30]. *)
+
+  val add_float : t -> float -> unit
+
+  val merge : t -> t -> unit
+  (** Folds the second sum into the first. *)
+
+  val value : t -> value
+  (** [Null] when no input was added. *)
+
+  val to_float : t -> float
+end

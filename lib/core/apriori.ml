@@ -21,7 +21,7 @@ let safe catalog (t : Qspec.t) target =
     let mono_ok () =
       (* G_R ∪ J_R= must be a superkey of the other side. *)
       let attrs = names o.Qspec.group_cols_eff @ names o.Qspec.eq_join_cols in
-      Fdreason.Fd.superkey o.Qspec.fds ~all:(Qspec.side_attrs o) attrs
+      Qspec.superkey o attrs
     in
     let anti_ok () =
       (* G_L → J_L on the target side. *)
@@ -58,8 +58,7 @@ let reducer (t : Qspec.t) target =
 let vacuous (t : Qspec.t) target =
   let s = target_side t target in
   let singleton_groups =
-    Fdreason.Fd.superkey s.Qspec.fds ~all:(Qspec.side_attrs s)
-      (names s.Qspec.group_cols_eff)
+    Qspec.superkey s (names s.Qspec.group_cols_eff)
   in
   if not singleton_groups then false
   else begin

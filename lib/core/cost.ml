@@ -150,8 +150,7 @@ let rec analyze catalog plan : node =
       label = "Nested Loop";
       children = [ l; r ];
     }
-  | Plan.Hash_join { keys; residual; left; right }
-  | Plan.Merge_join { keys; residual; left; right } ->
+  | Plan.Hash_join { keys; residual; left; right } ->
     let l = analyze catalog left and r = analyze catalog right in
     let lookup = combine_lookup l.lookup r.lookup in
     let key_sel =
@@ -166,17 +165,14 @@ let rec analyze catalog plan : node =
         1. keys
     in
     let rows = l.est.rows *. r.est.rows *. key_sel *. selectivity lookup residual in
-    let is_merge = match plan with Plan.Merge_join _ -> true | _ -> false in
-    let sort_cost n = n *. Float.max 1. (Float.log (Float.max 2. n)) in
-    let extra = if is_merge then sort_cost l.est.rows +. sort_cost r.est.rows else 0. in
     {
       est =
         {
           rows;
-          cost = l.est.cost +. r.est.cost +. l.est.rows +. r.est.rows +. rows +. extra;
+          cost = l.est.cost +. r.est.cost +. l.est.rows +. r.est.rows +. rows;
         };
       lookup;
-      label = (if is_merge then "Merge Join" else "Hash Join");
+      label = "Hash Join";
       children = [ l; r ];
     }
   | Plan.Index_nl_join { pred; left; table; alias; lo; hi; _ } ->

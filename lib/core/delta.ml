@@ -116,10 +116,31 @@ let merge_count a b =
   | Value.Int x, Value.Int y -> Value.Int (x + y)
   | _ -> raise (Unsupported_delta "count partial not an int")
 
+(* Merged partial sums must give what a recompute gives.  Int partials
+   merge exactly unless the sum overflows.  A float merge is kept only while
+   the addition itself is exact and every value stays below 2^52 (NaN and
+   infinities absorb in any order); past that, as in 2^52 + 0.5 + 1, the
+   merge and a recompute round differently, so the state gives up and the
+   caller recomputes.  A finished float partial cannot show a rounding
+   inside itself (2^50 + 0.125 finishes as 2^50), and merging such a
+   partial can still differ from a recompute in the last place. *)
 let merge_sum a b =
-  if Value.is_null b then a
-  else if Value.is_null a then b
-  else Value.add a b
+  match (a, b) with
+  | _, Value.Null -> a
+  | Value.Null, _ -> b
+  | Value.Int _, Value.Int _ -> (
+    match Value.add a b with
+    | Value.Int _ as r -> r
+    | _ -> raise (Unsupported_delta "partial sum overflows; recompute"))
+  | _ -> (
+    let x = Value.to_float a and y = Value.to_float b in
+    match Value.add a b with
+    | Value.Float r as v
+      when (not (Float.is_finite r))
+           || Float.abs x < 0x1p52 && Float.abs y < 0x1p52 && Float.abs r < 0x1p52
+              && r -. x = y && r -. y = x ->
+      v
+    | _ -> raise (Unsupported_delta "partial sum rounds; recompute"))
 
 let merge_minmax smaller a b =
   if Value.is_null b then a

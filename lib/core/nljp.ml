@@ -225,8 +225,7 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
     in
     let jl_key =
       (* J_L → A_L means bindings are distinct: memoization cannot pay off. *)
-      Fdreason.Fd.superkey left.Qspec.fds ~all:(Qspec.side_attrs left)
-        (List.map Qspec.col_name left.Qspec.join_cols)
+      Qspec.superkey left (List.map Qspec.col_name left.Qspec.join_cols)
     in
     let memo_reason =
       if not config.memo then Some "disabled by configuration"

@@ -233,15 +233,6 @@ let adaptive_keep catalog rw =
 let transfer_min_rows = 4096
 let transfer_force = ref false
 
-(* IN-subquery conjuncts (the a-priori reducer outputs) are not used as
-   transfer sources by default: materializing the reducer inside the
-   transfer pass re-executes a join NLJP will materialize again anyway,
-   and on the complex four-way workload that costs ~20x more than the
-   Bloom passes themselves save.  Plain pushed-down σ conjuncts carry the
-   reduction through the join edges instead.  Tests and experiments can
-   flip this to measure the trade-off. *)
-let transfer_apriori_sources = ref false
-
 (* pick_transfer: decide whether the two semi-join passes pay for
    themselves, and assemble the {!Transfer.spec} if so.  Every rejection is
    recorded through [note] so EXPLAIN ANALYZE can show why the technique
@@ -336,13 +327,17 @@ let pick_transfer catalog q ~nljp ~overrides ~note =
               (a, own @ override_locals a))
             tables
         in
+        (* IN-subquery conjuncts (the a-priori reducer outputs) are not
+           transfer sources: materializing the reducer inside the transfer
+           pass re-executes a join NLJP will materialize again anyway, and on
+           the complex four-way workload that costs ~20x more than the Bloom
+           passes themselves save (DESIGN.md §11).  Plain pushed-down σ
+           conjuncts carry the reduction through the join edges instead. *)
         let locals =
-          if !transfer_apriori_sources then all_locals
-          else
-            List.map
-              (fun (a, ps) ->
-                (a, List.filter (function Ast.P_in _ -> false | _ -> true) ps))
-              all_locals
+          List.map
+            (fun (a, ps) ->
+              (a, List.filter (function Ast.P_in _ -> false | _ -> true) ps))
+            all_locals
         in
         if (not !transfer_force) && total_rows < transfer_min_rows then
           reject (Printf.sprintf "inputs below %d rows" transfer_min_rows)

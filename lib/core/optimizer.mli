@@ -44,7 +44,7 @@ type decision = {
     phase 3 is skipped entirely; otherwise [pick_transfer] gates on an NLJP
     plan being present, equality join edges existing, the inputs clearing
     [transfer_min_rows], and at least one alias carrying a local predicate
-    or a-priori IN — each rejection recorded in [notes]. *)
+    other than an a-priori IN — each rejection recorded in [notes]. *)
 val decide :
   ?adaptive:bool ->
   ?transfer:bool ->
@@ -60,12 +60,6 @@ val transfer_min_rows : int
 (** Bypass of [transfer_min_rows] — a ref so tests can exercise the passes
     on tiny relations. *)
 val transfer_force : bool ref
-
-(** When set, IN-subquery conjuncts (a-priori reducer outputs) also act as
-    transfer sources.  Off by default: materializing a reducer inside the
-    transfer pass duplicates work NLJP performs anyway and measures as a
-    net loss on the complex workload. *)
-val transfer_apriori_sources : bool ref
 
 (** The IN-subqueries a rewrite binds: its reducer projected onto each
     wrapped table's columns, one per table. *)

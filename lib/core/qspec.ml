@@ -11,6 +11,7 @@ type side = {
   join_cols : Schema.col list;
   eq_join_cols : Schema.col list;
   fds : Fdreason.Fd.t list;
+  keyed : bool;
 }
 
 type t = {
@@ -304,6 +305,8 @@ let analyze catalog (q : Ast.query) ~left_aliases =
       join_cols = dedup_cols (List.rev join);
       eq_join_cols = dedup_cols (List.rev eq);
       fds = side_fds catalog tables local schema;
+      keyed =
+        List.for_all (fun (name, _) -> (Catalog.find catalog name).Catalog.keys <> []) tables;
     }
   in
   let left =
@@ -347,6 +350,8 @@ let side_query ?(overrides = []) side =
   Ast.simple_select ?where [ Ast.Sel_star ] from
 
 let side_attrs side = List.map col_name (Schema.cols side.schema)
+
+let superkey side attrs = side.keyed && Fdreason.Fd.superkey side.fds ~all:(side_attrs side) attrs
 
 let resolve_cols side cols =
   let rec go acc = function
@@ -403,7 +408,7 @@ let lambda_applicable t =
 
 let outer_group_is_key t =
   let names = List.map col_name t.left.group_cols_eff in
-  Fdreason.Fd.superkey t.left.fds ~all:(side_attrs t.left) names
+  superkey t.left names
 
 let all_aggs t =
   List.fold_left

@@ -26,6 +26,9 @@ type side = {
   fds : Fdreason.Fd.t list;
       (** FDs holding on this side's join result, over alias-qualified
           attribute names (table FDs + local equalities, Appendix D) *)
+  keyed : bool;
+      (** every table of the side has a declared key, so its join result
+          holds no duplicate rows *)
 }
 
 type t = {
@@ -66,6 +69,11 @@ val side_query :
 
 (** Qualified attribute names of the side (FD universe). *)
 val side_attrs : side -> string list
+
+(** Do the attributes identify the side's rows: is their closure every
+    attribute, on a {!keyed} side?  A table without a declared key may hold
+    duplicate rows, which no attribute set tells apart. *)
+val superkey : side -> string list -> bool
 
 val col_name : Relalg.Schema.col -> string
 

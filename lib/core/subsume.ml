@@ -69,6 +69,16 @@ let derive ~theta ~jl ~jr ~numeric =
     | _ -> None
   end
 
+(* [Some (x, y)] when [e] is [c·x − c·y] with [c > 0] and no constant. *)
+let exact_difference e =
+  match Qelim.Linexpr.vars e with
+  | [ u; v ] when Qelim.Rat.is_zero (Qelim.Linexpr.constant e) ->
+    let cu = Qelim.Linexpr.coeff e u and cv = Qelim.Linexpr.coeff e v in
+    if not (Qelim.Rat.is_zero (Qelim.Rat.add cu cv)) then None
+    else if Qelim.Rat.sign cu > 0 then Some (u, v)
+    else Some (v, u)
+  | _ -> None
+
 (* The test runs once per cache entry per outer tuple, so we compile the
    formula down to closures over the two binding rows instead of re-walking
    it with a name-lookup environment. *)
@@ -134,10 +144,30 @@ let compile t =
     | Qelim.Formula.False -> fun _ _ -> false
     | Qelim.Formula.Atom a ->
       let ev = compile_linexpr a.Qelim.Atom.e in
-      (match a.Qelim.Atom.op with
-       | Qelim.Atom.Le -> fun w w' -> ev w w' <= 0.
-       | Qelim.Atom.Lt -> fun w w' -> ev w w' < 0.
-       | Qelim.Atom.Eq -> fun w w' -> ev w w' = 0.)
+      let holds sign =
+        match a.Qelim.Atom.op with
+        | Qelim.Atom.Le -> sign <= 0
+        | Qelim.Atom.Lt -> sign < 0
+        | Qelim.Atom.Eq -> sign = 0
+      in
+      let by_float w w' =
+        let x = ev w w' in
+        if Float.is_nan x then false else holds (Float.compare x 0.)
+      in
+      (match exact_difference a.Qelim.Atom.e with
+       | None -> by_float
+       | Some (x, y) ->
+         (* c·(x − y) op 0 with c > 0 is [compare x y] op 0; comparing the
+            values exactly keeps ints beyond 2^53 apart, which a float
+            difference rounds together *)
+         let get = function `W i -> fun w _ -> w.(i) | `Wp i -> fun _ w' -> w'.(i) in
+         let gx = get (resolve x) and gy = get (resolve y) in
+         fun w w' ->
+           (match (gx w w', gy w w') with
+            | ((Value.Int _ | Value.Float _) as u), ((Value.Int _ | Value.Float _) as v)
+              when not (Value.is_nan u || Value.is_nan v) ->
+              holds (Value.compare_total u v)
+            | _ -> by_float w w'))
     | Qelim.Formula.Not g ->
       let fg = compile_formula g in
       fun w w' -> not (fg w w')

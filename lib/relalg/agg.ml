@@ -9,9 +9,9 @@ type func =
 
 type state =
   | Count_st of { mutable n : int }
-  | Sum_st of { mutable acc : Value.t }
+  | Sum_st of Value.Sum.t
   | Minmax_st of { mutable acc : Value.t; smaller : bool }
-  | Avg_st of { mutable sum : Value.t; mutable n : int }
+  | Avg_st of { sum : Value.Sum.t; mutable n : int }
   | Distinct_st of unit Row.Tbl.t
 
 type compiled = {
@@ -71,23 +71,13 @@ let compile schema func =
   | Sum e ->
     let f = Compile.scalar schema e in
     {
-      fresh = (fun () -> Sum_st { acc = Value.Null });
+      fresh = (fun () -> Sum_st (Value.Sum.create ()));
       step =
-        (fun st row ->
-          match st with
-          | Sum_st s ->
-            let v = f row in
-            if not (Value.is_null v) then
-              s.acc <- (if Value.is_null s.acc then v else Value.add s.acc v)
-          | _ -> bad ());
+        (fun st row -> match st with Sum_st s -> Value.Sum.add s (f row) | _ -> bad ());
       merge =
         (fun a b ->
-          match a, b with
-          | Sum_st x, Sum_st y ->
-            if not (Value.is_null y.acc) then
-              x.acc <- (if Value.is_null x.acc then y.acc else Value.add x.acc y.acc)
-          | _ -> bad ());
-      final = (fun st -> match st with Sum_st s -> s.acc | _ -> bad ());
+          match a, b with Sum_st x, Sum_st y -> Value.Sum.merge x y | _ -> bad ());
+      final = (fun st -> match st with Sum_st s -> Value.Sum.value s | _ -> bad ());
     }
   | Min e | Max e ->
     let smaller = (match func with Min _ -> true | _ -> false) in
@@ -119,14 +109,14 @@ let compile schema func =
   | Avg e ->
     let f = Compile.scalar schema e in
     {
-      fresh = (fun () -> Avg_st { sum = Value.Null; n = 0 });
+      fresh = (fun () -> Avg_st { sum = Value.Sum.create (); n = 0 });
       step =
         (fun st row ->
           match st with
           | Avg_st s ->
             let v = f row in
             if not (Value.is_null v) then begin
-              s.sum <- (if Value.is_null s.sum then v else Value.add s.sum v);
+              Value.Sum.add s.sum v;
               s.n <- s.n + 1
             end
           | _ -> bad ());
@@ -134,17 +124,15 @@ let compile schema func =
         (fun a b ->
           match a, b with
           | Avg_st x, Avg_st y ->
-            if y.n > 0 then begin
-              x.sum <- (if Value.is_null x.sum then y.sum else Value.add x.sum y.sum);
-              x.n <- x.n + y.n
-            end
+            Value.Sum.merge x.sum y.sum;
+            x.n <- x.n + y.n
           | _ -> bad ());
       final =
         (fun st ->
           match st with
           | Avg_st s ->
             if s.n = 0 then Value.Null
-            else Value.Float (Value.to_float s.sum /. float_of_int s.n)
+            else Value.Float (Value.Sum.to_float s.sum /. float_of_int s.n)
           | _ -> bad ());
     }
 
@@ -153,7 +141,7 @@ let compile schema func =
    the end of an evaluation; the states interoperate with [compile]'s
    [merge]/[final] for the matching function. *)
 let count_state n = Count_st { n }
-let sum_state acc = Sum_st { acc }
+let sum_state acc = Sum_st acc
 let min_state acc = Minmax_st { acc; smaller = true }
 let max_state acc = Minmax_st { acc; smaller = false }
 let avg_state ~sum ~n = Avg_st { sum; n }
@@ -197,9 +185,9 @@ let equal a b =
 
 let state_bytes = function
   | Count_st _ -> 16
-  | Sum_st _ -> 16
+  | Sum_st _ -> 48
   | Minmax_st _ -> 16
-  | Avg_st _ -> 24
+  | Avg_st _ -> 64
   | Distinct_st tbl -> 32 + (24 * Row.Tbl.length tbl)
 
 let decompose func ~name =

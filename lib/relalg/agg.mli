@@ -32,15 +32,15 @@ val compile : Schema.t -> func -> compiled
     accumulate in unboxed scratch and box once per evaluation.  Each
     constructor builds the state of the corresponding function(s) —
     [count_state] for "COUNT(*)"/COUNT(e), [sum_state] for SUM (the running
-    [Value.t] sum, [Null] when no non-null input was seen), [min_state]/
+    {!Value.Sum.t}), [min_state]/
     [max_state] for MIN/MAX, [avg_state] for AVG — interoperable with
     [compile]'s [merge]/[final] for that function. *)
 val count_state : int -> state
 
-val sum_state : Value.t -> state
+val sum_state : Value.Sum.t -> state
 val min_state : Value.t -> state
 val max_state : Value.t -> state
-val avg_state : sum:Value.t -> n:int -> state
+val avg_state : sum:Value.Sum.t -> n:int -> state
 val is_algebraic : func -> bool
 val input_expr : func -> Expr.t option
 val map_expr : (Expr.t -> Expr.t) -> func -> func

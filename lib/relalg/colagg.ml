@@ -1,11 +1,9 @@
 (* Global aggregation directly on compressed blocks (see colagg.mli).
 
-   The accumulation discipline mirrors Agg's left-fold of [Value.add] /
-   [better] exactly: [mode] is 0 until the first non-null input, 1 while
-   the running value is an int, 2 once it is a float (overflow promotion
-   for SUM/AVG, float input for MIN/MAX).  Run-length segments fold in one
-   multiply when provably overflow-free; otherwise the run replays
-   per-element through the same step the row path takes. *)
+   SUM and AVG accumulate into the {!Value.Sum} Agg's states hold, so a
+   run-length segment adds as one multiply.  MIN/MAX mirror Agg's [better]
+   exactly: [mode] is 0 until the first non-null input, 1 while the running
+   value is an int, 2 once it is a float. *)
 
 open Column
 
@@ -20,66 +18,11 @@ type kern =
 
 type scratch = {
   mutable cnt : int;
-  mutable mode : int;  (* 0 = no input yet, 1 = int, 2 = float *)
+  sum : Value.Sum.t;
+  mutable mode : int;  (* MIN/MAX: 0 = no input yet, 1 = int, 2 = float *)
   mutable i : int;
   mutable f : float;
 }
-
-(* Same-sign operands whose sum flips sign overflowed: promote to float,
-   exactly [Value.add]'s rule. *)
-let step_sum_int s v =
-  match s.mode with
-  | 0 ->
-    s.mode <- 1;
-    s.i <- v
-  | 1 ->
-    let sum = s.i + v in
-    if (s.i >= 0) = (v >= 0) && (sum >= 0) <> (s.i >= 0) then begin
-      s.mode <- 2;
-      s.f <- float_of_int s.i +. float_of_int v
-    end
-    else s.i <- sum
-  | _ -> s.f <- s.f +. float_of_int v
-
-let step_sum_float s v =
-  match s.mode with
-  | 0 ->
-    s.mode <- 2;
-    s.f <- v
-  | 1 ->
-    s.mode <- 2;
-    s.f <- float_of_int s.i +. v
-  | _ -> s.f <- s.f +. v
-
-(* |acc| and |v|·len both under 2^60 keeps every intermediate partial sum
-   below 2^61 < max_int, so no step of the row path's fold would have
-   promoted — folding the whole run as one multiply is then exact. *)
-let sum_guard = 1 lsl 60
-
-let sum_run s v len =
-  if len > 0 then begin
-    if s.mode = 2 then
-      (* Float addition is not associative: replay per element so rounding
-         matches the row path bit for bit. *)
-      for _ = 1 to len do
-        s.f <- s.f +. float_of_int v
-      done
-    else begin
-      let acc = if s.mode = 0 then 0 else s.i in
-      if
-        v > -sum_guard && v < sum_guard
-        && abs v < sum_guard / len
-        && acc > -sum_guard && acc < sum_guard
-      then begin
-        s.mode <- 1;
-        s.i <- acc + (v * len)
-      end
-      else
-        for _ = 1 to len do
-          step_sum_int s v
-        done
-    end
-  end
 
 (* Strictly-better keeps the earlier value (and its representation) on
    ties, like Agg's [better]; one test per run suffices since repetition
@@ -93,7 +36,7 @@ let minmax_int smaller s v =
     let c = compare v s.i in
     if (if smaller then c < 0 else c > 0) then s.i <- v
   | _ ->
-    let c = compare (float_of_int v) s.f in
+    let c = Value.compare_int_float v s.f in
     if (if smaller then c < 0 else c > 0) then begin
       s.mode <- 1;
       s.i <- v
@@ -105,7 +48,7 @@ let minmax_float smaller s v =
     s.mode <- 2;
     s.f <- v
   | 1 ->
-    let c = compare v (float_of_int s.i) in
+    let c = - Value.compare_int_float s.i v in
     if (if smaller then c < 0 else c > 0) then begin
       s.mode <- 2;
       s.f <- v
@@ -126,16 +69,16 @@ let eval_kern k s (enc : Encode.col array) block_len =
     true
   | A_sum (ci, false) ->
     Encode.iter_int_segments enc.(ci) (fun v len is_null ->
-        if not is_null then sum_run s v len)
+        if not is_null then Value.Sum.add_int_run s.sum v len)
   | A_sum (_, true) | A_avg (_, true) | A_minmax (_, true, _) -> (
     let ci, per_value =
       match k with
-      | A_sum (ci, _) -> (ci, fun v -> step_sum_float s v)
+      | A_sum (ci, _) -> (ci, Value.Sum.add_float s.sum)
       | A_avg (ci, _) ->
         ( ci,
           fun v ->
             s.cnt <- s.cnt + 1;
-            step_sum_float s v )
+            Value.Sum.add_float s.sum v )
       | A_minmax (ci, _, smaller) -> (ci, minmax_float smaller s)
       | _ -> assert false
     in
@@ -144,7 +87,7 @@ let eval_kern k s (enc : Encode.col array) block_len =
     Encode.iter_int_segments enc.(ci) (fun v len is_null ->
         if not is_null then begin
           s.cnt <- s.cnt + len;
-          sum_run s v len
+          Value.Sum.add_int_run s.sum v len
         end)
   | A_minmax (ci, false, smaller) ->
     Encode.iter_int_segments enc.(ci) (fun v len is_null ->
@@ -159,10 +102,10 @@ let state_of k s =
   in
   match k with
   | A_count_star | A_count _ -> Agg.count_state s.cnt
-  | A_sum _ -> Agg.sum_state (num ())
+  | A_sum _ -> Agg.sum_state s.sum
   | A_minmax (_, _, true) -> Agg.min_state (num ())
   | A_minmax (_, _, false) -> Agg.max_state (num ())
-  | A_avg _ -> Agg.avg_state ~sum:(num ()) ~n:s.cnt
+  | A_avg _ -> Agg.avg_state ~sum:s.sum ~n:s.cnt
 
 let try_global ~group_cols ~aggs rel =
   if group_cols <> [] || Relation.layout rel <> `Column then None
@@ -210,7 +153,8 @@ let try_global ~group_cols ~aggs rel =
       | Some kerns ->
         let nk = Array.length kerns in
         let scr =
-          Array.init nk (fun _ -> { cnt = 0; mode = 0; i = 0; f = 0. })
+          Array.init nk (fun _ ->
+              { cnt = 0; sum = Value.Sum.create (); mode = 0; i = 0; f = 0. })
         in
         let nb = Cstore.nblocks cs in
         let ok = ref true in

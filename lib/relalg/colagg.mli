@@ -3,10 +3,8 @@
     COUNT/SUM/MIN/MAX/AVG over a paged [.sic] store evaluated on the
     encoded block columns: COUNT-star answered from resident block
     lengths, COUNT(c) from run-length null metadata, int kernels folding whole
-    run-length segments without expansion (with an overflow guard that
-    falls back to per-element replay, preserving [Value.add]'s
-    int-until-first-overflow promotion), and float inputs replayed per
-    non-null value so rounding stays bit-identical to the row path.
+    run-length segments without expansion into the same {!Value.Sum} the
+    row path accumulates, and float inputs added per non-null value.
 
     [try_global] answers [None] — caller falls back to {!Exec}'s hash
     aggregation — unless the query is a global aggregate ([group_cols = []])

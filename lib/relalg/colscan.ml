@@ -70,19 +70,11 @@ let probe_test cs (b : Cstore.block) (p : Compile.zone_probe) : int -> bool =
       | Expr.Ge -> fun i -> a.(i) >= k
     in
     null_guard bm test
-  | Cstore.C_int (a, bm), Value.Float f ->
-    let test =
-      match op with
-      | Expr.Eq -> fun i -> float_of_int a.(i) = f
-      | Expr.Ne -> fun i -> float_of_int a.(i) <> f
-      | Expr.Lt -> fun i -> float_of_int a.(i) < f
-      | Expr.Le -> fun i -> float_of_int a.(i) <= f
-      | Expr.Gt -> fun i -> float_of_int a.(i) > f
-      | Expr.Ge -> fun i -> float_of_int a.(i) >= f
-    in
-    null_guard bm test
-  | Cstore.C_float (a, bm), (Value.Int _ | Value.Float _) ->
-    let f = match v with Value.Int k -> float_of_int k | Value.Float f -> f | _ -> 0. in
+  | Cstore.C_float (a, bm), (Value.Int _ | Value.Float _)
+    when (match v with Value.Int k -> k >= -(1 lsl 53) && k <= 1 lsl 53 | _ -> true) ->
+    (* an int constant only while it converts exactly; past 2^53 the
+       generic path compares exactly *)
+    let f = Value.to_float v in
     let test =
       (* [Ne] is spelled [< ||  >] so a stored NaN matches nothing, like the
          row path; the other operators get that from IEEE semantics. *)

@@ -83,7 +83,6 @@ let node_label = function
   | Plan.Project _ -> "Project"
   | Plan.Nl_join _ -> "Nested Loop"
   | Plan.Hash_join _ -> "Hash Join"
-  | Plan.Merge_join _ -> "Merge Join"
   | Plan.Index_nl_join { table; alias; _ } ->
     Printf.sprintf "Index Nested Loop (%s%s)" table
       (match alias with Some a when a <> table -> " AS " ^ a | _ -> "")
@@ -93,62 +92,6 @@ let node_label = function
   | Plan.Limit (k, _) -> Printf.sprintf "Limit %d" k
   | Plan.Semijoin _ -> "Hash Semi Join (IN)"
   | Plan.Rename (alias, _) -> "Subquery " ^ alias
-
-(* Sort-merge equi-join ({!Plan.Merge_join}): sort both inputs on the key
-   expressions and merge, crossing equal-key runs.  Slower than hashing in
-   memory, but the classic method the baseline systems switch to without
-   indexes (§8.1). *)
-let merge_join ~keys ~residual left right =
-  let schema = Schema.append left.Relation.schema right.Relation.schema in
-  let lkey = Compile.row_fn left.Relation.schema (List.map fst keys) in
-  let rkey = Compile.row_fn right.Relation.schema (List.map snd keys) in
-  (* SQL: NULL join keys match nothing — drop them before sorting, or the
-     equal-key-run cross product would pair NULL with NULL. *)
-  let sorted_keyed key rel =
-    let rows =
-      Array.of_seq
-        (Seq.filter_map
-           (fun r ->
-             let k = key r in
-             if Row.has_null k then None else Some (k, r))
-           (Array.to_seq (Relation.rows rel)))
-    in
-    Array.sort (fun (a, _) (b, _) -> Row.compare a b) rows;
-    rows
-  in
-  let lsorted = sorted_keyed lkey left in
-  let rsorted = sorted_keyed rkey right in
-  let ok = Compile.join_pred left.Relation.schema right.Relation.schema residual in
-  let out = ref [] in
-  let nl = Array.length lsorted and nr = Array.length rsorted in
-  (* classic merge: advance the smaller key; on a match, cross the two
-     equal-key runs *)
-  let i = ref 0 and j = ref 0 in
-  while !i < nl && !j < nr do
-    let kl, _ = lsorted.(!i) and kr, _ = rsorted.(!j) in
-    let c = Row.compare kl kr in
-    if c < 0 then incr i
-    else if c > 0 then incr j
-    else begin
-      let i_end = ref !i in
-      while !i_end < nl && Row.compare (fst lsorted.(!i_end)) kl = 0 do
-        incr i_end
-      done;
-      let j_end = ref !j in
-      while !j_end < nr && Row.compare (fst rsorted.(!j_end)) kr = 0 do
-        incr j_end
-      done;
-      for a = !i to !i_end - 1 do
-        for b = !j to !j_end - 1 do
-          let _, lrow = lsorted.(a) and _, rrow = rsorted.(b) in
-          if ok lrow rrow then out := Row.append lrow rrow :: !out
-        done
-      done;
-      i := !i_end;
-      j := !j_end
-    end
-  done;
-  Relation.of_rows schema (List.rev !out)
 
 let empty_row : Row.t = [||]
 
@@ -168,10 +111,6 @@ and exec_node ~workers ~recorder ~path ~filters catalog plan =
   | Plan.Project (outs, p) -> Ops.project outs (child 0 p)
   | Plan.Nl_join _ | Plan.Hash_join _ | Plan.Index_nl_join _ ->
     collect ~workers (stream ~workers ~recorder ~path ~filters catalog plan)
-  | Plan.Merge_join { keys; residual; left; right } ->
-    let l = child 0 left in
-    let r = child 1 right in
-    merge_join ~keys ~residual l r
   | Plan.Group { group_cols; aggs; input } ->
     group ~workers ~recorder ~path ~filters catalog group_cols aggs input
   | Plan.Distinct p -> Ops.distinct (child 0 p)

@@ -197,9 +197,9 @@ module Range_count = struct
   let compare_at c i v =
     match c, v with
     | Ints a, Value.Int b -> Int.compare a.(i) b
-    | Ints a, Value.Float b -> Float.compare (float_of_int a.(i)) b
+    | Ints a, Value.Float b -> Value.compare_int_float a.(i) b
     | Floats a, Value.Float b -> Float.compare a.(i) b
-    | Floats a, Value.Int b -> Float.compare a.(i) (float_of_int b)
+    | Floats a, Value.Int b -> - Value.compare_int_float b a.(i)
     | Ints a, _ -> Value.compare_total (Value.Int a.(i)) v
     | Floats a, _ -> Value.compare_total (Value.Float a.(i)) v
     | Values a, _ -> Value.compare_total a.(i) v

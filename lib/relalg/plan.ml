@@ -12,12 +12,6 @@ type t =
       left : t;
       right : t;
     }
-  | Merge_join of {
-      keys : (Expr.t * Expr.t) list;
-      residual : Expr.t;
-      left : t;
-      right : t;
-    }
   | Index_nl_join of {
       pred : Expr.t;
       left : t;
@@ -50,7 +44,7 @@ let rec schema_of catalog = function
   | Project (outs, _) -> Schema.of_cols (List.map snd outs)
   | Nl_join { left; right; _ } ->
     Schema.append (schema_of catalog left) (schema_of catalog right)
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
+  | Hash_join { left; right; _ } ->
     Schema.append (schema_of catalog left) (schema_of catalog right)
   | Index_nl_join { left; table; alias; _ } ->
     Schema.append (schema_of catalog left) (table_schema catalog table alias)
@@ -97,8 +91,7 @@ let explain plan =
       line depth ("Nested Loop (Inner Join)  Join Filter: " ^ Expr.to_string pred);
       go (depth + 1) left;
       go (depth + 1) right
-    | (Hash_join { keys; residual; left; right } as j)
-    | (Merge_join { keys; residual; left; right } as j) ->
+    | Hash_join { keys; residual; left; right } ->
       let ks =
         List.map
           (fun (l, r) -> Expr.to_string l ^ " = " ^ Expr.to_string r)
@@ -108,10 +101,7 @@ let explain plan =
         if Expr.equal residual Expr.tt then ""
         else "  Residual: " ^ Expr.to_string residual
       in
-      let label =
-        match j with Merge_join _ -> "Merge Join" | _ -> "Hash Join"
-      in
-      line depth (label ^ "  Cond: " ^ String.concat " AND " ks ^ res);
+      line depth ("Hash Join  Cond: " ^ String.concat " AND " ks ^ res);
       go (depth + 1) left;
       go (depth + 1) right
     | Index_nl_join { pred; left; table; alias; key_col; lo; hi } ->

@@ -20,12 +20,6 @@ type t =
       left : t;
       right : t;
     }
-  | Merge_join of {
-      keys : (Expr.t * Expr.t) list;
-      residual : Expr.t;
-      left : t;
-      right : t;
-    }  (** sort-merge alternative to {!Hash_join} (same semantics) *)
   | Index_nl_join of {
       pred : Expr.t;
       left : t;

@@ -161,3 +161,25 @@ let response_ok ~id fields = response ~id ~ok:true fields
 
 let response_error ~id ~code msg =
   response ~id ~ok:false [ ("code", Json.Str code); ("error", Json.Str msg) ]
+
+(* Longest request line the server reads: far above any append burst, yet a
+   client that never sends a newline cannot grow server memory without
+   limit.  A longer line is answered [bad_request] and its connection
+   closed. *)
+let max_line_bytes = 16 * 1024 * 1024
+
+(* The next line of [ic] without its newline ([`Eof] once the channel is
+   done, a final unterminated line first), or [`Too_long] as soon as the
+   line passes [max_line_bytes]. *)
+let read_line ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents b)
+    | c when Buffer.length b < max_line_bytes ->
+      Buffer.add_char b c;
+      go ()
+    | _ -> `Too_long
+    | exception End_of_file -> if Buffer.length b = 0 then `Eof else `Line (Buffer.contents b)
+  in
+  go ()

@@ -1332,10 +1332,14 @@ let reader_loop t conn =
   let ic = Unix.in_channel_of_descr conn.fd in
   let finished = ref false in
   while not !finished do
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> finished := true
-    | line when String.trim line = "" -> ()
-    | line -> (
+    match P.read_line ic with
+    | exception Sys_error _ | `Eof -> finished := true
+    | `Too_long ->
+      send_error conn ~id:0 ~code:"bad_request"
+        (Printf.sprintf "request line longer than %d bytes" P.max_line_bytes);
+      finished := true
+    | `Line line when String.trim line = "" -> ()
+    | `Line line -> (
       match P.parse_request (Json.of_string line) with
       | exception Json.Parse_error m ->
         send_error conn ~id:0 ~code:"bad_request" ("invalid json: " ^ m)

@@ -8,7 +8,6 @@ let err fmt = Format.kasprintf (fun s -> raise (Bind_error s)) fmt
 type env = {
   catalog : Catalog.t;
   workers : int;
-  join_pref : [ `Hash | `Merge ];
   ctes : (string * Relation.t) list;
   subquery : (query -> Relation.t) option;
       (* evaluates IN-subqueries that see no CTE of this binding *)
@@ -162,9 +161,7 @@ and plan_joins env items conjs =
       let plan =
         if keys <> [] then begin
           let residual = Expr.conj (List.map (pred_expr_env env) residual) in
-          match env.join_pref with
-          | `Hash -> Plan.Hash_join { keys; residual; left = acc_plan; right = item_plan }
-          | `Merge -> Plan.Merge_join { keys; residual; left = acc_plan; right = item_plan }
+          Plan.Hash_join { keys; residual; left = acc_plan; right = item_plan }
         end
         else begin
           (* Look for an index nested-loop opportunity on a bare base table. *)
@@ -377,17 +374,16 @@ and bind_env env q =
 
 and run_env env q = Exec.run ~workers:env.workers env.catalog (bind_env env q)
 
-let bind ?(workers = 1) ?(join_pref = `Hash) ?subquery catalog q =
-  bind_env { catalog; workers; join_pref; ctes = []; subquery } q
+let bind ?(workers = 1) ?subquery catalog q =
+  bind_env { catalog; workers; ctes = []; subquery } q
 
-let run ?(workers = 1) ?(join_pref = `Hash) ?subquery catalog q =
-  Exec.run ~workers catalog (bind ~workers ~join_pref ?subquery catalog q)
+let run ?(workers = 1) ?subquery catalog q =
+  Exec.run ~workers catalog (bind ~workers ?subquery catalog q)
 
 let empty_env () =
   {
     catalog = Catalog.create ();
     workers = 1;
-    join_pref = `Hash;
     ctes = [];
     subquery = None;
   }
@@ -395,6 +391,6 @@ let empty_env () =
 let scalar_expr s = scalar_expr_env (empty_env ()) s
 
 let pred_expr ?(workers = 1) catalog p =
-  pred_expr_env { catalog; workers; join_pref = `Hash; ctes = []; subquery = None } p
+  pred_expr_env { catalog; workers; ctes = []; subquery = None } p
 
 let agg_func a = agg_func_env (empty_env ()) a

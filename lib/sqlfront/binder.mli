@@ -12,18 +12,13 @@
 
 exception Bind_error of string
 
-(** [join_pref] selects the physical operator for equality joins —
-    [`Hash] (default) or [`Merge] (sort-merge, the method the baseline
-    systems fall back to when indexes are dropped, §8.1).
-
-    [subquery] evaluates the IN-subqueries met while binding (those outside
+(** [subquery] evaluates the IN-subqueries met while binding (those outside
     any WITH block of the query being bound); it defaults to binding and
     executing them here, with the baseline executor.  The optimizer's
     callers pass an evaluator that runs a-priori reducers — iceberg
     queries themselves — through the optimizer. *)
 val bind :
   ?workers:int ->
-  ?join_pref:[ `Hash | `Merge ] ->
   ?subquery:(Ast.query -> Relalg.Relation.t) ->
   Relalg.Catalog.t ->
   Ast.query ->
@@ -32,7 +27,6 @@ val bind :
 (** Bind then execute. *)
 val run :
   ?workers:int ->
-  ?join_pref:[ `Hash | `Merge ] ->
   ?subquery:(Ast.query -> Relalg.Relation.t) ->
   Relalg.Catalog.t ->
   Ast.query ->

@@ -4,6 +4,17 @@ open Relalg
 let value_testable =
   Alcotest.testable Value.pp Value.equal_total
 
+(* Tier-1 is deterministic: QCheck_alcotest seeds every property from
+   QCHECK_SEED, and a run that leaves it unset (or not an int) gets 42 here.
+   Helpers links before every suite (the oracle and most suites open it), so
+   the variable is set before the first property reads it.  CI rotates it. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some seed -> seed
+  | None ->
+    Unix.putenv "QCHECK_SEED" "42";
+    42
+
 let row l : Row.t = Array.of_list l
 let iv i = Value.Int i
 let fv f = Value.Float f
@@ -73,6 +84,11 @@ let random_catalog seed =
   catalog
 
 let run_sql catalog sql = Sqlfront.Binder.run catalog (Sqlfront.Parser.parse sql)
+
+let with_ref r v f =
+  let saved = !r in
+  r := v;
+  Fun.protect ~finally:(fun () -> r := saved) f
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

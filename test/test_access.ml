@@ -1,121 +1,9 @@
-(* NLJP's inner access paths and the column layout.
-
-   EXPLAIN must print the access path the run then uses, over a grid of
-   queries, layouts, worker counts, transfer and configs that reaches every
-   path.  The baseline executor over row storage is the oracle for NLJP
-   over column storage: the same bag of rows across worker counts and
-   prune/memo configurations, with NULL-heavy inner columns,
-   dictionary-coded G_R, bindings whose join set is empty (the
-   [empty_finals] path), NULL binding bounds, NaN values, mixed-type
-   comparisons and SUMs at the int boundary. *)
+(* NLJP's inner access paths: EXPLAIN prints the path the run then uses,
+   over a grid that reaches every path; plus pinned column-layout cases (a
+   Str probe constant against an int key, SUM at the int boundary). *)
 open Core
 open Relalg
 open Helpers
-
-(* Inner event table: int key with nulls, float measure with nulls, small
-   string domain (dictionary-coded in columnar form).  Outer probe table:
-   keyed id plus a (lo, hi) window drawn from a small grid so bindings
-   repeat (memoization hits) and occasionally go NULL. *)
-let window_catalog seed =
-  let rng = Workload.Prng.create seed in
-  let catalog = Catalog.create () in
-  let n = 150 + Workload.Prng.int rng 150 in
-  Catalog.add_table catalog "ev"
-    (rel [ "k"; "x"; "s" ]
-       (List.init n (fun _ ->
-            [ (if Workload.Prng.int rng 6 = 0 then Value.Null
-               else iv (Workload.Prng.int rng 200));
-              (if Workload.Prng.int rng 7 = 0 then Value.Null
-               else fv (float_of_int (Workload.Prng.int rng 50) /. 4.));
-              sv (Printf.sprintf "s%d" (Workload.Prng.int rng 4)) ])));
-  let m = 25 + Workload.Prng.int rng 25 in
-  Catalog.add_table catalog ~keys:[ [ "id" ] ] "probe"
-    (rel [ "id"; "lo"; "hi" ]
-       (List.init m (fun i ->
-            let lo = 15 * Workload.Prng.int rng 12 in
-            [ iv i;
-              (if Workload.Prng.int rng 12 = 0 then Value.Null else iv lo);
-              (if Workload.Prng.int rng 12 = 0 then Value.Null
-               else iv (lo + 40)) ])));
-  catalog
-
-let iceberg_sql rng =
-  let t = 1 + Workload.Prng.int rng 8 in
-  match Workload.Prng.int rng 6 with
-  | 0 ->
-    Printf.sprintf
-      "SELECT L.id, COUNT(*) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= %d"
-      t
-  | 1 ->
-    Printf.sprintf
-      "SELECT L.id, COUNT(*), SUM(R.x) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= %d"
-      t
-  | 2 ->
-    Printf.sprintf
-      "SELECT L.id, MIN(R.x), MAX(R.k), AVG(R.x) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= %d"
-      t
-  | 3 ->
-    (* G_R on the dictionary-coded string column *)
-    Printf.sprintf
-      "SELECT L.id, R.s, COUNT(*), SUM(R.x) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id, R.s HAVING COUNT(*) >= %d"
-      t
-  | 4 ->
-    (* MIN over a string column *)
-    Printf.sprintf
-      "SELECT L.id, MIN(R.s), COUNT(*) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= %d"
-      t
-  | _ ->
-    (* threshold far above any group: every binding is unpromising, and
-       bindings with an empty join set go through [empty_finals] *)
-    "SELECT L.id, COUNT(*) FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi GROUP BY L.id HAVING COUNT(*) >= 100000"
-
-let stats_invariant name sql (rep : Runner.report) =
-  match rep.Runner.nljp_stats with
-  | None -> ()
-  | Some s ->
-    if s.Nljp.outer_rows <> s.Nljp.inner_evals + s.Nljp.pruned + s.Nljp.memo_hits
-    then
-      QCheck.Test.fail_reportf
-        "%s: stats do not partition the outer rows for:\n\
-         %s\n\
-         outer=%d inner_evals=%d pruned=%d memo_hits=%d"
-        name sql s.Nljp.outer_rows s.Nljp.inner_evals s.Nljp.pruned
-        s.Nljp.memo_hits
-
-let check_layouts seed =
-  let rng = Workload.Prng.create seed in
-  let sql = iceberg_sql rng in
-  let q = Sqlfront.Parser.parse sql in
-  let base = Runner.run_baseline (window_catalog seed) q in
-  let columnar () =
-    let c = window_catalog seed in
-    Catalog.set_all_layouts c `Column;
-    c
-  in
-  let configs =
-    [ ("column", Nljp.default_config, 1);
-      ("column workers=2", Nljp.default_config, 2);
-      ("column no-prune", { Nljp.default_config with Nljp.pruning = false }, 1);
-      ("column no-memo", { Nljp.default_config with Nljp.memo = false }, 1);
-      ( "column neither",
-        { Nljp.default_config with Nljp.pruning = false; memo = false },
-        2 ) ]
-  in
-  List.for_all
-    (fun (name, cfg, workers) ->
-      let r, rep = Runner.run ~nljp_config:cfg ~workers (columnar ()) q in
-      let ok = Relation.equal_bag base r in
-      if not ok then
-        QCheck.Test.fail_reportf
-          "%s differs from the row baseline for:\n%s\nbase %d rows, got %d" name
-          sql
-          (Relation.cardinality base)
-          (Relation.cardinality r);
-      stats_invariant name sql rep;
-      ok)
-    configs
-
-(* ---- deterministic cases ---- *)
 
 (* A window query over an inner table stored in small column blocks: its
    SUM keeps it off the range count, and one bounded column would too. *)
@@ -196,9 +84,7 @@ let test_explain_agrees () =
       (List.map String.trim (String.split_on_char '\n' text))
   in
   let seen = Hashtbl.create 4 in
-  let saved_force = !Optimizer.transfer_force in
-  Fun.protect ~finally:(fun () -> Optimizer.transfer_force := saved_force)
-  @@ fun () ->
+  with_ref Optimizer.transfer_force !Optimizer.transfer_force @@ fun () ->
   List.iter
     (fun layout ->
       let c = catalog () in
@@ -264,59 +150,6 @@ let test_str_probe_constant () =
   let r, _ = Runner.run catalog q in
   check_bag "Str probe constant agrees with the row path" base r
 
-(* NaN-bearing float columns, both as the compared key and as the
-   aggregated measure, differentially across layouts: NaN comparisons and
-   aggregates must come out identical to the row baseline. *)
-let nan_catalog seed =
-  let rng = Workload.Prng.create seed in
-  let catalog = Catalog.create () in
-  let n = 120 + Workload.Prng.int rng 120 in
-  Catalog.add_table catalog "ev"
-    (rel [ "k"; "x" ]
-       (List.init n (fun _ ->
-            [ (match Workload.Prng.int rng 8 with
-               | 0 -> fv Float.nan
-               | 1 -> Value.Null
-               | _ -> fv (float_of_int (Workload.Prng.int rng 150)));
-              (match Workload.Prng.int rng 6 with
-               | 0 -> fv Float.nan
-               | _ -> fv (float_of_int (Workload.Prng.int rng 40) /. 4.)) ])));
-  Catalog.add_table catalog ~keys:[ [ "id" ] ] "probe"
-    (rel [ "id"; "lo"; "hi" ]
-       (List.init 25 (fun i ->
-            let lo = float_of_int (10 * Workload.Prng.int rng 14) in
-            [ iv i; fv lo; fv (lo +. 35.) ])));
-  catalog
-
-let check_nan seed =
-  let rng = Workload.Prng.create seed in
-  let agg =
-    match Workload.Prng.int rng 3 with
-    | 0 -> "COUNT(*), SUM(R.x)"
-    | 1 -> "MIN(R.x), MAX(R.x)"
-    | _ -> "COUNT(*), AVG(R.x)"
-  in
-  let sql =
-    Printf.sprintf
-      "SELECT L.id, %s FROM probe L, ev R WHERE R.k >= L.lo AND R.k <= L.hi \
-       GROUP BY L.id HAVING COUNT(*) >= 1"
-      agg
-  in
-  let q = Sqlfront.Parser.parse sql in
-  let base = Runner.run_baseline (nan_catalog seed) q in
-  List.for_all
-    (fun lay ->
-      let catalog = nan_catalog seed in
-      if lay = `Column then Catalog.set_all_layouts catalog `Column;
-      let r, _ = Runner.run catalog q in
-      if not (Relation.equal_bag base r) then
-        QCheck.Test.fail_reportf
-          "NaN columns diverge from the row baseline (%s layout) for:\n%s"
-          (match lay with `Row -> "row" | `Column -> "column")
-          sql;
-      true)
-    [ `Row; `Column ]
-
 (* SUM at the int boundary over column storage: it must promote to float
    exactly where the row path's [Value.add] does, instead of wrapping. *)
 let test_sum_overflow_boundary () =
@@ -359,17 +192,7 @@ let suite =
       test_str_probe_constant;
     Alcotest.test_case "SUM promotes to float at the max_int boundary" `Quick
       test_sum_overflow_boundary;
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"NaN-bearing columns agree across layouts"
-         ~count:30
-         (QCheck.int_range 1 1_000_000)
-         check_nan);
     Alcotest.test_case "equality conjuncts keep the hash probe path" `Quick
       test_hash_precedence;
     Alcotest.test_case "EXPLAIN prints the access path execution runs" `Quick
-      test_explain_agrees;
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"column-layout NLJP agrees with the row oracle"
-         ~count:40
-         (QCheck.int_range 1 1_000_000)
-         check_layouts) ]
+      test_explain_agrees ]

@@ -122,9 +122,7 @@ let index_plans =
           | Plan.Order_by (_, p) | Plan.Limit (_, p) | Plan.Rename (_, p) ->
             has_index p
           | Plan.Group { input; _ } -> has_index input
-          | Plan.Nl_join { left; right; _ }
-          | Plan.Hash_join { left; right; _ }
-          | Plan.Merge_join { left; right; _ } ->
+          | Plan.Nl_join { left; right; _ } | Plan.Hash_join { left; right; _ } ->
             has_index left || has_index right
           | Plan.Semijoin { sub; input; _ } -> has_index sub || has_index input
           | Plan.Scan _ | Plan.Values _ -> false
@@ -140,17 +138,6 @@ let index_plans =
         Catalog.build_sorted_index catalog "emp" [ "salary" ];
         let with_idx = run_sql catalog sql in
         check_bag "same" without with_idx);
-    t "merge join preference produces Merge_join plans" (fun () ->
-        let sql = "SELECT e.id, d.floor FROM emp e, dept d WHERE e.dept = d.name" in
-        let plan =
-          Sqlfront.Binder.bind ~join_pref:`Merge (emp ()) (Sqlfront.Parser.parse sql)
-        in
-        (match plan with
-         | Plan.Project (_, Plan.Merge_join _) -> ()
-         | _ -> Alcotest.failf "expected merge join:\n%s" (Plan.explain plan));
-        check_bag "same results"
-          (run_sql (emp ()) sql)
-          (Sqlfront.Binder.run ~join_pref:`Merge (emp ()) (Sqlfront.Parser.parse sql)));
     t "parallel execution equals sequential" (fun () ->
         let sql =
           "SELECT a.dept, COUNT(*) FROM emp a, emp b WHERE a.salary <= b.salary \

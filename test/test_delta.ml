@@ -312,36 +312,6 @@ let test_delta_keys_lossless () =
     (Core.Runner.run_baseline catalog (parse above))
     (Core.Delta.result v)
 
-(* Differential fuzz: random iceberg self-joins maintained across random
-   append bursts, each checkpoint bag-compared against a recompute. *)
-let test_delta_fuzz () =
-  let rng = Workload.Prng.create 2026 in
-  let checked = ref 0 in
-  for _case = 1 to 12 do
-    let points =
-      List.init
-        (30 + Workload.Prng.int rng 30)
-        (fun _ -> (Workload.Prng.int rng 10, Workload.Prng.int rng 10))
-    in
-    let catalog = objects_catalog points in
-    let sql = Test_fuzz.object_query rng in
-    match Core.Delta.init catalog (parse sql) with
-    | None -> Alcotest.failf "fuzz query lost its delta rule: %s" sql
-    | Some st ->
-      for _burst = 1 to 3 do
-        let dn = 1 + Workload.Prng.int rng 4 in
-        let fresh =
-          Array.init dn (fun i ->
-              row
-                [ iv (1000 + !checked + i); iv (Workload.Prng.int rng 10);
-                  iv (Workload.Prng.int rng 10) ])
-        in
-        checked := !checked + dn;
-        fold_and_check catalog st "object" sql fresh
-      done
-  done;
-  Alcotest.(check bool) "fuzz exercised appends" true (!checked > 0)
-
 (* ---- prepared-plan revalidation across appends ---- *)
 
 let test_refresh_prepared () =
@@ -414,7 +384,6 @@ let suite =
     Alcotest.test_case "delta basket" `Quick test_delta_basket;
     Alcotest.test_case "delta revalidate" `Quick test_delta_revalidate;
     Alcotest.test_case "delta oversized" `Quick test_delta_oversized;
-    Alcotest.test_case "delta fuzz" `Quick test_delta_fuzz;
     Alcotest.test_case "delta shared views" `Quick test_delta_shared_views;
     Alcotest.test_case "delta keys lossless" `Quick test_delta_keys_lossless;
     Alcotest.test_case "refresh prepared" `Quick test_refresh_prepared;

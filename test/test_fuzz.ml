@@ -1,127 +1,40 @@
-(* Differential fuzzing: generate random iceberg queries over the random
-   catalog and check that every optimizer configuration returns exactly the
-   baseline's result.  This is the broadest safety net for the rewrite
-   machinery: safety checks must either reject a technique or preserve the
-   query's semantics. *)
-open Core
+(* Compiled vs interpreted expressions.  Iceberg queries against the
+   baseline are the oracle's job (oracle.ml). *)
 open Relalg
-open Helpers
 
-let pick rng xs = List.nth xs (Workload.Prng.int rng (List.length xs))
+(* The staged compiler (Compile) must agree with the reference interpreter
+   (Expr.eval / eval_bool) on arbitrary expressions over the oracle's values
+   (NULL, NaN, int extremes, strings, bools), including Null propagation,
+   NULL-comparison semantics and Type_error situations (strings in
+   arithmetic, division by zero, non-boolean predicates). *)
 
-(* A random skyband/dominance-flavored query over object(id, x, y). *)
-let object_query rng =
-  let dims = pick rng [ [ "x" ]; [ "x"; "y" ] ] in
-  let cmp = pick rng [ "<="; "<" ] in
-  let joins =
-    List.map (fun d -> Printf.sprintf "L.%s %s R.%s" d cmp d) dims
-  in
-  let strict =
-    if Workload.Prng.int rng 2 = 0 && List.length dims > 1 then
-      [ "("
-        ^ String.concat " OR "
-            (List.map (fun d -> Printf.sprintf "L.%s < R.%s" d d) dims)
-        ^ ")" ]
-    else []
-  in
-  let where = String.concat " AND " (joins @ strict) in
-  let group = pick rng [ "L.id" ] in
-  let aggs =
-    pick rng
-      [ [ "COUNT(*)" ]; [ "COUNT(*)"; "SUM(R.x)" ]; [ "COUNT(*)"; "AVG(R.y)" ];
-        [ "MIN(R.x)"; "COUNT(*)" ]; [ "MAX(R.y)"; "COUNT(*)" ] ]
-  in
-  let dir = pick rng [ ">="; "<=" ] in
-  let threshold = 1 + Workload.Prng.int rng 15 in
-  Printf.sprintf "SELECT %s, %s FROM object L, object R WHERE %s GROUP BY %s HAVING COUNT(*) %s %d"
-    group (String.concat ", " aggs) where group dir threshold
+let fuzz_schema = Schema.of_names [ "a"; "b"; "c" ]
 
-(* A random market-basket-flavored query over basket(bid, item). *)
-let basket_query rng =
-  let group = pick rng [ "i1.item, i2.item"; "i1.item" ] in
-  let dir = pick rng [ ">="; "<=" ] in
-  let threshold = 1 + Workload.Prng.int rng 6 in
-  let extra =
-    pick rng [ ""; " AND i1.bid > 2"; " AND i2.bid < 20" ]
-  in
-  Printf.sprintf
-    "SELECT %s, COUNT(*) FROM basket i1, basket i2 WHERE i1.bid = i2.bid%s GROUP BY %s HAVING COUNT(*) %s %d"
-    group extra group dir threshold
+let gen_expr =
+  let open QCheck2.Gen in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof [ map (fun c -> Expr.col c) (oneofl [ "a"; "b"; "c" ]); map (fun v -> Expr.Const v) Oracle.value ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (2, leaf);
+               (2, map3 (fun op a b -> Expr.Binop (op, a, b)) (oneofl Expr.[ Add; Sub; Mul; Div ]) sub sub);
+               (3, map3 (fun op a b -> Expr.Cmp (op, a, b)) (oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ]) sub sub);
+               (1, map2 (fun a b -> Expr.And (a, b)) sub sub);
+               (1, map2 (fun a b -> Expr.Or (a, b)) sub sub);
+               (1, map (fun a -> Expr.Not a) sub);
+               (1, map (fun a -> Expr.Neg a) sub) ])
 
-let configurations =
-  [ (fun c q -> Runner.run ~tech:Optimizer.all_techniques c q);
-    (fun c q -> Runner.run ~tech:(Optimizer.only `Apriori) c q);
-    (fun c q -> Runner.run ~tech:(Optimizer.only `Memo) c q);
-    (fun c q -> Runner.run ~tech:(Optimizer.only `Pruning) c q);
-    (fun c q -> Runner.run ~tech:(Optimizer.only `Memo) ~memo_strategy:`Static_rewrite c q);
-    (fun c q -> Runner.run ~adaptive_apriori:true c q);
-    (fun c q ->
-      Runner.run
-        ~nljp_config:
-          { Nljp.default_config with Nljp.cache_index = false; inner_index = false }
-        c q);
-    (fun c q ->
-      Runner.run
-        ~nljp_config:
-          { Nljp.default_config with Nljp.outer_order = `Desc 0; max_cache_rows = Some 16 }
-        c q) ]
+(* An expression and eight rows of a, b, c. *)
+let gen_case = QCheck2.Gen.(pair gen_expr (list_repeat 8 (array_repeat 3 Oracle.value)))
 
-let check_one mk seed =
-  let rng = Workload.Prng.create seed in
-  let catalog = random_catalog (seed * 7) in
-  let sql = mk rng in
-  let q = Sqlfront.Parser.parse sql in
-  let base = Runner.run_baseline catalog q in
-  List.for_all
-    (fun run ->
-      let r, _ = run catalog q in
-      let ok = Relation.equal_bag base r in
-      if not ok then
-        QCheck.Test.fail_reportf "mismatch for:\n%s\nbase %d rows, got %d rows" sql
-          (Relation.cardinality base) (Relation.cardinality r);
-      ok)
-    configurations
-
-(* ---- compiled vs interpreted expressions ----
-
-   The staged compiler (Compile) must agree with the reference interpreter
-   (Expr.eval / eval_bool) on arbitrary expressions and rows, including Null
-   propagation, NULL-comparison semantics and Type_error situations (strings
-   in arithmetic, division by zero, non-boolean predicates). *)
-
-let fuzz_names = [ "a"; "b"; "c" ]
-let fuzz_schema = Schema.of_names fuzz_names
-
-let random_value rng =
-  (* A narrow int range makes ties likely, so the <= / < and >= / > pairs are
-     actually distinguished by the property. *)
-  match Workload.Prng.int rng 12 with
-  | 0 | 1 | 2 | 3 | 4 | 5 -> Value.Int (Workload.Prng.int rng 5 - 2) (* includes 0 *)
-  | 6 | 7 -> Value.Float (float_of_int (Workload.Prng.int rng 5) /. 2.)
-  | 8 -> Value.Null
-  | 9 -> Value.Bool (Workload.Prng.int rng 2 = 0)
-  | _ -> Value.Str (pick rng [ "x"; "y" ])
-
-let random_row rng names = Array.init (List.length names) (fun _ -> random_value rng)
-
-let rec random_expr rng names depth =
-  if depth = 0 || Workload.Prng.int rng 5 = 0 then
-    if Workload.Prng.int rng 2 = 0 then Expr.Col (Schema.col (pick rng names))
-    else Expr.Const (random_value rng)
-  else begin
-    let sub () = random_expr rng names (depth - 1) in
-    match Workload.Prng.int rng 9 with
-    | 0 | 1 ->
-      let op = pick rng Expr.[ Add; Sub; Mul; Div ] in
-      Expr.Binop (op, sub (), sub ())
-    | 2 | 3 | 4 ->
-      let op = pick rng Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
-      Expr.Cmp (op, sub (), sub ())
-    | 5 -> Expr.And (sub (), sub ())
-    | 6 -> Expr.Or (sub (), sub ())
-    | 7 -> Expr.Not (sub ())
-    | _ -> Expr.Neg (sub ())
-  end
+let print_case (e, rows) =
+  Expr.to_string e ^ "\n"
+  ^ String.concat "\n" (List.map (fun r -> Row.to_string r) rows)
 
 let outcome f = match f () with v -> Ok v | exception Value.Type_error m -> Error m
 
@@ -131,54 +44,39 @@ let agree eq pp name a b =
   | Error _, Error _ -> true
   | _ ->
     let show = function Ok v -> pp v | Error m -> "Type_error: " ^ m in
-    QCheck.Test.fail_reportf "%s disagree:\ninterpreted: %s\ncompiled:    %s" name
+    QCheck2.Test.fail_reportf "%s disagree:\ninterpreted: %s\ncompiled:    %s" name
       (show a) (show b)
 
-let check_compiled_scalar seed =
-  let rng = Workload.Prng.create seed in
-  let e = random_expr rng fuzz_names 4 in
+let check_compiled_scalar (e, rows) =
   let scalar = Compile.scalar fuzz_schema e in
   let predicate = outcome (fun () -> Compile.pred fuzz_schema e) in
   List.for_all
-    (fun _ ->
-      let row = random_row rng fuzz_names in
-      let v_ok =
-        agree Value.equal_total Value.to_string
-          (Printf.sprintf "eval of %s" (Expr.to_string e))
-          (outcome (fun () -> Expr.eval fuzz_schema row e))
-          (outcome (fun () -> scalar row))
-      in
-      let b_ok =
-        match predicate with
-        | Error _ -> true (* constant folding surfaced a Type_error early *)
-        | Ok p ->
-          agree Bool.equal string_of_bool
-            (Printf.sprintf "eval_bool of %s" (Expr.to_string e))
-            (outcome (fun () -> Expr.eval_bool fuzz_schema row e))
-            (outcome (fun () -> p row))
-      in
-      v_ok && b_ok)
-    (List.init 8 (fun i -> i))
+    (fun row ->
+      agree Value.equal_total Value.to_string ("eval of " ^ Expr.to_string e)
+        (outcome (fun () -> Expr.eval fuzz_schema row e))
+        (outcome (fun () -> scalar row))
+      &&
+      match predicate with
+      | Error _ -> true (* constant folding surfaced a Type_error early *)
+      | Ok p ->
+        agree Bool.equal string_of_bool ("eval_bool of " ^ Expr.to_string e)
+          (outcome (fun () -> Expr.eval_bool fuzz_schema row e))
+          (outcome (fun () -> p row)))
+    rows
 
-let check_compiled_join seed =
-  let rng = Workload.Prng.create seed in
-  let left = Schema.of_names ~q:"L" [ "a"; "b" ]
-  and right = Schema.of_names ~q:"R" [ "c" ] in
-  let names = [ "a"; "b"; "c" ] in
-  let e = random_expr rng names 4 in
-  let both = Schema.append left right in
+(* The same expression as a join predicate: a, b from the left row, c from
+   the right. *)
+let check_compiled_join (e, rows) =
+  let left = Schema.of_names ~q:"L" [ "a"; "b" ] and right = Schema.of_names ~q:"R" [ "c" ] in
   match outcome (fun () -> Compile.join_pred left right e) with
   | Error _ -> true
   | Ok p ->
     List.for_all
-      (fun _ ->
-        let lrow = random_row rng [ "a"; "b" ] and rrow = random_row rng [ "c" ] in
-        agree Bool.equal string_of_bool
-          (Printf.sprintf "join_pred of %s" (Expr.to_string e))
-          (outcome (fun () ->
-               Expr.eval_bool both (Array.append lrow rrow) e))
-          (outcome (fun () -> p lrow rrow)))
-      (List.init 8 (fun i -> i))
+      (fun row ->
+        agree Bool.equal string_of_bool ("join_pred of " ^ Expr.to_string e)
+          (outcome (fun () -> Expr.eval_bool (Schema.append left right) row e))
+          (outcome (fun () -> p (Array.sub row 0 2) (Array.sub row 2 1))))
+      rows
 
 (* Exhaustive check of every comparator and arithmetic operator over a pool
    of values covering ties, sign changes, Null, Bool and Str — and of every
@@ -247,17 +145,10 @@ let exhaustive_operators () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"random dominance queries: all configs match baseline"
-         ~count:40 (QCheck.int_range 1 100000) (check_one object_query));
+      (QCheck2.Test.make ~name:"compiled scalars and predicates agree with the interpreter"
+         ~count:300 ~print:print_case gen_case check_compiled_scalar);
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"random basket queries: all configs match baseline"
-         ~count:40 (QCheck.int_range 1 100000) (check_one basket_query));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"compiled scalars and predicates agree with the interpreter"
-         ~count:300 (QCheck.int_range 1 1000000) check_compiled_scalar);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"compiled join predicates agree with the interpreter"
-         ~count:300 (QCheck.int_range 1 1000000) check_compiled_join);
+      (QCheck2.Test.make ~name:"compiled join predicates agree with the interpreter"
+         ~count:300 ~print:print_case gen_case check_compiled_join);
     Alcotest.test_case "all operators and operand shapes agree exhaustively" `Quick
       exhaustive_operators ]

@@ -59,14 +59,7 @@ let explain_tests =
         let text = Plan.explain plan in
         List.iter
           (fun needle -> Alcotest.(check bool) needle true (contains text needle))
-          [ "HashAggregate"; "Nested Loop"; "Index Scan"; "Filter: __agg0" ]);
-    t "merge join label in explain" (fun () ->
-        let c = catalog () in
-        let plan =
-          Sqlfront.Binder.bind ~join_pref:`Merge c
-            (Sqlfront.Parser.parse "SELECT a.id FROM pts a, pts b WHERE a.grp = b.grp")
-        in
-        Alcotest.(check bool) "Merge Join" true (contains (Plan.explain plan) "Merge Join")) ]
+          [ "HashAggregate"; "Nested Loop"; "Index Scan"; "Filter: __agg0" ]) ]
 
 let exec_tests =
   [ t "filter above a join" (fun () ->

@@ -47,10 +47,6 @@ let hash_join ?workers ~keys ~residual l r =
   exec ?workers
     (Plan.Hash_join { keys; residual; left = values "l" l; right = values "r" r })
 
-let merge_join ?workers ~keys ~residual l r =
-  exec ?workers
-    (Plan.Merge_join { keys; residual; left = values "l" l; right = values "r" r })
-
 let joins =
   let depts =
     rel [ "name"; "floor" ] [ [ sv "eng"; iv 3 ]; [ sv "ops"; iv 1 ]; [ sv "sales"; iv 2 ] ]
@@ -78,17 +74,6 @@ let joins =
             (people ()) depts
         in
         Alcotest.(check int) "rows" 1 (Relation.cardinality hj));
-    t "merge join equals hash join" (fun () ->
-        let hj = hash_join ~keys:dept_keys ~residual:Expr.tt (people ()) depts in
-        let mj = merge_join ~keys:dept_keys ~residual:Expr.tt (people ()) depts in
-        check_bag "merge=hash" hj mj);
-    t "merge join residual filters" (fun () ->
-        let mj =
-          merge_join ~keys:dept_keys
-            ~residual:(Expr.Cmp (Expr.Gt, Expr.col "salary", Expr.int 100))
-            (people ()) depts
-        in
-        Alcotest.(check int) "rows" 1 (Relation.cardinality mj));
     t "cross product size" (fun () ->
         Alcotest.(check int) "5*3" 15
           (Relation.cardinality (nl_join ~pred:Expr.tt (people ()) depts)));
@@ -213,12 +198,11 @@ let props =
       (fun workers ->
         List.for_all (Relation.equal_bag expected)
           [ nl_join ~workers ~pred left right;
-            hash_join ~workers ~keys ~residual:Expr.tt left right;
-            merge_join ~workers ~keys ~residual:Expr.tt left right ])
+            hash_join ~workers ~keys ~residual:Expr.tt left right ])
       [ 1; 2 ]
   in
   [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"hash and merge joins agree with nl join on random data"
+      (QCheck.Test.make ~name:"hash join agrees with nl join on random data"
          ~count:100 (QCheck.pair side side)
          (fun (ls, rs) -> agrees ls rs && agrees rs ls));
     QCheck_alcotest.to_alcotest

@@ -114,20 +114,17 @@ let with_server ?pool ?queue_cap ?maintain ?slow_ms ?slow_log ?trace_sample
   with_server_full ?pool ?queue_cap ?maintain ?slow_ms ?slow_log ?trace_sample
     catalogs (fun addr _srv -> f addr)
 
-(* The wire collapses integral floats to ints (JSON numbers carry no type
-   tag), so normalize both sides before bag comparison. *)
-let norm_rel rel =
+(* The expected relation as the wire carries it: NaN travels as null, and
+   integers beyond 2^53 as floats. *)
+let wire_rel rel =
   Relation.map_rows rel.Relation.schema
     (Array.map (fun v ->
-         match v with
-         | Value.Float f when Float.is_integer f && Float.abs f < 1e15 ->
-           Value.Int (int_of_float f)
-         | v -> v))
+         P.value_of_json (Json.of_string (Json.to_string (P.value_to_json v)))))
     rel
 
 let check_wire_bag msg expected response =
   let got = Serve.Client.relation_of_response response in
-  if not (Core.Runner.same_result (norm_rel expected) (norm_rel got)) then
+  if not (Core.Runner.same_result expected got) then
     Alcotest.failf "%s: server result differs\nexpected:\n%sgot:\n%s" msg
       (Relation.to_string ~max_rows:30 (Relation.sorted expected))
       (Relation.to_string ~max_rows:30 (Relation.sorted got))
@@ -525,29 +522,66 @@ let test_admission_rejection () =
       Alcotest.(check bool) "healthy after burst" true (Serve.Client.rows_n r >= 0);
       Serve.Client.close c)
 
+(* ---- hostile request lines ---- *)
+
+(* A truncated JSON line and bytes that are not UTF-8 each get
+   [bad_request]; so does a line past the cap that never ends — the server
+   must act on the cap, not wait for a newline — and its connection then
+   closes.  [serve.errors] counts them, and another session still works. *)
+let test_hostile_lines () =
+  let errors = Obs.Metrics.counter "serve.errors" in
+  let saved = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe saved) @@ fun () ->
+  with_server [ (`Row, basket_catalog ()) ] (fun addr ->
+      let path = match addr with `Unix p -> p | `Tcp _ -> assert false in
+      let before = Obs.Metrics.read errors in
+      List.iter
+        (fun (what, payload) ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let ic = Unix.in_channel_of_descr fd in
+          Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+          ignore (input_line ic : string);
+          ignore (Unix.write_substring fd payload 0 (String.length payload) : int);
+          let rec lines acc =
+            match input_line ic with
+            | l -> lines (l :: acc)
+            | exception End_of_file -> acc
+            | exception Sys_error m -> Alcotest.failf "%s: no answer and no close: %s" what m
+          in
+          if String.ends_with ~suffix:"\n" payload then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          match lines [] with
+          | [ l ] when Json.member "code" (Json.of_string l) = Some (Json.Str "bad_request") -> ()
+          | ls -> Alcotest.failf "%s: expected one bad_request, got [%s]" what (String.concat "; " ls))
+        [ ("truncated JSON", "{\"id\":1,\"op\":\"qu\n");
+          ("non-UTF-8 bytes", "\xff\xfe\x80\xc3 \x00\n");
+          ("over-cap line", String.make (P.max_line_bytes + 1) 'x') ];
+      Alcotest.(check bool) "serve.errors moved" true (Obs.Metrics.read errors >= before + 3);
+      let c = Serve.Client.connect addr in
+      Serve.Client.ping c;
+      Alcotest.(check bool) "another session still queries" true
+        (Serve.Client.rows_n (Serve.Client.query c basket_sql) >= 1);
+      Serve.Client.close c)
+
 (* ---- concurrent-session differential fuzz ---- *)
 
 let test_concurrent_fuzz () =
-  (* Deterministic random points, shared by the server catalogs and the
-     private one-shot baseline catalog. *)
-  let rng = Workload.Prng.create 515 in
-  let points =
-    List.init 60 (fun _ ->
-        (Workload.Prng.int rng 12, Workload.Prng.int rng 12))
-  in
-  let queries =
-    List.init 10 (fun _ -> Test_fuzz.object_query rng)
-  in
+  (* Tables of every oracle family and ten of its queries, drawn at the
+     suite's seed; the server catalogs and the one-shot baseline catalog
+     are built from the same rows. *)
+  let rand = Random.State.make [| qcheck_seed |] in
+  let draw g = QCheck2.Gen.generate1 ~rand g in
+  let tables = List.concat_map (fun f -> draw (Oracle.gen_tables f)) Oracle.families in
+  let queries = List.init 10 (fun i -> draw (Oracle.gen_query (List.nth Oracle.families (i mod 6)))) in
   let expected =
-    let catalog = objects_catalog points in
-    List.map
-      (fun sql -> Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql))
-      queries
+    let catalog = Oracle.row_catalog tables in
+    List.map (fun sql -> Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql)) queries
   in
-  let col_catalog = objects_catalog points in
+  let col_catalog = Oracle.row_catalog tables in
   Catalog.set_all_layouts col_catalog `Column;
   with_server ~pool:3
-    [ (`Row, objects_catalog points); (`Column, col_catalog) ]
+    [ (`Row, Oracle.row_catalog tables); (`Column, col_catalog) ]
     (fun addr ->
       (* 4 sessions x (layout x technique x transfer), all running the same
          query list concurrently, twice — the second round flows through
@@ -575,11 +609,9 @@ let test_concurrent_fuzz () =
                       (fun j sql ->
                         let r = Serve.Client.query c sql in
                         let got = Serve.Client.relation_of_response r in
-                        let want = List.nth expected j in
+                        let want = wire_rel (List.nth expected j) in
                         if
-                          not
-                            (Core.Runner.same_result (norm_rel want)
-                               (norm_rel got))
+                          not (Core.Runner.same_result want got)
                         then
                           failwith
                             (Printf.sprintf "session %d query %d diverged: %s"
@@ -939,14 +971,6 @@ let family_variants =
     "SELECT a.k, a.g, COUNT(*) AS n, SUM(b.x)" ^ from
     ^ " HAVING MAX(b.y) >= MIN(b.y) AND AVG(b.x) >= 0" ]
 
-(* The expected relation as the wire carries it: NaN travels as null, and
-   integers beyond 2^53 as floats. *)
-let wire_rel rel =
-  Relation.map_rows rel.Relation.schema
-    (Array.map (fun v ->
-         P.value_of_json (Json.of_string (Json.to_string (P.value_to_json v)))))
-    rel
-
 let partials_counter stats name =
   match Json.member "partials" stats with
   | Some p ->
@@ -1107,6 +1131,7 @@ let suite =
     Alcotest.test_case "append/query race" `Quick test_concurrent_append_query;
     Alcotest.test_case "catalog version" `Quick test_catalog_version;
     Alcotest.test_case "admission rejection" `Quick test_admission_rejection;
+    Alcotest.test_case "hostile request lines" `Quick test_hostile_lines;
     Alcotest.test_case "concurrent differential fuzz" `Quick test_concurrent_fuzz;
     Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
     Alcotest.test_case "metrics op" `Quick test_metrics_op;

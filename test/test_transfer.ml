@@ -1,22 +1,10 @@
-(* Predicate transfer (DESIGN.md §11): Bloom-filter unit properties, the
-   optimizer gate's verdicts, one end-to-end reduction check, and the
-   differential fuzz grid proving transfer-on results stay bag-equal to
-   transfer-off across technique × layout × workers — including under
-   deliberately tiny, collision-heavy filters ([Bloom.test_force_bits]),
-   so false positives can only ever cost work, never rows. *)
+(* Predicate transfer (DESIGN.md §11): Bloom-filter units, the optimizer
+   gate's verdicts and one end-to-end reduction check.  That transfer-on
+   results equal the baseline's — under tiny, collision-heavy filters
+   ([Bloom.test_force_bits]) too — is the oracle's job (oracle.ml). *)
 open Core
 open Relalg
 open Helpers
-
-let with_ref r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 (* ---- Bloom filter units ---- *)
 
@@ -158,14 +146,6 @@ let test_gate_accepts_filtered () =
              ps)
          spec.Transfer.t_locals)
 
-let test_gate_apriori_sources_opt_in () =
-  with_ref Optimizer.transfer_force true @@ fun () ->
-  with_ref Optimizer.transfer_apriori_sources true @@ fun () ->
-  let catalog = kv_catalog () in
-  let d = decide catalog (Workload.Queries.complex ~threshold:3) in
-  Alcotest.(check bool) "spec with reducer sources" true
-    (d.Optimizer.transfer <> None)
-
 (* ---- end-to-end reduction ---- *)
 
 let test_transfer_reduces_and_agrees () =
@@ -206,73 +186,6 @@ let test_transfer_counters_move () =
   Alcotest.(check bool) "filters built" true (Transfer.filters_built () > built0);
   Alcotest.(check bool) "rows probed" true (p1 > p0)
 
-(* ---- differential fuzz grid ---- *)
-
-let grid_queries catalog =
-  let cat = some_category catalog in
-  [
-    Workload.Queries.complex_filtered ~category:cat ~threshold:2 ();
-    Workload.Queries.complex_filtered ~category:cat ~threshold:5 ();
-    (* Non-existent category: every alias reduces to zero survivors. *)
-    Workload.Queries.complex_filtered ~category:"no-such-team" ~threshold:2 ();
-    (* Stock complex: the gate skips transfer; a degenerate grid point that
-       keeps the off-path honest under every configuration. *)
-    Workload.Queries.complex ~threshold:3;
-    (* σ on an attr edge endpoint instead of category. *)
-    "SELECT S1.id, S1.attr, S2.attr, COUNT(*) \
-     FROM perf_kv S1, perf_kv S2, perf_kv T1, perf_kv T2 \
-     WHERE S1.id = S2.id AND T1.id = T2.id AND S1.category = T1.category \
-     AND T1.attr = S1.attr AND T2.attr = S2.attr \
-     AND T1.val > S1.val AND T2.val > S2.val AND T2.attr = 'b_hr' \
-     GROUP BY S1.id, S1.attr, S2.attr HAVING COUNT(*) >= 2";
-  ]
-
-let test_differential_grid () =
-  with_ref Optimizer.transfer_force true @@ fun () ->
-  let techs =
-    [
-      ("all", Optimizer.all_techniques);
-      ("pruning", Optimizer.only `Pruning);
-      ("memo", Optimizer.only `Memo);
-    ]
-  in
-  List.iter
-    (fun (tname, tech) ->
-      List.iter
-        (fun layout ->
-          let catalog = kv_catalog ~rows:300 ~layout () in
-          List.iter
-            (fun workers ->
-              List.iter
-                (fun force_bits ->
-                  with_ref Column.Bloom.test_force_bits force_bits @@ fun () ->
-                  List.iter
-                    (fun sql ->
-                      let q = Sqlfront.Parser.parse sql in
-                      let off, _ =
-                        Runner.run ~tech ~workers ~transfer:false catalog q
-                      in
-                      let on, _ =
-                        Runner.run ~tech ~workers ~transfer:true catalog q
-                      in
-                      if not (Relation.equal_bag off on) then
-                        Alcotest.failf
-                          "transfer changed results (tech=%s layout=%s \
-                           workers=%d bits=%s):\n%s\noff %d rows, on %d rows"
-                          tname
-                          (match layout with `Row -> "row" | `Column -> "column")
-                          workers
-                          (match force_bits with
-                           | None -> "default"
-                           | Some b -> string_of_int b)
-                          sql (Relation.cardinality off)
-                          (Relation.cardinality on))
-                    (grid_queries catalog))
-                [ None; Some 127 ])
-            [ 1; 3 ])
-        [ `Row; `Column ])
-    techs
-
 let suite =
   [
     Alcotest.test_case "bloom membership" `Quick test_bloom_membership;
@@ -287,11 +200,8 @@ let suite =
       test_gate_only_apriori_sources;
     Alcotest.test_case "gate accepts filtered complex" `Quick
       test_gate_accepts_filtered;
-    Alcotest.test_case "gate a-priori sources opt-in" `Quick
-      test_gate_apriori_sources_opt_in;
     Alcotest.test_case "transfer reduces and agrees" `Quick
       test_transfer_reduces_and_agrees;
     Alcotest.test_case "transfer counters move" `Quick
       test_transfer_counters_move;
-    Alcotest.test_case "differential grid" `Slow test_differential_grid;
   ]
