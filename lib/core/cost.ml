@@ -57,34 +57,8 @@ let distinct_of lookup e =
 
 type node = { est : estimate; lookup : lookup; label : string; children : node list }
 
-(* Cached by table name, validated by the relation's physical identity: a
-   renamed or replaced table (CTE temp tables, layout flips, a different
-   catalog reusing the name) recomputes, while repeated estimates over an
-   unchanged catalog — EXPLAIN ANALYZE issues several per block — reuse the
-   one stats pass.  Bounded by the number of distinct table names seen.
-   Mutex-guarded: the query server plans from several worker domains at
-   once, and a torn [Hashtbl] resize is a segfault, not a stale answer. *)
-let table_stats_cache : (string, Relation.t * Stats.t) Hashtbl.t = Hashtbl.create 16
-let table_stats_mu = Mutex.create ()
-
-let stats_of_table catalog name =
-  let key = String.lowercase_ascii name in
-  let tbl = Catalog.find catalog name in
-  Mutex.lock table_stats_mu;
-  let cached =
-    match Hashtbl.find_opt table_stats_cache key with
-    | Some (rel, s) when rel == tbl.Catalog.rel -> Some s
-    | _ -> None
-  in
-  Mutex.unlock table_stats_mu;
-  match cached with
-  | Some s -> s
-  | None ->
-    let s = Stats.of_relation tbl.Catalog.rel in
-    Mutex.lock table_stats_mu;
-    Hashtbl.replace table_stats_cache key (tbl.Catalog.rel, s);
-    Mutex.unlock table_stats_mu;
-    s
+(* Built once per table version, in the table's derived-state slot. *)
+let stats_of_table catalog name = Catalog.stats (Catalog.find catalog name)
 
 let lookup_of_stats stats : lookup = fun c -> Stats.col stats c.Schema.name
 

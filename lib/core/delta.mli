@@ -1,7 +1,7 @@
 (** Incremental maintenance of cached iceberg results under appends.
 
-    An entry holds the query's algebraic partial states (one partial row per
-    group, HAVING not yet applied).  Appending Δ rows to a table folds in
+    An entry holds the query's algebraic partial states (each group's
+    aggregate states, HAVING not yet applied).  Appending Δ rows to a table folds in
     via telescoping delta joins — for k occurrences of the table in FROM,
     k runs that each place Δ at one occurrence (old prefix before it, the
     grown table after) — so maintenance is O(Δ ⋈ rest), not a recompute.
@@ -22,7 +22,8 @@
     write section). *)
 
 type state
-(** Mutable §6 partial rows of one partials query, one per group. *)
+(** Mutable §6 partial state of one partials query: per group, each
+    aggregate's running state, merged as the engine merges them. *)
 
 type t
 (** A view: one query's finalizer over a {!state}. *)

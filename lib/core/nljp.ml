@@ -22,7 +22,7 @@ let default_config =
     workers = 1;
   }
 
-type index_source = Catalog_index of Index.Sorted.t | Built_per_execution
+type index_source = Catalog | Per_execution
 
 (* The inner side's access path for Q_R(b), as [choose_access] decided it:
    each case carries what [execute] builds its structure from. *)
@@ -38,8 +38,8 @@ type access =
 
 let access_to_string =
   let source_name = function
-    | Catalog_index _ -> "catalog"
-    | Built_per_execution -> "built per execution"
+    | Catalog -> "catalog"
+    | Per_execution -> "built per execution"
   in
   function
   | A_hash probes ->
@@ -99,6 +99,7 @@ let m_memo_cache_rows = Obs.Metrics.counter "nljp.memo_cache_rows"
 let m_cache_bytes = Obs.Metrics.counter "nljp.cache_bytes"
 let m_waves = Obs.Metrics.counter "nljp.waves"
 let m_range_count_builds = Obs.Metrics.counter "nljp.range_count_builds"
+let m_range_count_reuses = Obs.Metrics.counter "nljp.range_count_reuses"
 
 type t = {
   catalog : Catalog.t;
@@ -128,7 +129,9 @@ type t = {
 let row_bytes row =
   24 + Array.fold_left (fun a v -> a + Value.approx_bytes v) 0 row
 
-(* Sample a column's type from its owning base table. *)
+(* Whether a Θ column holds only numbers (or NULL), from its owning
+   table's derived state: the subsumption arithmetic is only sound if no
+   string can flow into an ordered comparison. *)
 let col_numeric catalog (spec : Qspec.t) col =
   let find_in (side : Qspec.side) =
     match col.Schema.qualifier with
@@ -147,31 +150,7 @@ let col_numeric catalog (spec : Qspec.t) col =
     let tbl = Catalog.find catalog tname in
     (match Schema.index_of tbl.Catalog.rel.Relation.schema col.Schema.name with
      | exception Schema.Unknown_column _ -> false
-     | idx ->
-       let numeric_or_null = function
-         | Value.Int _ | Value.Float _ | Value.Null -> true
-         | Value.Str _ | Value.Bool _ -> false
-       in
-       (match Relation.cstore_opt tbl.Catalog.rel with
-        | Some cs ->
-          (* Columnar table: the column-level zone map already knows the
-             value domain.  Both ends must be numeric: values order by type
-             rank, so a mixed column hides its strings at [max_v] (and its
-             bools at [min_v]) while the other bound still looks numeric. *)
-          let zm = Column.Cstore.col_zmap cs idx in
-          numeric_or_null zm.Column.Zmap.min_v
-          && numeric_or_null zm.Column.Zmap.max_v
-        | None ->
-          (* Every value must be checked: sampling the first non-null row
-             would misjudge a mixed column that happens to lead with a
-             number, and the subsumption arithmetic downstream is only
-             sound if no string can flow into an ordered comparison. *)
-          let rows = Relation.rows tbl.Catalog.rel in
-          let rec all i =
-            i >= Array.length rows
-            || (numeric_or_null rows.(i).(idx) && all (i + 1))
-          in
-          all 0))
+     | idx -> Catalog.column_numeric tbl idx)
 
 let build ?(overrides = []) catalog (spec : Qspec.t) config =
   if not (Qspec.pred_applicable spec.Qspec.right spec.Qspec.having) then
@@ -660,14 +639,15 @@ let range_count_shape ~binding ~inner ~theta ~aggs ~group_cols =
    materialized — so [execute] runs it and EXPLAIN prints it.  The notes say
    why the range count was rejected when Θ has range bounds but no equality.
 
-   The range count takes its x order from the catalog's BT index when Q_R is
-   a bare base table (one table, no local predicate, no a-priori override)
-   with an index led by one of its columns: Q_R's rows are then the table's
-   rows at the same positions.  A transferred Bloom filter cannot narrow
-   such a side in a way that matters — it only drops rows that match no
-   binding.  Any other inner side is sorted per execution.  The catalog
-   index is read at each call, never kept in a prepared operator, so appends
-   (which rebuild it) are seen. *)
+   The range count is the catalog's when Q_R is a bare base table (one
+   table that is not a CTE, no local predicate, no a-priori override): Q_R's
+   rows are then the table's rows at the same positions, and the structure
+   lives in the table's derived state, built on first use.  Its x order
+   comes from the table's BT index when one is led by a bounded column.  A
+   transferred Bloom filter cannot narrow such a side in a way that matters
+   — it only drops rows that match no binding.  Any other inner side is
+   sorted per execution.  The table is looked up at each call, never kept
+   in a prepared operator, so a table replaced by an append is seen. *)
 let choose_access op =
   let { catalog; spec; overrides; config; _ } = op in
   let right = spec.Qspec.right in
@@ -689,11 +669,12 @@ let choose_access op =
       probes
   in
   let aggs = List.map Binder.agg_func op.all_aggs in
-  let catalog_index col =
+  let base_table =
     match right.Qspec.tables with
     | [ (tname, alias) ]
       when right.Qspec.local = [] && not (List.mem_assoc alias overrides) ->
-      Catalog.sorted_index_on (Catalog.find catalog tname) col.Schema.name
+      let tbl = Catalog.find catalog tname in
+      if tbl.Catalog.temp then None else Some tbl
     | _ -> None
   in
   let range_count () =
@@ -704,13 +685,16 @@ let choose_access op =
     | Error r -> Error r
     | Ok _ when not config.inner_index -> Error "disabled by configuration"
     | Ok (cols, box, disjunction) ->
-      (* x is a column whose order the catalog already holds, if any *)
       let cols, source =
-        match
-          List.find_map (fun c -> Option.map (fun i -> (c, i)) (catalog_index c)) cols
-        with
-        | Some (x, idx) -> (x :: List.filter (fun c -> c <> x) cols, Catalog_index idx)
-        | None -> (cols, Built_per_execution)
+        match base_table with
+        | None -> (cols, Per_execution)
+        | Some tbl ->
+          (* x is a column whose order the catalog already holds, if any *)
+          let indexed c = Catalog.sorted_index_on tbl c.Schema.name <> None in
+          ( (match List.find_opt indexed cols with
+             | Some x -> x :: List.filter (fun c -> c <> x) cols
+             | None -> cols),
+            Catalog )
       in
       Ok (A_range_count { cols; box; disjunction; source })
   in
@@ -960,7 +944,7 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
    | A_range_count _ -> ()
    | A_hash _ | A_scan -> ignore (Relation.rows r_rel : Row.t array));
   (* Every structure an execution builds over the inner side is timed as
-     an [inner index build] child of [span]. *)
+     an [inner index build] child of [span]; a reused one has none. *)
   let inner_build f =
     match span with
     | None -> f ()
@@ -981,20 +965,29 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
       fun b k -> List.iter k (Index.Hash.probe idx (Array.map (fun f -> f b) fs))
     | A_range_count _ | A_scan -> fun _ k -> Relation.iter k r_rel
   in
-  (* The range count's structure, built once per execution and only read
-     by the (possibly parallel) probes. *)
+  (* The range count's structure — the catalog's, or one built for this
+     execution — only read by the (possibly parallel) probes. *)
   let range_count =
     match access with
     | A_range_count { cols; box; disjunction; source } ->
-      let idxs = List.map (Schema.index_of_col r_schema) cols in
-      Obs.Metrics.incr m_range_count_builds;
-      let rc =
-        inner_build (fun () ->
-            match source with
-            | Catalog_index idx -> Index.Range_count.of_sorted idx ~cols:idxs
-            | Built_per_execution ->
-              Index.Range_count.build (Relation.rows r_rel) ~cols:idxs)
+      let built = ref false in
+      let build make =
+        built := true;
+        inner_build make
       in
+      let rc =
+        match source, right_side.Qspec.tables with
+        | Catalog, [ (tname, _) ] ->
+          let tbl = Catalog.find catalog tname in
+          let idxs =
+            List.map (fun c -> Schema.index_of tbl.Catalog.rel.Relation.schema c.Schema.name) cols
+          in
+          Catalog.range_count tbl ~cols:idxs ~on_build:build
+        | _ ->
+          let idxs = List.map (Schema.index_of_col r_schema) cols in
+          build (fun () -> Index.Range_count.build (Relation.rows r_rel) ~cols:idxs)
+      in
+      Obs.Metrics.incr (if !built then m_range_count_builds else m_range_count_reuses);
       Some (range_counter rc ~binding:binding_schema ~cols ~box ~disjunction)
     | _ -> None
   in

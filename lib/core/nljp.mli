@@ -52,14 +52,16 @@ type config = {
 
 val default_config : config
 
-(** Where the range count's x order comes from. *)
+(** Where the range-count structure comes from.  Every build is counted in
+    [nljp.range_count_builds], every reuse in [nljp.range_count_reuses]. *)
 type index_source =
-  | Catalog_index of Relalg.Index.Sorted.t
-      (** the base table's BT index, registered in the catalog at setup and
-          read at each execution *)
-  | Built_per_execution
-      (** sorted from the materialized Q_R by each execution (counted in
-          [nljp.range_count_builds], like every range-count build) *)
+  | Catalog
+      (** the base table's, kept in its derived state
+          ({!Relalg.Catalog.range_count}): built by the first execution that
+          needs it, read by the next ones until the table changes *)
+  | Per_execution
+      (** sorted from the materialized Q_R — a CTE or a side with a local
+          predicate or an a-priori override — by each execution *)
 
 (** The inner side's access path for Q_R(b), as {!choose_access} decided it.
     [execute] builds its structure from this value, EXPLAIN prints it and
@@ -81,9 +83,8 @@ type access =
           [disjunction], when not empty, is Θ's one disjunction of such
           bounds (the skyband's [x > f(b) OR y > g(b)], the pairs' 4-way
           OR), counted as count(box) − count(box ∧ every negated disjunct),
-          one complement box whatever its arity.  [source] says where the x
-          order comes from: the catalog's index led by x, or a sort per
-          execution. *)
+          one complement box whatever its arity.  [source] says whether the
+          structure is the catalog's or built per execution. *)
   | A_scan  (** every inner row, tested against Θ per binding *)
 
 (** [access_to_string a] is the text after [inner access path: ] in EXPLAIN,
@@ -223,14 +224,15 @@ val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query
     and Θ a conjunction of [r_col op f(b)] range bounds on k ≥ 2 inner
     columns plus at most one disjunction (nested [OR]s flatten) of such
     bounds, each on a column the conjunction bounds; every other shape
-    without an equality conjunct scans.  The range count's x order is the
-    catalog's ({!Catalog_index}) when Q_R is a bare base table — one table,
-    no local predicate, no a-priori override — with an index led by one of
-    its columns (the first such column is x); otherwise each execution sorts
-    Q_R.  Reads only the spec, the inner base table with its catalog indexes
-    and the config — no side query is materialized — so EXPLAIN can call
-    it; [execute] calls it on every run and runs what it returns, timing
-    each structure it builds in an [inner index build] span.  The notes say
+    without an equality conjunct scans.  The range count is the catalog's
+    ({!Catalog}) when Q_R is a bare base table — one table that is not a
+    CTE, no local predicate, no a-priori override — and its x is the first
+    bounded column that leads one of the table's indexes, if any; otherwise
+    each execution sorts Q_R ({!Per_execution}).  Reads only the spec, the
+    inner base table with its catalog indexes and the config — no side
+    query is materialized — so EXPLAIN can call it; [execute] calls it on
+    every run and runs what it returns, timing each structure it builds,
+    and only those, in an [inner index build] span.  The notes say
     why the range count was rejected when Θ has range bounds but no
     equality conjunct (the [range count off: …] lines of [stats.notes]). *)
 val choose_access : t -> access * string list

@@ -737,7 +737,15 @@ let handle_append t conn ~id table rows =
                (fun rj ->
                  match rj with
                  | Json.Arr cells when List.length cells = arity ->
-                   Array.of_list (List.map P.value_of_json cells)
+                   Array.of_list
+                     (List.map
+                        (fun cell ->
+                          match P.value_of_json cell with
+                          | v -> v
+                          | exception Invalid_argument _ ->
+                            failwith
+                              (Printf.sprintf "append %s: a cell is not a scalar" table))
+                        cells)
                  | Json.Arr _ ->
                    failwith
                      (Printf.sprintf "append %s: row arity mismatch (want %d)"

@@ -220,6 +220,53 @@ let test_delta_oversized () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "oversized delta must be refused")
 
+(* A partial SUM keeps its ints and floats apart until it finishes, so a
+   merged partial finishes as a recompute does: ints {2^50} with floats
+   {0.125} finish as 2^50, and a merge of finished values with a later
+   0.25 would give 2^50 + 0.25 where a recompute gives 2^50 + 0.5.  Group
+   1 holds [old] and is appended [fresh]; AVG keeps the same sum. *)
+let test_delta_float_sum () =
+  let sql = "SELECT g, SUM(v), AVG(v) FROM t GROUP BY g" in
+  List.iter
+    (fun (label, old, fresh, exact) ->
+      let catalog = Catalog.create () in
+      Catalog.add_table catalog "t"
+        (rel [ "g"; "v" ]
+           (List.map (fun v -> [ iv 1; v ]) old
+           @ List.init 20 (fun i -> [ iv 2; iv i ])));
+      let st =
+        match Core.Delta.init catalog (parse sql) with
+        | Some st -> st
+        | None -> Alcotest.fail "SUM must have a delta rule"
+      in
+      let fresh = Array.of_list (List.map (fun v -> row [ iv 1; v ]) fresh) in
+      Catalog.append_rows catalog "t" fresh;
+      let schema = (Catalog.find catalog "t").Catalog.rel.Relation.schema in
+      let recompute = Core.Runner.run_baseline catalog (parse sql) in
+      let sum1 rel =
+        Array.find_map
+          (fun r -> if r.(0) = iv 1 then Some r.(1) else None)
+          (Relation.rows rel)
+      in
+      Alcotest.(check (option value_testable)) (label ^ ": the recompute")
+        (Some exact) (sum1 recompute);
+      (match Core.Delta.apply st ~table:"t" ~delta:(Relation.make schema fresh) with
+       | Ok _ -> ()
+       | Error m -> Alcotest.failf "%s: the fold refused: %s" label m);
+      check_bag (label ^ ": merged = recompute") recompute (Core.Delta.result st))
+    [ ( "ints {2^50}, floats {0.125}, then 0.25",
+        [ iv (1 lsl 50); fv 0.125 ],
+        [ fv 0.25 ],
+        fv (0x1p50 +. 0.5) );
+      ( "ints {2^50, 3}, floats {0.125}, then ints {-3}, floats {0.25, 0.125}",
+        [ iv (1 lsl 50); iv 3; fv 0.125 ],
+        [ iv (-3); fv 0.25; fv 0.125 ],
+        fv (0x1p50 +. 0.5) );
+      ( "ints past max_int, then back",
+        [ iv max_int; iv 5 ],
+        [ iv (-10) ],
+        iv (max_int - 5) ) ]
+
 (* Views sharing one state: threshold and SELECT variants of one shape
    have one partials key; each view finalizes the state for its own
    SELECT and HAVING, and one fold of an append serves them all. *)
@@ -384,6 +431,7 @@ let suite =
     Alcotest.test_case "delta basket" `Quick test_delta_basket;
     Alcotest.test_case "delta revalidate" `Quick test_delta_revalidate;
     Alcotest.test_case "delta oversized" `Quick test_delta_oversized;
+    Alcotest.test_case "delta float sum" `Quick test_delta_float_sum;
     Alcotest.test_case "delta shared views" `Quick test_delta_shared_views;
     Alcotest.test_case "delta keys lossless" `Quick test_delta_keys_lossless;
     Alcotest.test_case "refresh prepared" `Quick test_refresh_prepared;

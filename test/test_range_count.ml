@@ -275,14 +275,14 @@ let queries =
        WHERE L.x >= R.x AND L.y >= R.y AND (L.x > R.x OR L.y > R.y) \
        GROUP BY R.id HAVING COUNT(1) <= 150",
       ( "range count on L.x, L.y (catalog)",
-        "range count on L.x, L.y (built per execution)" ) );
+        "range count on L.x, L.y (catalog)" ) );
     (* skyband Q3 on the mixed column, x order from [m] *)
     ( "skyband Q3, mixed",
       "SELECT R.id, COUNT(*) FROM pts L, pts R \
        WHERE L.m >= R.m AND L.x >= R.x AND (L.m > R.m OR L.x > R.x) \
        GROUP BY R.id HAVING COUNT(*) <= 120",
       ( "range count on L.m, L.x (catalog)",
-        "range count on L.m, L.x (built per execution)" ) );
+        "range count on L.m, L.x (catalog)" ) );
     (* the ≤/< mirror, y bounded first: the index led by x is still used;
        without it the first bounded column leads *)
     ( "mirror",
@@ -290,7 +290,7 @@ let queries =
        WHERE L.y <= R.y AND L.x <= R.x AND (L.y < R.y OR L.x < R.x) \
        GROUP BY R.id HAVING COUNT(1) <= 200",
       ( "range count on L.x, L.y (catalog)",
-        "range count on L.y, L.x (built per execution)" ) );
+        "range count on L.y, L.x (catalog)" ) );
     (* a window: two bounds on x, one of them computed (it overflows to a
        float at the int boundary); two on y that tie, the strict one wins *)
     ( "window",
@@ -298,7 +298,7 @@ let queries =
        WHERE L.x >= R.x AND L.x <= R.x + 3 AND L.y >= R.y AND L.y > R.y \
        GROUP BY R.id HAVING COUNT(*) >= 2",
       ( "range count on L.x, L.y (catalog)",
-        "range count on L.x, L.y (built per execution)" ) );
+        "range count on L.x, L.y (catalog)" ) );
     (* skyband_avg: strict bounds over a CTE, sorted per execution *)
     ( "skyband_avg",
       "WITH p AS (SELECT g, AVG(x) AS x, AVG(y) AS y FROM pts GROUP BY g) \
@@ -316,7 +316,7 @@ let queries =
        AND (L.z < R.z OR L.x < R.x OR L.m < R.m OR L.y < R.y) \
        GROUP BY R.id HAVING COUNT(*) <= 40",
       ( "range count on L.x, L.z, L.m, L.y (catalog)",
-        "range count on L.z, L.x, L.m, L.y (built per execution)" ) );
+        "range count on L.z, L.x, L.m, L.y (catalog)" ) );
     (* the same over AVG columns of a CTE, as Q4 and Q6 run it: all-Float
        coordinates, NULL and NaN averages *)
     ( "pairs over a CTE",
@@ -336,7 +336,7 @@ let queries =
        AND ((L.y < R.y OR L.z < R.z) OR L.y < R.y - 2) \
        GROUP BY R.id HAVING COUNT(*) >= 3",
       ( "range count on L.x, L.y, L.z (catalog)",
-        "range count on L.y, L.z, L.x (built per execution)" ) ) ]
+        "range count on L.y, L.z, L.x (catalog)" ) ) ]
 
 let rec main_stats (rep : Runner.report) =
   match rep.Runner.nljp_stats with
@@ -467,8 +467,66 @@ let test_off_notes () =
          WHERE L.g = R.g AND L.x >= R.x AND L.y >= R.y GROUP BY R.id HAVING COUNT(*) <= 9",
         "hash probe (1 equality conjunct)", [] ) ]
 
+(* ---- a Θ column that stops being numeric ---- *)
+
+let m_domain_builds = Obs.Metrics.counter "catalog.domain_builds"
+
+(* A string appended into the all-Int x column turns the column's numeric
+   fact off — judged from the appended row alone — so the p⪰ derived under
+   it is dropped: a plan prepared before the append must be prepared again,
+   and a new one runs without pruning and says why.  Results stay bag-equal
+   to the baseline. *)
+let test_string_append () =
+  let sql =
+    let _, sql, _ = List.find (fun (n, _, _) -> n = "skyband Q1") queries in
+    sql
+  in
+  let q = Sqlfront.Parser.parse sql in
+  List.iter
+    (fun layout ->
+      let label = match layout with `Row -> "row" | `Column -> "column" in
+      let c = pts_catalog ~bt:true layout in
+      let tbl () = Catalog.find c "pts" in
+      let x = Schema.index_of (tbl ()).Catalog.rel.Relation.schema "x" in
+      Alcotest.(check bool) (label ^ ": x is numeric") true
+        (Catalog.column_numeric (tbl ()) x);
+      let prepared = Runner.prepare c q in
+      let _, rep = Runner.run c q in
+      (match main_stats rep with
+       | Some s -> Alcotest.(check bool) (label ^ ": pruning on") true s.Nljp.pruning_on
+       | None -> Alcotest.fail "no NLJP run");
+      let before = Catalog.stamp c "pts" in
+      let r = Array.copy (Relation.rows (tbl ()).Catalog.rel).(5) in
+      r.(0) <- iv 20_000;
+      r.(x) <- sv "x";
+      Catalog.append_rows c "pts" [| r |];
+      let d0 = Obs.Metrics.read m_domain_builds in
+      Alcotest.(check bool) (label ^ ": x is no longer numeric") false
+        (Catalog.column_numeric (tbl ()) x);
+      if Obs.enabled then
+        Alcotest.(check int) (label ^ ": judged from the appended row") 0
+          (Obs.Metrics.read m_domain_builds - d0);
+      let delta =
+        match Catalog.delta_since c "pts" before with
+        | `Delta d -> d
+        | `Invalid -> Alcotest.fail "append started a new generation"
+      in
+      (match Runner.refresh_prepared prepared ~table:"pts" ~delta with
+       | `Reprepare _ -> ()
+       | `Kept | `Refreshed -> Alcotest.fail "a plan with a stale p⪰ was carried");
+      let rel, rep = Runner.run c q in
+      check_bag (label ^ ": bag-equal to baseline") (Runner.run_baseline c q) rel;
+      match main_stats rep with
+      | None -> Alcotest.fail "no NLJP run"
+      | Some s ->
+        Alcotest.(check bool) (label ^ ": pruning off") false s.Nljp.pruning_on;
+        Alcotest.(check bool) (label ^ ": the note says why") true
+          (List.mem "pruning off: no subsumption predicate derivable from Θ" s.Nljp.notes))
+    [ `Row; `Column ]
+
 let suite =
   [ t "range count structure agrees with brute force" test_structure;
     t "k-D range count structure agrees with brute force" test_structure_kd;
     t "range count agrees with the baseline and the row path" test_differential;
-    t "the shape's misses are noted" test_off_notes ]
+    t "the shape's misses are noted" test_off_notes;
+    t "a string appended into a Θ column turns pruning off" test_string_append ]

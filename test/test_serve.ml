@@ -374,6 +374,32 @@ let test_append_all_or_nothing () =
       check_wire_bag "row after good append" expected1 r_row2;
       Serve.Client.close c)
 
+(* A cell that is not a scalar (a JSON array or object) is the client's
+   error, and is refused before any layout catalog changes. *)
+let test_append_non_scalar () =
+  let cats = [ (`Row, basket_catalog ()); (`Column, basket_catalog ()) ] in
+  let state () =
+    List.map
+      (fun (_, cat) ->
+        (Catalog.version cat, Relation.cardinality (Catalog.find cat "basket").Catalog.rel))
+      cats
+  in
+  let before = state () in
+  with_server cats (fun addr ->
+      let c = Serve.Client.connect addr in
+      List.iter
+        (fun cell ->
+          try
+            ignore
+              (Serve.Client.append c "basket"
+                 [ Json.Arr [ Json.Num 9.; Json.Str "ok" ]; Json.Arr [ cell; Json.Str "x" ] ]);
+            Alcotest.fail "a non-scalar cell must be rejected"
+          with Serve.Client.Server_error { code; _ } ->
+            Alcotest.(check string) "non-scalar cell" "bad_request" code)
+        [ Json.Arr [ Json.Num 1. ]; Json.Obj [ ("a", Json.Num 1.) ] ];
+      Alcotest.(check (list (pair int int))) "no layout's catalog changed" before (state ());
+      Serve.Client.close c)
+
 (* Regression for the blanket-sweep bug: appending to one table must not
    evict cached results of queries that never read it. *)
 let test_append_unrelated_survives () =
@@ -1126,6 +1152,7 @@ let suite =
     Alcotest.test_case "append maintenance" `Quick test_append_maintenance;
     Alcotest.test_case "append invalidation" `Quick test_append_invalidation;
     Alcotest.test_case "append all-or-nothing" `Quick test_append_all_or_nothing;
+    Alcotest.test_case "append non-scalar cell" `Quick test_append_non_scalar;
     Alcotest.test_case "append unrelated survives" `Quick
       test_append_unrelated_survives;
     Alcotest.test_case "append/query race" `Quick test_concurrent_append_query;
