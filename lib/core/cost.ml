@@ -57,18 +57,19 @@ let distinct_of lookup e =
 
 type node = { est : estimate; lookup : lookup; label : string; children : node list }
 
-(* Built once per table version, in the table's derived-state slot. *)
-let stats_of_table catalog name = Catalog.stats (Catalog.find catalog name)
+(* Built once per table version, in the table's derived-state slot;
+   [on_build] times a build. *)
+let stats_of_table ?on_build catalog name = Catalog.stats ?on_build (Catalog.find catalog name)
 
 let lookup_of_stats stats : lookup = fun c -> Stats.col stats c.Schema.name
 
 let combine_lookup a b : lookup =
   fun c -> match a c with Some s -> Some s | None -> b c
 
-let rec analyze catalog plan : node =
+let rec analyze stats_of plan : node =
   match plan with
   | Plan.Scan { table; alias; filter } ->
-    let stats = stats_of_table catalog table in
+    let stats = stats_of table in
     let lookup = lookup_of_stats stats in
     let rows0 = float_of_int stats.Stats.row_count in
     let sel = match filter with None -> 1. | Some p -> selectivity lookup p in
@@ -89,7 +90,7 @@ let rec analyze catalog plan : node =
       children = [];
     }
   | Plan.Filter (p, inner) ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     let sel = selectivity n.lookup p in
     {
       est = { rows = n.est.rows *. sel; cost = n.est.cost +. n.est.rows };
@@ -98,7 +99,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Project (outs, inner) ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     let lookup c =
       List.find_map
         (fun (e, name) ->
@@ -114,7 +115,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Nl_join { pred; left; right } ->
-    let l = analyze catalog left and r = analyze catalog right in
+    let l = analyze stats_of left and r = analyze stats_of right in
     let lookup = combine_lookup l.lookup r.lookup in
     let pairs = l.est.rows *. r.est.rows in
     let rows = pairs *. selectivity lookup pred in
@@ -125,7 +126,7 @@ let rec analyze catalog plan : node =
       children = [ l; r ];
     }
   | Plan.Hash_join { keys; residual; left; right } ->
-    let l = analyze catalog left and r = analyze catalog right in
+    let l = analyze stats_of left and r = analyze stats_of right in
     let lookup = combine_lookup l.lookup r.lookup in
     let key_sel =
       List.fold_left
@@ -150,8 +151,8 @@ let rec analyze catalog plan : node =
       children = [ l; r ];
     }
   | Plan.Index_nl_join { pred; left; table; alias; lo; hi; _ } ->
-    let l = analyze catalog left in
-    let stats = stats_of_table catalog table in
+    let l = analyze stats_of left in
+    let stats = stats_of table in
     let r_lookup = lookup_of_stats stats in
     let lookup = combine_lookup l.lookup r_lookup in
     let r_rows = float_of_int stats.Stats.row_count in
@@ -169,7 +170,7 @@ let rec analyze catalog plan : node =
       children = [ l ];
     }
   | Plan.Group { group_cols; aggs = _; input } ->
-    let n = analyze catalog input in
+    let n = analyze stats_of input in
     let groups =
       List.fold_left
         (fun acc (e, _) ->
@@ -186,7 +187,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Distinct inner ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     {
       est = { rows = n.est.rows *. 0.5; cost = n.est.cost +. n.est.rows };
       lookup = n.lookup;
@@ -194,7 +195,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Order_by (_, inner) ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     let sort_cost = n.est.rows *. Float.max 1. (Float.log (Float.max 2. n.est.rows)) in
     {
       est = { n.est with cost = n.est.cost +. sort_cost };
@@ -203,7 +204,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Limit (k, inner) ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     {
       est = { rows = Float.min (float_of_int k) n.est.rows; cost = n.est.cost };
       lookup = n.lookup;
@@ -211,7 +212,7 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
   | Plan.Semijoin { keys = _; sub; input } ->
-    let s = analyze catalog sub and n = analyze catalog input in
+    let s = analyze stats_of sub and n = analyze stats_of input in
     {
       est = { rows = n.est.rows *. 0.5; cost = s.est.cost +. n.est.cost +. n.est.rows };
       lookup = n.lookup;
@@ -219,7 +220,7 @@ let rec analyze catalog plan : node =
       children = [ n; s ];
     }
   | Plan.Rename (alias, inner) ->
-    let n = analyze catalog inner in
+    let n = analyze stats_of inner in
     {
       est = n.est;
       lookup = n.lookup;
@@ -227,7 +228,8 @@ let rec analyze catalog plan : node =
       children = [ n ];
     }
 
-let estimate catalog plan = (analyze catalog plan).est
+let estimate ?on_stats_build catalog plan =
+  (analyze (stats_of_table ?on_build:on_stats_build catalog) plan).est
 
 (* Public estimate tree: the same per-node labels and estimates [explain]
    prints, with children ordered exactly like the executor visits plan
@@ -243,10 +245,11 @@ let rec to_tree n =
     t_children = List.map to_tree n.children;
   }
 
-let tree catalog plan = to_tree (analyze catalog plan)
+let tree ?on_stats_build catalog plan =
+  to_tree (analyze (stats_of_table ?on_build:on_stats_build catalog) plan)
 
 let explain catalog plan =
-  let root = analyze catalog plan in
+  let root = analyze (stats_of_table catalog) plan in
   let b = Buffer.create 256 in
   let rec go depth node =
     Buffer.add_string b

@@ -15,16 +15,25 @@
 
 type estimate = { rows : float; cost : float }
 
-(** Estimate a plan bottom-up.  Statistics are computed per referenced base
-    table on demand and memoized per call. *)
-val estimate : Relalg.Catalog.t -> Relalg.Plan.t -> estimate
+(** Estimate a plan bottom-up.  Statistics are read per referenced base
+    table from the catalog ({!Relalg.Catalog.stats}, built once per table
+    version); [on_stats_build] times a build, as its [on_build]. *)
+val estimate :
+  ?on_stats_build:((unit -> Relalg.Stats.t) -> Relalg.Stats.t) ->
+  Relalg.Catalog.t ->
+  Relalg.Plan.t ->
+  estimate
 
 type tree = { t_label : string; t_rows : float; t_cost : float; t_children : tree list }
 (** Per-node estimates as a tree.  Child order matches the executor's plan
     traversal ([Exec.run]'s recorder paths), so EXPLAIN ANALYZE can pair
     each estimate with the actual row count observed at the same path. *)
 
-val tree : Relalg.Catalog.t -> Relalg.Plan.t -> tree
+val tree :
+  ?on_stats_build:((unit -> Relalg.Stats.t) -> Relalg.Stats.t) ->
+  Relalg.Catalog.t ->
+  Relalg.Plan.t ->
+  tree
 
 (** EXPLAIN with per-node estimates appended, e.g.
     [HashAggregate ... (rows≈120 cost≈45000)]. *)

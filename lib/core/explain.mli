@@ -3,9 +3,11 @@
 
     Every line is read from that prepared value: the optimizer's notes,
     the [plan: …] line {!Runner.report_to_string} prints for a run, the
-    chosen generalized-a-priori reducers with the plan line of each, the
-    NLJP outer/inner split with its component queries and memo/prune
-    configuration (including the reasons when either is off), the
+    chosen generalized-a-priori reducers with the plan line of each (a
+    mirror reducer's [shared with …]), the NLJP verdict with the
+    estimates that decided it, the NLJP outer/inner split with its
+    component queries and memo/prune configuration (including the reasons
+    when either is off), the
     inner-side access path in priority order (hash probe ≻ range count ≻
     row scan), the predicate-transfer
     plan, and the cost model's per-node estimates for the baseline

@@ -1407,6 +1407,7 @@ let describe op =
   Buffer.contents b
 
 let subsumption op = op.subsume
+let memo_active op = op.memo_reason = None
 
 (* ---- incremental cache refresh after appends (delta maintenance) ----
 

@@ -214,6 +214,10 @@ val describe : t -> string
 (** The derived subsumption predicate, if pruning is active. *)
 val subsumption : t -> Subsume.t option
 
+(** Whether memoization is on: configured, and the §6 / Appendix C
+    conditions hold (bindings can repeat, aggregates combine). *)
+val memo_active : t -> bool
+
 (** The Q_B / Q_R component queries over their base tables, without the
     a-priori overrides — so they can be costed without running a reducer. *)
 val side_queries : t -> Sqlfront.Ast.query * Sqlfront.Ast.query

@@ -246,13 +246,13 @@ let column_numeric tbl i =
         d.numeric.(i) <- Some known;
         known)
 
-let stats tbl =
+let stats ?(on_build = fun make -> make ()) tbl =
   with_derived tbl (fun d ->
       match d.stats with
       | Some s -> s
       | None ->
         Obs.Metrics.incr m_stats_builds;
-        let s = Stats.of_relation tbl.rel in
+        let s = on_build (fun () -> Stats.of_relation tbl.rel) in
         d.stats <- Some s;
         s)
 

@@ -128,8 +128,10 @@ val remove_table : t -> string -> unit
     values. *)
 val column_numeric : table -> int -> bool
 
-(** The table's {!Stats.t} (built once, counted in [catalog.stats_builds]). *)
-val stats : table -> Stats.t
+(** The table's {!Stats.t}, built once per table version (counted in
+    [catalog.stats_builds]).  A missing one is made by [on_build make], so
+    the caller can time the build; by default [make ()]. *)
+val stats : ?on_build:((unit -> Stats.t) -> Stats.t) -> table -> Stats.t
 
 (** [range_count tbl ~cols ~on_build]: the range-count structure over the
     column positions [cols] (x first), kept until the table record is

@@ -334,9 +334,16 @@ let engine_catalog c ~tmp =
   catalog
 
 (* Stats-invariant violations of every block of a report; records the
-   access paths and transfer passes that ran. *)
+   access paths, NLJP verdicts, shared reducers and transfer passes that
+   ran. *)
 let rec stats_errors (rep : Runner.report) =
   if rep.Runner.transfer <> None then saw "transfer ran";
+  List.iter
+    (fun n ->
+      if String.starts_with ~prefix:"NLJP: skipped (" n then saw "verdict rewrite plan";
+      if contains n ": shared with reducer over {" then saw "reducer shared")
+    rep.Runner.notes;
+  if rep.Runner.nljp_stats <> None then saw "verdict NLJP";
   List.concat_map (fun (_, r) -> stats_errors r) rep.Runner.cte_reports
   @
   match rep.Runner.nljp_stats with
@@ -465,6 +472,15 @@ let defaults = List.map (fun (d, vs) -> (d, List.hd vs)) dimensions
 
 let case ?(config = defaults) family tables sql = { family; tables; burst = None; sql; config }
 
+(* Fixed tables of the NLJP-verdict and mirror-reducer cases, which the
+   unit tests of both mechanisms read too. *)
+let memo_pays_basket = List.init 48 (fun i -> [ iv (i mod 4); sv (if i mod 3 = 0 then "a" else "b") ])
+
+let mirror_kv =
+  List.concat_map
+    (fun id -> List.map (fun a -> [ iv id; sv (pp "c%d" (id mod 3)); sv (pp "a%d" a); iv ((id * 7 + a * 3) mod 10) ]) [ 0; 1; 2 ])
+    (List.init 8 Fun.id)
+
 (* Shrunk failures, oldest first; each runs before the random cases. *)
 let regressions =
   [ (* a-priori took all columns of a keyless table for a superkey: the
@@ -499,7 +515,13 @@ let regressions =
          ~config:(("disposition", "partials") :: List.remove_assoc "disposition" defaults)
          [ ("object", [ [ iv 0; iv 0; iv (1 lsl 52) ]; [ iv 1; iv 0; fv 0.5 ] ]) ]
          "SELECT L.id, COUNT(*), SUM(R.y) FROM object L, object R WHERE L.x <= R.x GROUP BY L.id HAVING COUNT(*) >= 0")
-      with burst = Some ("object", [ [ iv 1000; iv 0; iv 1 ] ]) } ]
+      with burst = Some ("object", [ [ iv 1000; iv 0; iv 1 ] ]) };
+    (* the memo pays: twelve rows per basket fold into two items, so NLJP
+       stays although pruning is off (no key: the rows repeat) *)
+    case "basket" [ ("basket", memo_pays_basket) ] (Workload.Queries.listing1 ~threshold:2);
+    (* σ on S1 only: the two reducers differ and must not share *)
+    case "complex" [ ("perf_kv", mirror_kv) ]
+      (Workload.Queries.complex_filtered ~category:"c1" ~threshold:1 ()) ]
 
 let oracle =
   QCheck2.Test.make ~name:"every configuration returns the baseline's rows" ~count:800
@@ -516,14 +538,15 @@ let test_regressions () =
 
 (* Every family and every value of every dimension ran in at least one case
    of this seed — the disposition as it took effect (a query without a delta
-   rule runs on the engine) — and so did every NLJP inner access path and a
-   predicate-transfer pass. *)
+   rule runs on the engine) — and so did every NLJP inner access path, both
+   NLJP verdicts, a shared mirror reducer and a predicate-transfer pass. *)
 let test_coverage () =
   let expected =
     List.map (( ^ ) "family ") families
     @ List.concat_map (fun (d, vs) -> List.map (fun v -> d ^ " " ^ v) vs) dimensions
     @ [ "history fresh"; "history appended"; "access hash probe"; "access range count";
-        "access row scan"; "transfer ran" ]
+        "access row scan"; "transfer ran"; "verdict NLJP"; "verdict rewrite plan";
+        "reducer shared" ]
   in
   if Hashtbl.length seen = 0 then Alcotest.fail "run the oracle property first";
   match List.filter (fun k -> not (Hashtbl.mem seen k)) expected with

@@ -153,8 +153,36 @@ let analyze_family sql =
   let rel, rep, n = Analyze.run catalog q in
   (catalog, rel, rep, n)
 
+(* The parent of every [stats build] node, in tree order. *)
+let stats_builds n =
+  let rec go acc (n : Analyze.node) =
+    List.fold_left go
+      (List.filter_map
+         (fun (c : Analyze.node) ->
+           if c.Analyze.n_label = "stats build" then Some n.Analyze.n_label else None)
+         n.Analyze.n_children
+      @ acc)
+      n.Analyze.n_children
+  in
+  go [] n
+
 let golden_tests =
-  [ t "complex query: NLJP sides and probe loop annotated" (fun () ->
+  [ t "a table's first Stats build is a span of the work that needed it" (fun () ->
+        (* basket pairs: the NLJP verdict reads Stats while optimizing *)
+        let catalog = basket_catalog () in
+        let q = parse (Workload.Queries.listing1 ~threshold:2) in
+        let builds () =
+          let _, _, n = Analyze.run catalog q in
+          stats_builds n
+        in
+        Alcotest.(check (list string)) "first ANALYZE" [ "optimize" ] (builds ());
+        Alcotest.(check (list string)) "second ANALYZE" [] (builds ());
+        (* a skyband keeps NLJP for its pruning; the block estimate builds *)
+        let catalog = family_catalog 100 in
+        let q = parse (Workload.Queries.listing2 ~k:8) in
+        let _, _, n = Analyze.run catalog q in
+        Alcotest.(check (list string)) "skyband" [ "block estimate" ] (stats_builds n));
+    t "complex query: NLJP sides and probe loop annotated" (fun () ->
         let _, _, _, n =
           analyze_family (Workload.Queries.listing3 ~threshold:6)
         in
