@@ -421,9 +421,7 @@ let fig4 () =
   let catalog_kv = unpivoted_catalog ~rows:rows_kv () in
   let q_cplx = Sqlfront.Parser.parse (Workload.Queries.complex ~threshold:(max 5 (rows_kv / 100))) in
   let run_ci ci =
-    let nljp_config =
-      { Core.Nljp.default_config with Core.Nljp.memo = false; cache_index = ci }
-    in
+    let nljp_config = { Core.Nljp.default_config with Core.Nljp.cache_index = ci } in
     let (_, rep), t =
       time (fun () ->
           Core.Runner.run ~tech:(Core.Optimizer.only `Pruning) ~nljp_config catalog_kv
@@ -563,9 +561,7 @@ let ablate () =
   Printf.printf "Q_B exploration order (skyband k=50, pruning only):\n";
   List.iter
     (fun (label, order) ->
-      let nljp_config =
-        { Core.Nljp.default_config with Core.Nljp.memo = false; outer_order = order }
-      in
+      let nljp_config = { Core.Nljp.default_config with Core.Nljp.outer_order = order } in
       let (r, rep), t =
         time (fun () ->
             Core.Runner.run ~tech:(Core.Optimizer.only `Pruning) ~nljp_config catalog q)

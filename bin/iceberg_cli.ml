@@ -377,11 +377,10 @@ let do_monitor c interval frames =
       (pct (nested m "result_cache" "hits") (nested m "result_cache" "misses"))
       (nested m "result_cache" "entries")
       (nested m "result_cache" "evictions");
-    line "maintenance   incremental %d  revalidated %d  recompute %d  plans refreshed %d"
+    line "maintenance   incremental %d  revalidated %d  recompute %d"
       (numi counters "serve.maint_incremental")
       (numi counters "serve.maint_revalidate")
-      (numi counters "serve.maint_recompute")
-      (numi counters "serve.plan_refreshed");
+      (numi counters "serve.maint_recompute");
     line "maint latency rolling p50 %.2fms  p95 %.2fms  (n=%.0f)   appends %d"
       (rolling m "serve.maint_ms" "p50")
       (rolling m "serve.maint_ms" "p95")
@@ -449,10 +448,8 @@ let client_cmd addr analyze sets appends stats shutdown monitor interval frames
         | _ -> 0
       in
       Printf.printf
-        "appended %d row(s) to %s: incremental %d, revalidated %d, \
-         invalidated %d, plans refreshed %d\n%!"
-        (f "appended") table (f "incremental") (f "revalidated")
-        (f "invalidated") (f "plans_refreshed")
+        "appended %d row(s) to %s: incremental %d, revalidated %d, invalidated %d\n%!"
+        (f "appended") table (f "incremental") (f "revalidated") (f "invalidated")
   in
   let status = ref 0 in
   (try

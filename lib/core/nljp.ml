@@ -2,8 +2,6 @@ open Relalg
 open Sqlfront
 
 type config = {
-  pruning : bool;
-  memo : bool;
   cache_index : bool;
   inner_index : bool;
   outer_order : [ `Default | `Auto | `Asc of int | `Desc of int ];
@@ -13,8 +11,6 @@ type config = {
 
 let default_config =
   {
-    pruning = true;
-    memo = true;
     cache_index = true;
     inner_index = true;
     outer_order = `Default;
@@ -112,9 +108,6 @@ type t = {
   subsume : Subsume.t option;
   prune_reason : string option;  (* why pruning is off, if it is *)
   memo_reason : string option;
-  numeric_theta : (Schema.col * bool) list;
-      (* build-time numeric judgement of Θ's columns: p⪰'s arithmetic was
-         derived under it, so [delta_refresh] rechecks it after appends *)
   eq_dims : int list;
       (* binding dimensions on which p⪰ implies equality (CI on) *)
   ci_restrict : [ `W_le_wp | `Wp_le_w ] option;
@@ -152,7 +145,11 @@ let col_numeric catalog (spec : Qspec.t) col =
      | exception Schema.Unknown_column _ -> false
      | idx -> Catalog.column_numeric tbl idx)
 
-let build ?(overrides = []) catalog (spec : Qspec.t) config =
+(* The reason a technique the caller switched off reports: [execute]
+   notes every other reason. *)
+let disabled = "disabled by configuration"
+
+let build ?(overrides = []) ~pruning ~memo catalog (spec : Qspec.t) config =
   if not (Qspec.pred_applicable spec.Qspec.right spec.Qspec.having) then
     Error "HAVING condition is not applicable to the inner side"
   else if not (Qspec.lambda_applicable spec) then
@@ -165,7 +162,7 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
     let key_case = Qspec.outer_group_is_key spec in
     (* Pruning conditions (Theorem 3). *)
     let prune_reason =
-      if not config.pruning then Some "disabled by configuration"
+      if not pruning then Some disabled
       else if not key_case then Some "G_L is not a superkey of the outer side"
       else if
         Monotone.is_anti_monotone cls
@@ -207,7 +204,7 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
       Qspec.superkey left (List.map Qspec.col_name left.Qspec.join_cols)
     in
     let memo_reason =
-      if not config.memo then Some "disabled by configuration"
+      if not memo then Some disabled
       else if not algebraic_ok then
         Some "non-algebraic aggregate with G_L not a key of the outer side"
       else if jl_key then Some "J_L determines the outer side: bindings never repeat"
@@ -271,16 +268,6 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
         | false, true -> if anti then `Asc 0 else `Desc 0
         | _ -> `Default
       in
-      let numeric_theta =
-        match
-          Expr.canonicalize
-            (Schema.append left.Qspec.schema spec.Qspec.right.Qspec.schema)
-            (Qspec.theta_expr catalog spec)
-        with
-        | theta ->
-          List.map (fun c -> (c, col_numeric catalog spec c)) (Expr.columns theta)
-        | exception _ -> []
-      in
       Ok
         {
           catalog;
@@ -293,7 +280,6 @@ let build ?(overrides = []) catalog (spec : Qspec.t) config =
           subsume;
           prune_reason;
           memo_reason;
-          numeric_theta;
           eq_dims;
           ci_restrict;
           auto_order;
@@ -462,49 +448,6 @@ module Prune_cache = struct
       done
     | Partitioned p -> Row.Tbl.iter (fun _ cell -> List.iter f !cell) p.tbl
 
-  (* Drop every entry failing [keep], preserving layout invariants (sorted
-     order survives filtering; partition cells are trimmed and emptied cells
-     removed).  Returns the number of entries dropped.  Single-threaded:
-     callers must not overlap this with probes (the server refreshes under
-     the same exclusive lock it appends under). *)
-  let filter_in_place cache keep =
-    match cache with
-    | Flat f ->
-      let items = List.filter keep f.items in
-      let n' = List.length items in
-      let dropped = f.n - n' in
-      f.items <- items;
-      f.n <- n';
-      dropped
-    | Sorted t ->
-      flush t;
-      let k = ref 0 in
-      for i = 0 to t.len - 1 do
-        if keep t.rows.(i) then begin
-          t.rows.(!k) <- t.rows.(i);
-          t.keys.(!k) <- t.keys.(i);
-          incr k
-        end
-      done;
-      let dropped = t.len - !k in
-      for i = !k to t.len - 1 do
-        t.rows.(i) <- [||]
-      done;
-      t.len <- !k;
-      dropped
-    | Partitioned p ->
-      let dropped = ref 0 in
-      let dead = ref [] in
-      Row.Tbl.iter
-        (fun key cell ->
-          let kept = List.filter keep !cell in
-          dropped := !dropped + (List.length !cell - List.length kept);
-          if kept = [] then dead := key :: !dead else cell := kept)
-        p.tbl;
-      List.iter (Row.Tbl.remove p.tbl) !dead;
-      p.n <- p.n - !dropped;
-      !dropped
-
   let bytes cache =
     match cache with
     | Flat f -> List.fold_left (fun acc r -> acc + row_bytes r) 0 f.items
@@ -542,21 +485,6 @@ type chunk_out = {
   c_memo : partition list Row.Tbl.t;
   c_stats : stats;
 }
-
-(* Cross-query shared cache tier (the server's plan cache owns one per
-   cached operator): prune/memo caches that outlive a single [execute],
-   lazily shaped on first use because the prune cache's structure
-   (flat/sorted/partitioned) is derived per operator. *)
-type shared_cache = {
-  mutable sc_prune : Prune_cache.t option;
-  mutable sc_memo : partition list Row.Tbl.t option;
-}
-
-let shared_cache () = { sc_prune = None; sc_memo = None }
-
-let shared_cache_rows sc =
-  ( (match sc.sc_prune with Some p -> Prune_cache.length p | None -> 0),
-    match sc.sc_memo with Some m -> Row.Tbl.length m | None -> 0 )
 
 (* J_L's positions in [outer], the binding schema they project, and Θ
    resolved against that binding and [inner]. *)
@@ -767,16 +695,16 @@ let range_counter rc ~binding ~cols ~box ~disjunction =
         n - Index.Range_count.count rc inside
       end
 
-let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
+let execute ?span ?(estimate = false) ?(transfer = []) ?subquery op =
   let { catalog; spec; overrides; config; cls; key_case; all_aggs; subsume; _ } = op in
   let { eq_dims; ci_restrict; _ } = op in
   let stats = fresh_stats () in
   stats.notes <-
     (match op.prune_reason with
-     | Some r when config.pruning -> [ "pruning off: " ^ r ]
+     | Some r when r <> disabled -> [ "pruning off: " ^ r ]
      | _ -> [])
     @ (match op.memo_reason with
-       | Some r when config.memo -> [ "memo off: " ^ r ]
+       | Some r when r <> disabled -> [ "memo off: " ^ r ]
        | _ -> []);
   let left_side = spec.Qspec.left and right_side = spec.Qspec.right in
   (* Q_B: materialize the outer side; Q_R's relation: the inner side.
@@ -992,8 +920,8 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
     | _ -> None
   in
   (* Pruning setup. *)
-  let pruning_active = config.pruning && op.prune_reason = None in
-  let memo_active = config.memo && op.memo_reason = None in
+  let pruning_active = op.prune_reason = None in
+  let memo_active = op.memo_reason = None in
   stats.pruning_on <- pruning_active;
   stats.memo_on <- memo_active;
   let key_to_float v =
@@ -1213,37 +1141,12 @@ let execute ?span ?(estimate = false) ?(transfer = []) ?shared ?subquery op =
   let n = Relation.cardinality l_rel in
   let workers = max 1 config.workers in
   let workers = if n < workers * 32 then 1 else workers in
-  (* The shared tier: the caller's [shared_cache] for this operator, else a
-     fresh one.  Every wave probes it frozen and absorbs the chunk-local
-     caches at its end, under the §7 discipline that makes the merge safe —
-     dropping or duplicating entries only costs pruning and memo
-     opportunity, never correctness.  The owner of a caller's tier must
-     reset it on catalog mutation (cached entries describe the data they
-     were computed from) and must not overlap executions of one operator:
-     tier caches are read without locks during waves and mutated at
-     boundaries. *)
-  let shared = match shared with Some sc -> sc | None -> shared_cache () in
-  let tier_prune =
-    match shared.sc_prune with
-    | Some p -> p
-    | None ->
-      let p = mk_prune_cache () in
-      shared.sc_prune <- Some p;
-      p
-  in
-  let tier_memo =
-    match shared.sc_memo with
-    | Some m -> m
-    | None ->
-      let m : partition list Row.Tbl.t = Row.Tbl.create 1024 in
-      shared.sc_memo <- Some m;
-      m
-  in
-  if Prune_cache.length tier_prune > 0 || Row.Tbl.length tier_memo > 0 then
-    stats.notes <-
-      stats.notes
-      @ [ Printf.sprintf "shared cache tier seeded: prune=%d memo=%d"
-            (Prune_cache.length tier_prune) (Row.Tbl.length tier_memo) ];
+  (* The execution's shared tier.  Every wave probes it frozen and absorbs
+     the chunk-local caches at its end, under the §7 discipline that makes
+     the merge safe — dropping or duplicating entries only costs pruning
+     and memo opportunity, never correctness.  It lives for this call. *)
+  let tier_prune = mk_prune_cache () in
+  let tier_memo : partition list Row.Tbl.t = Row.Tbl.create 1024 in
   (* Waves of the outer side, each cut into [workers] chunks, one domain per
      chunk.  Sequential execution is one wave of one chunk.  A parallel
      columnar outer is consumed block by block ([workers] blocks per wave)
@@ -1408,146 +1311,6 @@ let describe op =
 
 let subsumption op = op.subsume
 let memo_active op = op.memo_reason = None
-
-(* ---- incremental cache refresh after appends (delta maintenance) ----
-
-   After [Catalog.append_rows] the shared cross-query tier can often be kept
-   instead of discarded.  The delta rules, per entry (a binding b):
-
-   - the appended table occurs only on the outer side: Q_R is untouched, so
-     per-binding cache contents stay exact (new bindings simply miss);
-   - it occurs on the inner side: a memo entry stays exact iff no delta row
-     can join b — either a binding-only Θ gate already fails for b (Q_R(b)
-     was empty and stays empty) or, at every inner occurrence of the table,
-     some Θ probe [r_col op f(b)] refutes the delta's column zone map;
-   - prune entries additionally survive wholesale when Φ is anti-monotone:
-     ¬Φ on a subset implies ¬Φ on every superset, so an unpromising binding
-     cannot become promising by appending rows.  Monotone Φ can flip, so
-     those entries need the same per-binding refutation as memo entries.
-
-   Probes are necessary conditions of Θ conjuncts, so refuting one against
-   the delta's min/max is sound even when Θ has conjuncts outside the probe
-   shape.  When p⪰'s build-time numeric judgement of a Θ column is
-   contradicted by the delta (a string lands in a column the subsumption
-   arithmetic ordered numerically), the operator itself — not just the
-   caches — is invalid and the caller must rebuild it. *)
-
-let m_delta_refreshes = Obs.Metrics.counter "nljp.delta_refreshes"
-let m_delta_entries_kept = Obs.Metrics.counter "nljp.delta_entries_kept"
-let m_delta_entries_dropped = Obs.Metrics.counter "nljp.delta_entries_dropped"
-
-let delta_refresh op shared ~table ~delta =
-  let { catalog; spec; cls; _ } = op in
-  let norm = String.lowercase_ascii in
-  let t_norm = norm table in
-  let left_side = spec.Qspec.left and right_side = spec.Qspec.right in
-  let occurs (side : Qspec.side) =
-    List.exists (fun (tn, _) -> String.equal (norm tn) t_norm) side.Qspec.tables
-  in
-  if not (occurs left_side || occurs right_side) then `Kept
-  else if
-    List.exists
-      (fun (c, was) -> was && not (col_numeric catalog spec c))
-      op.numeric_theta
-  then begin
-    shared.sc_prune <- None;
-    shared.sc_memo <- None;
-    `Reprepare "a Θ column lost its numeric domain in the appended rows"
-  end
-  else if not (occurs right_side) then `Kept
-  else begin
-    let drows = Relation.rows delta in
-    if Array.length drows = 0 then `Kept
-    else begin
-      Obs.Metrics.add m_delta_refreshes 1;
-      let r_schema = right_side.Qspec.schema in
-      let _, binding_schema, theta =
-        binding_theta catalog spec ~outer:left_side.Qspec.schema ~inner:r_schema
-      in
-      let probes, gates =
-        Compile.param_probes ~binding:binding_schema ~inner:r_schema theta
-      in
-      (* Column span of each inner FROM item inside r_schema ([side_schema]
-         appends the per-alias requalified base schemas in FROM order). *)
-      let spans, total =
-        List.fold_left
-          (fun (acc, off) (tn, _alias) ->
-            let ar =
-              Schema.arity (Catalog.find catalog tn).Catalog.rel.Relation.schema
-            in
-            ((tn, off, ar) :: acc, off + ar))
-          ([], 0) right_side.Qspec.tables
-      in
-      let occ_probes =
-        if total <> Schema.arity r_schema then [ [] ]
-          (* layout mismatch: treat every entry as joinable by the delta *)
-        else
-          List.filter_map
-            (fun (tn, off, ar) ->
-              if String.equal (norm tn) t_norm then
-                Some
-                  (List.filter_map
-                     (fun p ->
-                       if p.Compile.pp_col >= off && p.Compile.pp_col < off + ar
-                       then Some (p.Compile.pp_col - off, p)
-                       else None)
-                     probes)
-              else None)
-            (List.rev spans)
-      in
-      (* Per-column zone map over the delta rows, built lazily: refuting a
-         probe against it proves no delta row satisfies that conjunct. *)
-      let zm_cache : (int, Column.Zmap.t) Hashtbl.t = Hashtbl.create 8 in
-      let delta_zmap ci =
-        match Hashtbl.find_opt zm_cache ci with
-        | Some z -> z
-        | None ->
-          let z =
-            Array.fold_left
-              (fun z r -> Column.Zmap.observe z r.(ci))
-              Column.Zmap.empty drows
-          in
-          Hashtbl.add zm_cache ci z;
-          z
-      in
-      let refuted b =
-        List.exists (fun g -> not (g b)) gates
-        || List.for_all
-             (fun ps ->
-               List.exists
-                 (fun (ci, p) ->
-                   match p.Compile.pp_val b with
-                   | v ->
-                     not
-                       (Column.Zmap.may_match (delta_zmap ci)
-                          (Compile.zmap_cmp p.Compile.pp_op) v)
-                   | exception _ -> false)
-                 ps)
-             occ_probes
-      in
-      let prune_kept, prune_dropped =
-        match shared.sc_prune with
-        | None -> (0, 0)
-        | Some pc ->
-          if Monotone.is_anti_monotone cls then (Prune_cache.length pc, 0)
-          else
-            let dropped = Prune_cache.filter_in_place pc refuted in
-            (Prune_cache.length pc, dropped)
-      in
-      let memo_kept, memo_dropped =
-        match shared.sc_memo with
-        | None -> (0, 0)
-        | Some m ->
-          let dead = ref [] in
-          Row.Tbl.iter (fun b _ -> if not (refuted b) then dead := b :: !dead) m;
-          List.iter (Row.Tbl.remove m) !dead;
-          (Row.Tbl.length m, List.length !dead)
-      in
-      Obs.Metrics.add m_delta_entries_kept (prune_kept + memo_kept);
-      Obs.Metrics.add m_delta_entries_dropped (prune_dropped + memo_dropped);
-      `Refreshed
-    end
-  end
 
 (* The component queries over their base tables, before the a-priori
    overrides, so EXPLAIN can cost them without running a reducer. *)

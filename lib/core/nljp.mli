@@ -13,11 +13,14 @@
 
     [build] verifies the paper's applicability conditions and degrades
     gracefully: if pruning's Theorem 3 conditions fail, pruning is disabled
-    (with a recorded reason) while memoization may stay on, and vice versa. *)
+    (with a recorded reason) while memoization may stay on, and vice versa.
+
+    An operator is fixed at [build].  Its prune and memo caches belong to
+    one [execute], as in the paper (§5, §6): nothing an execution learns
+    outlives it, so an operator is only valid for the data it was built
+    over, and the caller rebuilds it after the catalog changes. *)
 
 type config = {
-  pruning : bool;
-  memo : bool;
   cache_index : bool;
       (** CI: index the cache of unpromising bindings — hash-partitioned on
           the dimensions where p⪰ implies equality, else binary-searched on
@@ -117,37 +120,23 @@ type t
     what p⪰ decides once: the prune cache's layout (partitioned on the
     dimensions where p⪰ implies equality, else sorted on the first binding
     column when p⪰ orders it, else flat) and the order [`Auto] stands for;
-    every [execute] of it reads them. *)
+    every [execute] of it reads them.  [pruning] and [memo] say whether the
+    caller asks for each technique at all; one it does not ask for is off
+    with the reason [disabled by configuration]. *)
 val build :
   ?overrides:(string * Sqlfront.Ast.table_ref) list ->
+  pruning:bool ->
+  memo:bool ->
   Relalg.Catalog.t ->
   Qspec.t ->
   config ->
   (t, string) result
-
-type shared_cache
-(** Cross-query shared prune/memo cache tier (§7's wave-merge discipline
-    extended across executions): seeds the shared caches of the next
-    [execute ~shared] of the {e same} operator and absorbs what it learns.
-    Owned by a caller that caches plans (the query server); the owner must
-    (a) never overlap two executions of one operator — the tier is read
-    lock-free during waves and mutated at boundaries — and (b) discard the
-    tier when the underlying data changes (cache entries are only valid for
-    the catalog version they were computed from).  Dropping a tier is
-    always safe: it costs pruning/memo opportunity, never correctness. *)
-
-val shared_cache : unit -> shared_cache
-(** A fresh, empty tier. *)
-
-val shared_cache_rows : shared_cache -> int * int
-(** Current (prune, memo) entry counts — accounting/tests. *)
 
 (** Execute; the result schema matches the original query's SELECT list. *)
 val execute :
   ?span:Obs.Span.t ->
   ?estimate:bool ->
   ?transfer:(string * (string * Column.Bloom.t) list) list ->
-  ?shared:shared_cache ->
   ?subquery:(Obs.Span.t option -> Sqlfront.Ast.query -> Relalg.Relation.t) ->
   t ->
   Relalg.Relation.t * stats
@@ -171,41 +160,11 @@ val execute :
     default the baseline executor runs them.
 
     Every execution probes a shared prune/memo tier, frozen during each
-    wave, and merges the chunks' caches into it at the wave's end.
-    [shared] plugs in a cross-query tier (see {!shared_cache}); a repeated
-    execution then starts with the previous runs' prune/memo entries
-    already warm, and [stats] counts its hits as memo hits / prunes.  By
-    default the tier is a fresh one, dropped after the call.
-
-    The returned [stats] is fresh for the call: it counts this execution
-    only, so two executions of one operator report their own counts. *)
-
-(** [delta_refresh op shared ~table ~delta] revalidates the shared tier
-    after [delta] rows were appended to base table [table] (normalized
-    name), instead of discarding it wholesale.
-
-    [`Kept]: every entry provably survives untouched — the table does not
-    occur in the operator, occurs only on the outer side (Q_R is untouched;
-    per-binding entries stay exact and new bindings simply miss), or the
-    delta is empty.  [`Refreshed]: the table occurs on the inner side; each
-    entry was kept iff no delta row can join its binding — a binding-only Θ
-    gate fails, or at every inner occurrence a Θ probe refutes the delta's
-    column zone map.  Anti-monotone Φ keeps all prune entries (¬Φ is
-    preserved under appends); monotone Φ filters them like memo entries.
-    [`Reprepare]: the delta contradicts the build-time numeric judgement a
-    derived p⪰ relies on — the caches are cleared and the caller must
-    rebuild the operator.
-
-    Callers must not overlap this with [execute] of the same operator (the
-    server refreshes under the exclusive lock it appends under), and must
-    separately discard any predicate-transfer Bloom state: Blooms describe
-    pre-append tables and refreshing them is the caller's job. *)
-val delta_refresh :
-  t ->
-  shared_cache ->
-  table:string ->
-  delta:Relalg.Relation.t ->
-  [ `Kept | `Refreshed | `Reprepare of string ]
+    wave, and merges the chunks' caches into it at the wave's end.  The
+    tier lives for the call: as in the paper (§5, §6), the caches belong
+    to one execution, so every execution starts cold and [stats] counts
+    this execution only.  An operator holds no state that changes at run
+    time, so several domains may execute one operator at once. *)
 
 (** Human-readable description of the component queries (cf. Listings 7
     and 10), including the derived p⪰. *)

@@ -116,9 +116,6 @@ let pick_memprune catalog q ~tech ~nljp_config ~apriori_groups ~overrides =
     let preferred, others = List.partition covers_groups subs in
     preferred @ others
   in
-  let config =
-    { nljp_config with Nljp.pruning = tech.pruning; Nljp.memo = tech.memo }
-  in
   let last_error = ref None in
   let picked =
     List.find_map
@@ -126,7 +123,10 @@ let pick_memprune catalog q ~tech ~nljp_config ~apriori_groups ~overrides =
         match try_analyze catalog q ~left_aliases with
         | None -> None
         | Some spec ->
-          (match Nljp.build ~overrides catalog spec config with
+          (match
+             Nljp.build ~overrides ~pruning:tech.pruning ~memo:tech.memo catalog spec
+               nljp_config
+           with
            | Ok op -> Some (op, left_aliases, spec)
            | Error e ->
              last_error := Some (left_aliases, e);

@@ -283,23 +283,17 @@ type settings = {
 
 (* A prepared block pins the optimizer's decision so repeated executions
    skip the Listing 9 procedure (subset enumeration, reducer analysis,
-   pick_* costing).  NLJP decisions additionally carry a cross-query shared
-   prune/memo tier and memoize the predicate-transfer Bloom build; both are
-   only valid for the catalog version the plan was prepared against — the
-   owner re-prepares after any catalog mutation ({!prepared_version}). *)
+   pick_* costing).  It holds no execution state: every execution builds
+   its own caches and transfer filters, so one plan may run on several
+   domains at once.  It is valid only at the catalog version it was
+   prepared at; [run_prepared] refuses it after any catalog mutation. *)
 type prepared = {
   p_catalog : Catalog.t;
   p_settings : settings;
-  mutable p_version : int;
+  p_version : int;
   p_plan : plan;
   p_reducers : reducer list;
       (* each IN-subquery (a-priori reducer) the decision binds *)
-  p_shared : Nljp.shared_cache;
-  mutable p_transfer_run : Transfer.result option;
-  p_mu : Mutex.t;
-      (* Serializes executions of one NLJP plan: its shared tier is mutated
-         in place.  Distinct prepared plans execute concurrently without
-         contention. *)
 }
 
 and reducer = {
@@ -370,9 +364,6 @@ let rec plan_block ?span s catalog (q : Ast.query) =
     p_version = Catalog.version catalog;
     p_plan = plan;
     p_reducers = reducers;
-    p_shared = Nljp.shared_cache ();
-    p_transfer_run = None;
-    p_mu = Mutex.create ();
   }
 
 let prepare ?span ?(tech = Optimizer.all_techniques) ?(nljp_config = Nljp.default_config)
@@ -417,47 +408,6 @@ let reducer_lines p =
         | Some first -> "shared with " ^ first
         | None -> plan_line r.r_plan ))
     p.p_reducers
-
-(* Carry a prepared plan across an append instead of re-preparing it.
-   Baseline and rewrite-only blocks re-bind and re-execute against the live
-   catalog on every call, so they survive any append unchanged; an NLJP
-   block delegates to the operator's delta rules for its shared prune/memo
-   tier.  Every block drops its predicate-transfer Bloom memo (Blooms
-   describe pre-append tables), and the reducer plans are carried the same
-   way.  On [`Kept]/[`Refreshed] the plan's version is advanced to the
-   current catalog version so version-keyed owners keep accepting it;
-   [`Reprepare] leaves it stale and the owner must rebuild. *)
-let rec refresh_prepared p ~table ~delta =
-  let own =
-    Mutex.protect p.p_mu (fun () ->
-        p.p_transfer_run <- None;
-        match p.p_plan with
-        | Optimized { Optimizer.nljp = Some (op, _); _ } ->
-          Nljp.delta_refresh op p.p_shared ~table ~delta
-        | Optimized _ | Baseline _ | With _ -> `Kept)
-  in
-  let outcome =
-    List.fold_left
-      (fun acc r ->
-        (* a mirror reducer's plan is its first's: refreshed once *)
-        let refreshed =
-          if r.r_shared_with = None then refresh_prepared r.r_plan ~table ~delta else `Kept
-        in
-        match acc, refreshed with
-        | (`Reprepare _ as r), _ | _, (`Reprepare _ as r) -> r
-        | `Refreshed, _ | _, `Refreshed -> `Refreshed
-        | `Kept, `Kept -> `Kept)
-      own p.p_reducers
-  in
-  (match outcome with
-   | `Reprepare _ -> ()
-   | `Kept | `Refreshed -> p.p_version <- Catalog.version p.p_catalog);
-  outcome
-
-let prepared_shared_rows p =
-  match p.p_plan with
-  | Optimized { Optimizer.nljp = Some _; _ } -> Some (Nljp.shared_cache_rows p.p_shared)
-  | Optimized _ | Baseline _ | With _ -> None
 
 (* Compressed-storage tier: blocks decoded vs answered directly on the
    encoded form, and block-cache traffic (lib/column DESIGN.md §13). *)
@@ -592,6 +542,13 @@ let m_reducers_shared = Obs.Metrics.counter "reducers.shared"
 (* The only place a plan executes.  [analyze] adds the per-node recorder,
    the block estimate and the operator's side estimates. *)
 let rec run_prepared ?span ?(analyze = false) p =
+  let now = Catalog.version p.p_catalog in
+  if now <> p.p_version then
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run_prepared: plan prepared at catalog version %d, catalog is at \
+          version %d"
+         p.p_version now);
   match p.p_plan with
   | With q ->
     let cte_reports = ref [] in
@@ -689,22 +646,16 @@ and run_decision ?span ~analyze p (d : Optimizer.decision) =
     in
     (rel, { report with notes = report.notes @ reducer_lines () })
   | Some (op, aliases) ->
-    Mutex.protect p.p_mu @@ fun () ->
     (* Predicate transfer runs its two semi-join passes before NLJP so both
        side queries scan through the resulting filters. *)
     let transfer_result =
-      match p.p_transfer_run, d.Optimizer.transfer with
-      | Some r, _ -> Some r
-      | None, None -> None
-      | None, Some spec ->
-        let r =
+      Option.map
+        (fun spec ->
           in_span span "transfer" (fun s ->
               let r = Transfer.run ?span:s p.p_catalog spec in
               List.iter (span_note s) r.Transfer.r_notes;
-              r)
-        in
-        p.p_transfer_run <- Some r;
-        Some r
+              r))
+        d.Optimizer.transfer
     in
     let transfer_filters =
       match transfer_result with Some r -> r.Transfer.r_filters | None -> []
@@ -713,8 +664,7 @@ and run_decision ?span ~analyze p (d : Optimizer.decision) =
       in_span span "execute" (fun s ->
           stamp_block_estimate ~analyze p.p_catalog s d.Optimizer.query;
           let rel, stats =
-            Nljp.execute ?span:s ~estimate:analyze ~transfer:transfer_filters
-              ~shared:p.p_shared ~subquery op
+            Nljp.execute ?span:s ~estimate:analyze ~transfer:transfer_filters ~subquery op
           in
           span_rows_out s (Relation.cardinality rel);
           span_counter s "outer_rows" stats.Nljp.outer_rows;

@@ -4,7 +4,9 @@
     place, {!run_prepared}; [run] is the two in a row.  The plan value
     holds the Appendix D decision (a-priori reducers, NLJP split, transfer
     plan) together with the prepared plan of every reducer, so execution,
-    EXPLAIN ({!Explain}) and ANALYZE read the same decision.  CTE blocks
+    EXPLAIN ({!Explain}) and ANALYZE read the same decision.  The plan
+    value carries no execution state and is valid at the one catalog
+    version it was prepared at.  CTE blocks
     are planned recursively and materialized as temporary tables (with
     derived keys and domain facts, so the outer block's safety checks can
     reason about them) at execution time, before the main block is
@@ -43,15 +45,14 @@ val run_baseline :
 (** {2 Block plans}
 
     A prepared query pins the optimizer's decision (the expensive Listing 9
-    procedure) so repeated executions skip planning.  NLJP plans
-    additionally carry a {!Nljp.shared_cache} — prune/memo entries learned
-    by one execution warm the next — and memoize their predicate-transfer
-    Bloom build.  Both are valid only for the catalog version the plan was
-    prepared against: after any catalog mutation, compare
-    {!prepared_version} with {!Relalg.Catalog.version} and re-prepare, or
-    carry the plan across an append with {!refresh_prepared}.  Executions
-    of one NLJP plan are serialized internally (its shared tier is mutated
-    in place); distinct prepared plans may execute concurrently. *)
+    procedure) so repeated executions skip planning.  It holds the
+    decision and nothing else: its catalog, settings, catalog version,
+    plan and reducer plans, all fixed at {!prepare}.  Each execution
+    builds its own NLJP caches and predicate-transfer filters, so one
+    prepared plan may run on several domains at once.  A plan is valid
+    only at the catalog version it was prepared at: after any catalog
+    mutation, appends included, {!run_prepared} refuses it and the owner
+    prepares the query again. *)
 
 type prepared
 
@@ -109,7 +110,10 @@ val prepare :
     actual rows per node, and NLJP blocks record Q_B / Q_R side spans with
     side-query estimates plus the probe-loop counter slice.  Estimation
     work is timed in its own child spans.  Results stay bag-equal to a
-    plain run. *)
+    plain run.
+
+    Raises [Invalid_argument], naming both versions, when the catalog has
+    moved past the version the plan was prepared at. *)
 val run_prepared :
   ?span:Obs.Span.t -> ?analyze:bool -> prepared -> Relalg.Relation.t * report
 
@@ -117,27 +121,6 @@ val plan : prepared -> plan
 
 (** Catalog version the plan was prepared against. *)
 val prepared_version : prepared -> int
-
-(** Carry a prepared plan across an append of [delta] rows to base table
-    [table] instead of re-preparing.  [`Kept]: the plan and its caches are
-    untouched (baseline and rewrite-only blocks re-execute against the live
-    catalog anyway; an NLJP block whose inner side doesn't read [table]
-    keeps its tier).  [`Refreshed]: an NLJP shared tier was revalidated
-    entry by entry (see {!Nljp.delta_refresh}).  In both cases the plan's
-    version is advanced to the current catalog version.  [`Reprepare]: the
-    delta invalidates an operator itself — caches are cleared, the version
-    stays stale, and the owner must rebuild the plan.  Reducer plans are
-    refreshed the same way, and predicate-transfer Bloom state is always
-    discarded.  Call under the same exclusive lock the append ran under. *)
-val refresh_prepared :
-  prepared ->
-  table:string ->
-  delta:Relalg.Relation.t ->
-  [ `Kept | `Refreshed | `Reprepare of string ]
-
-(** (prune, memo) entry counts of the plan's shared cache tier, when it is
-    an NLJP plan. *)
-val prepared_shared_rows : prepared -> (int * int) option
 
 (** {2 Plan lines}
 

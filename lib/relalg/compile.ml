@@ -209,16 +209,6 @@ let pred schema e = pr schema (fold_constants e)
 
 (* ---- parameterized probes: r_col op f(binding) ---- *)
 
-(* Conjuncts of shape [r_col op f(binding)] compile once into (column,
-   op, binding-scalar) triples: given a binding b, [pp_val b] is the
-   comparison constant, testable against a zone map over inner rows (the
-   per-binding generalization of [zone_probes]; NLJP's delta refresh tests
-   appended rows this way).
-   Conjuncts mentioning the binding only become gates — evaluated once per
-   binding; a false gate proves Q_R(b) empty without reading the inner side
-   at all. *)
-type param_probe = { pp_col : int; pp_op : Expr.cmp; pp_val : Row.t -> Value.t }
-
 let binding_only ~binding e =
   List.for_all
     (fun c ->
@@ -244,19 +234,6 @@ let inner_probe ~binding ~inner conj =
      | _, Some i when binding_only ~binding a -> Some (i, flip_cmp op, a)
      | _ -> None)
   | _ -> None
-
-let param_probes ~binding ~inner e =
-  let probes = ref [] and gates = ref [] in
-  List.iter
-    (fun conj ->
-      match conj, inner_probe ~binding ~inner conj with
-      | Expr.Const (Value.Bool true), _ -> ()
-      | _, Some (i, op, f) ->
-        probes := { pp_col = i; pp_op = op; pp_val = scalar binding f } :: !probes
-      | _, None when binding_only ~binding conj -> gates := pred binding conj :: !gates
-      | _ -> ())
-    (Expr.conjuncts (fold_constants e));
-  (List.rev !probes, List.rev !gates)
 
 (* ---- join-pair compiler ---- *)
 

@@ -73,18 +73,3 @@ val zone_probes : Schema.t -> Expr.t -> zone_probe list * bool
 val inner_probe :
   binding:Schema.t -> inner:Schema.t -> Expr.t -> (int * Expr.cmp * Expr.t) option
 
-(** A parameterized probe [r_col op f(binding)]: the comparison constant is
-    recomputed per binding by [pp_val], so one compiled probe is tested
-    against a zone map for each binding in turn. *)
-type param_probe = { pp_col : int; pp_op : Expr.cmp; pp_val : Row.t -> Value.t }
-
-(** [param_probes ~binding ~inner theta] collects from [theta]'s top-level
-    AND-chain the probes ([inner column] op [binding-only expression]) and
-    the gates (conjuncts over the binding alone, evaluated once per
-    binding); other conjuncts are left out.  Each is a necessary condition
-    for [theta].  Column names resolve like [join_pred binding inner]. *)
-val param_probes :
-  binding:Schema.t ->
-  inner:Schema.t ->
-  Expr.t ->
-  param_probe list * (Row.t -> bool) list

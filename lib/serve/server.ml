@@ -17,15 +17,13 @@
    query text plus the session's execution-relevant config (layout,
    workers, transfer, tech):
 
-   - the PLAN cache maps that key to a {!Runner.prepared} — optimizer
-     decision, NLJP operator with its cross-query shared prune/memo tier,
-     and memoized predicate-transfer Blooms.  Entries are validated
-     lazily: a hit whose {!Runner.prepared_version} trails the catalog's
-     {!Catalog.version} is re-prepared in place (and counted as a miss).
-     An append refreshes every entry in place ({!Runner.refresh_prepared}):
-     the version advances and the NLJP shared tier is revalidated entry by
-     entry instead of discarded, so only plans the delta actually
-     invalidates re-prepare.
+   - the PLAN cache maps that key to a {!Runner.prepared}: the optimizer
+     decision with its NLJP operator and reducer plans, and no execution
+     state.  Entries are validated lazily: a hit whose
+     {!Runner.prepared_version} trails the catalog's {!Catalog.version} is
+     re-prepared in place (and counted as a miss).  Every mutation moves
+     the version, appends included, so after an append each entry
+     re-prepares on its next hit, also one over an unrelated table.
    - the RESULT cache holds the already-encoded JSON response fields plus
      the entry's delta epoch: the tables the query reads and their
      {!Catalog.stamp}s at execution time.  A hit is exact iff every stamp
@@ -291,7 +289,6 @@ let c_errors = Obs.Metrics.counter "serve.errors"
 let c_maint_incremental = Obs.Metrics.counter "serve.maint_incremental"
 let c_maint_revalidate = Obs.Metrics.counter "serve.maint_revalidate"
 let c_maint_recompute = Obs.Metrics.counter "serve.maint_recompute"
-let c_plan_refreshed = Obs.Metrics.counter "serve.plan_refreshed"
 let c_partials_hit = Obs.Metrics.counter "serve.partials_hit"
 let c_partials_build = Obs.Metrics.counter "serve.partials_build"
 let c_partials_shared = Obs.Metrics.counter "serve.partials_shared"
@@ -583,31 +580,30 @@ let handle_query t conn ~id ~rid ~wait_ms ~analyze sql =
                 (rel, `Bypass)
               end
               else begin
-                let entry, status =
+                (* The version was read under the catalog lock this runs
+                   under, so the plan taken here is current for the run. *)
+                let prepared, status =
                   match Cache.Lru.find t.plan_cache key with
                   | Some e ->
                     (* Stale entries are re-prepared in place under the
                        entry mutex; that is a logical miss. *)
-                    Mutex.lock e.pe_mu;
-                    let st =
-                      if Core.Runner.prepared_version e.pe_prepared <> version
-                      then begin
-                        e.pe_prepared <- prepare ();
-                        `Miss
-                      end
-                      else `Hit
-                    in
-                    Mutex.unlock e.pe_mu;
-                    (e, st)
+                    Mutex.protect e.pe_mu (fun () ->
+                        if Core.Runner.prepared_version e.pe_prepared <> version
+                        then begin
+                          e.pe_prepared <- prepare ();
+                          (e.pe_prepared, `Miss)
+                        end
+                        else (e.pe_prepared, `Hit))
                   | None ->
-                    let e = { pe_mu = Mutex.create (); pe_prepared = prepare () } in
-                    Cache.Lru.put t.plan_cache key e;
-                    (e, `Miss)
+                    let p = prepare () in
+                    Cache.Lru.put t.plan_cache key
+                      { pe_mu = Mutex.create (); pe_prepared = p };
+                    (p, `Miss)
                 in
                 (match status with
                 | `Hit -> Obs.Metrics.incr c_plan_hit
                 | `Miss -> Obs.Metrics.incr c_plan_miss);
-                let rel, _report = Core.Runner.run_prepared ~span entry.pe_prepared in
+                let rel, _report = Core.Runner.run_prepared ~span prepared in
                 (rel, status)
               end
             in
@@ -757,22 +753,6 @@ let handle_append t conn ~id table rows =
            never rebuilding the resident prefix. *)
         List.iter (fun (cat, _) -> Catalog.append_rows cat table fresh) cats;
         let delta = Relation.make schema fresh in
-        (* Cached plans survive the append: direct/rewrite plans re-execute
-           against the live catalog anyway, NLJP plans revalidate their
-           shared prune/memo tier entry by entry.  Only a plan whose
-           operator the delta invalidates stays stale (it re-prepares
-           lazily on its next hit). *)
-        let plans_refreshed = ref 0 in
-        ignore
-          (Cache.Lru.retain t.plan_cache (fun _ e ->
-               Mutex.lock e.pe_mu;
-               (match
-                  Core.Runner.refresh_prepared e.pe_prepared ~table ~delta
-                with
-               | `Kept | `Refreshed -> incr plans_refreshed
-               | `Reprepare _ -> ());
-               Mutex.unlock e.pe_mu;
-               true));
         (* Maintain the result cache.  Entries that don't read the table
            keep their payload and stamps untouched; entries with delta
            state fold the append in (or prove it can't change the result);
@@ -864,16 +844,15 @@ let handle_append t conn ~id table rows =
           List.length (List.filter (fun (_, (_, _, n)) -> !n > 1) !folds)
         in
         Obs.Metrics.add c_partials_shared shared;
-        (!plans_refreshed, !maint_inc, !maint_reval, dropped))
+        (!maint_inc, !maint_reval, dropped))
   with
   | exception Failure m -> send_error conn ~id ~code:"bad_request" m
   | exception e -> send_error conn ~id ~code:"error" (Printexc.to_string e)
-  | plans_refreshed, inc, reval, dropped ->
+  | inc, reval, dropped ->
     Obs.Metrics.incr c_appends;
     Obs.Metrics.add c_maint_incremental inc;
     Obs.Metrics.add c_maint_revalidate reval;
     Obs.Metrics.add c_maint_recompute dropped;
-    Obs.Metrics.add c_plan_refreshed plans_refreshed;
     send_ok conn ~id
       [
         ("appended", Json.Num (float_of_int (List.length rows)));
@@ -881,7 +860,6 @@ let handle_append t conn ~id table rows =
         ("incremental", Json.Num (float_of_int inc));
         ("revalidated", Json.Num (float_of_int reval));
         ("invalidated", Json.Num (float_of_int dropped));
-        ("plans_refreshed", Json.Num (float_of_int plans_refreshed));
         ( "version",
           Json.Num (float_of_int (Catalog.version (catalog_for t conn.session.layout))) );
       ]
@@ -1010,8 +988,6 @@ let handle_stats t conn ~id =
               Json.Num (float_of_int (Obs.Metrics.read c_maint_revalidate)) );
             ( "recompute",
               Json.Num (float_of_int (Obs.Metrics.read c_maint_recompute)) );
-            ( "plans_refreshed",
-              Json.Num (float_of_int (Obs.Metrics.read c_plan_refreshed)) );
           ] );
       ("partials", partials_json t);
       ("sessions", Json.Arr (List.map session_stats_json sessions));

@@ -14,10 +14,11 @@
     tech): a plan cache of {!Core.Runner.prepared} statements and a result
     cache whose entries carry their delta epoch (the tables read and their
     {!Relalg.Catalog.stamp}s).  Appends are O(delta) (delta-block append,
-    all layout catalogs in lockstep, all-or-nothing validation) and
-    maintain both tiers instead of evicting them: plans refresh in place
-    ({!Core.Runner.refresh_prepared}), result entries for unrelated tables
-    survive untouched, and entries with §6 algebraic partial state
+    all layout catalogs in lockstep, all-or-nothing validation).  An
+    append moves the catalog version like every other mutation, so each
+    cached plan re-prepares on its next hit.  It maintains the result
+    cache instead of evicting it: entries for unrelated tables survive
+    untouched, and entries with §6 algebraic partial state
     ({!Core.Delta}) are folded forward or revalidated — only entries
     without a delta rule drop and recompute on next demand.  Partial
     states are shared per query shape: a new iceberg threshold over a

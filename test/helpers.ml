@@ -103,3 +103,15 @@ let check_sql_equiv ?tech catalog sql =
     Alcotest.failf "optimized result differs for:\n%s\nbase:\n%sopt:\n%s" sql
       (Relation.to_string ~max_rows:50 (Relation.sorted base))
       (Relation.to_string ~max_rows:50 (Relation.sorted opt))
+
+(* A plan prepared before a catalog mutation is refused, naming the
+   version it was prepared at and the catalog's. *)
+let check_stale msg catalog prepared =
+  match Core.Runner.run_prepared prepared with
+  | _ -> Alcotest.failf "%s: a stale plan ran" msg
+  | exception Invalid_argument m ->
+    List.iter
+      (fun v ->
+        if not (contains m (Printf.sprintf "version %d" v)) then
+          Alcotest.failf "%s: %S does not name version %d" msg m v)
+      [ Core.Runner.prepared_version prepared; Catalog.version catalog ]

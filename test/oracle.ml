@@ -401,12 +401,14 @@ let engine c catalog q ~problems =
     run (prepare ())
   end
   else begin
+    (* the append makes the plan stale: it is refused and prepared again *)
     let p = prepare () in
     ignore (run p);
-    let table, delta = Option.get (append c catalog) in
-    match Runner.refresh_prepared p ~table ~delta with
-    | `Kept | `Refreshed -> run p
-    | `Reprepare _ -> run (prepare ())
+    ignore (append c catalog);
+    (match Runner.run_prepared p with
+     | _ -> problems := "a plan prepared before the append ran" :: !problems
+     | exception Invalid_argument _ -> ());
+    run (prepare ())
   end
 
 (* The partial-state answer, or [None] when the query has no delta rule. *)

@@ -153,7 +153,6 @@ let test_append () =
       let c = player_catalog ~bt:true layout in
       let q = Sqlfront.Parser.parse sql in
       let prepared = Runner.prepare c q in
-      let before = Catalog.stamp c Workload.Baseball.table_name in
       let fresh = fresh_rows c in
       Catalog.append_rows c Workload.Baseball.table_name fresh;
       let tbl = Catalog.find c Workload.Baseball.table_name in
@@ -172,19 +171,11 @@ let test_append () =
       Alcotest.(check bool) "appended rows change the answer" false
         (Relation.equal_bag baseline
            (Runner.run_baseline (player_catalog ~bt:true layout) q));
-      (* A plan prepared before the append reads the rebuilt index. *)
-      let delta =
-        match Catalog.delta_since c Workload.Baseball.table_name before with
-        | `Delta d -> d
-        | `Invalid -> Alcotest.fail "append started a new generation"
-      in
-      match
-        Runner.refresh_prepared prepared ~table:Workload.Baseball.table_name ~delta
-      with
-      | `Reprepare reason -> Alcotest.failf "prepared plan dropped: %s" reason
-      | `Kept | `Refreshed ->
-        let rel, _ = Runner.run_prepared prepared in
-        check_bag "prepared before the append" baseline rel)
+      (* A plan prepared before the append is stale; prepared again, it
+         reads the rebuilt index. *)
+      check_stale "prepared before the append" c prepared;
+      let rel, _ = Runner.run_prepared (Runner.prepare c q) in
+      check_bag "prepared again after the append" baseline rel)
     (List.concat_map
        (fun layout ->
          [ (layout, (sql_of "skyband Q1", "range count on L.b_h, L.b_hr (catalog)", None));
@@ -253,23 +244,17 @@ let test_built_once () =
           let prepared = Runner.prepare c q in
           expect (label ^ ", first run") c q `Built;
           expect (label ^ ", second run") c q `Reused;
-          (* an append: the next run rebuilds, also through a plan prepared
-             before it, and the run after that reuses *)
-          let before = Catalog.stamp c name in
+          (* an append: a plan prepared before it is stale, the next run,
+             through the plan prepared again, rebuilds, and the run after
+             that reuses *)
           Catalog.append_rows c name (fresh_rows c);
-          let delta =
-            match Catalog.delta_since c name before with
-            | `Delta d -> d
-            | `Invalid -> Alcotest.fail "append started a new generation"
-          in
-          (match Runner.refresh_prepared prepared ~table:name ~delta with
-           | `Reprepare reason -> Alcotest.failf "%s: prepared plan dropped: %s" label reason
-           | `Kept | `Refreshed -> ());
+          check_stale (label ^ ": prepared before the append") c prepared;
           let b0 = Obs.Metrics.read m_builds in
-          let rel, _ = Runner.run_prepared prepared in
-          check_bag (label ^ ": prepared before the append") (Runner.run_baseline c q) rel;
+          let rel, _ = Runner.run_prepared (Runner.prepare c q) in
+          check_bag (label ^ ": prepared again after the append")
+            (Runner.run_baseline c q) rel;
           if Obs.enabled then
-            Alcotest.(check int) (label ^ ": the prepared plan rebuilt") 1
+            Alcotest.(check int) (label ^ ": the re-prepared plan rebuilt") 1
               (Obs.Metrics.read m_builds - b0);
           expect (label ^ ", after the append") c q `Reused;
           (* every other change of the table version rebuilds once *)

@@ -359,66 +359,50 @@ let test_delta_keys_lossless () =
     (Core.Runner.run_baseline catalog (parse above))
     (Core.Delta.result v)
 
-(* ---- prepared-plan revalidation across appends ---- *)
+(* ---- prepared plans across appends ---- *)
 
-let test_refresh_prepared () =
+(* An append moves the catalog version: a plan prepared before it is
+   refused, and the plan prepared again answers over the grown table. *)
+let test_stale_prepared () =
   let catalog = basket_catalog () in
   let q = parse basket_sql in
   let p = Core.Runner.prepare catalog q in
-  (* warm the shared tier, then append and refresh in place *)
   ignore (Core.Runner.run_prepared p);
-  let fresh = [| row [ iv 1; sv "z" ]; row [ iv 5; sv "a" ] |] in
-  Catalog.append_rows catalog "basket" fresh;
-  let schema = (Catalog.find catalog "basket").Catalog.rel.Relation.schema in
-  let delta = Relation.make schema fresh in
-  (match Core.Runner.refresh_prepared p ~table:"basket" ~delta with
-   | `Kept | `Refreshed -> ()
-   | `Reprepare m -> Alcotest.failf "append forced a re-prepare: %s" m);
-  Alcotest.(check int) "version advanced to the live catalog"
+  Catalog.append_rows catalog "basket" [| row [ iv 1; sv "z" ]; row [ iv 5; sv "a" ] |];
+  check_stale "after the append" catalog p;
+  let p = Core.Runner.prepare catalog q in
+  Alcotest.(check int) "prepared again at the live version"
     (Catalog.version catalog)
     (Core.Runner.prepared_version p);
-  (* the refreshed plan (with its surviving cache entries) is bag-equal
-     to one-shot execution over the grown table *)
-  let want = Core.Runner.run_baseline catalog q in
-  let got, _ = Core.Runner.run_prepared p in
-  check_bag "refreshed plan over grown table" want got;
-  (* second round: the tier warmed by the post-append run revalidates too *)
-  let fresh2 = [| row [ iv 2; sv "q" ] |] in
-  Catalog.append_rows catalog "basket" fresh2;
-  (match
-     Core.Runner.refresh_prepared p ~table:"basket"
-       ~delta:(Relation.make schema fresh2)
-   with
-   | `Kept | `Refreshed -> ()
-   | `Reprepare m -> Alcotest.failf "second append forced a re-prepare: %s" m);
-  let want2 = Core.Runner.run_baseline catalog q in
-  let got2, _ = Core.Runner.run_prepared p in
-  check_bag "second refresh" want2 got2
+  check_bag "re-prepared plan over the grown table"
+    (Core.Runner.run_baseline catalog q)
+    (fst (Core.Runner.run_prepared p));
+  (* a second append makes the new plan stale in turn *)
+  Catalog.append_rows catalog "basket" [| row [ iv 2; sv "q" ] |];
+  check_stale "after the second append" catalog p;
+  check_bag "prepared again after the second append"
+    (Core.Runner.run_baseline catalog q)
+    (fst (Core.Runner.run_prepared (Core.Runner.prepare catalog q)))
 
-let test_refresh_prepared_unrelated () =
+(* The version is the catalog's, not the table's: an append to another
+   table makes the plan stale too. *)
+let test_stale_prepared_unrelated () =
   let catalog = basket_catalog () in
   Catalog.add_table catalog ~keys:[ [ "id" ] ] ~nonneg:[ "x"; "y" ] "object"
     (rel [ "id"; "x"; "y" ]
        (List.init 12 (fun i -> [ iv i; iv (i mod 4); iv (i mod 3) ])));
-  let sql =
-    "SELECT o1.x, COUNT(*) FROM object o1, object o2 WHERE o1.x = o2.x GROUP \
-     BY o1.x HAVING COUNT(*) >= 2"
+  let q =
+    parse
+      "SELECT o1.x, COUNT(*) FROM object o1, object o2 WHERE o1.x = o2.x GROUP \
+       BY o1.x HAVING COUNT(*) >= 2"
   in
-  let p = Core.Runner.prepare catalog (parse sql) in
+  let p = Core.Runner.prepare catalog q in
   ignore (Core.Runner.run_prepared p);
-  let fresh = [| row [ iv 9; sv "z" ] |] in
-  Catalog.append_rows catalog "basket" fresh;
-  let schema = (Catalog.find catalog "basket").Catalog.rel.Relation.schema in
-  (match
-     Core.Runner.refresh_prepared p ~table:"basket"
-       ~delta:(Relation.make schema fresh)
-   with
-   | `Kept -> ()
-   | `Refreshed -> Alcotest.fail "unrelated append must keep the tier as-is"
-   | `Reprepare m -> Alcotest.failf "unrelated append forced re-prepare: %s" m);
-  let want = Core.Runner.run_baseline catalog (parse sql) in
-  let got, _ = Core.Runner.run_prepared p in
-  check_bag "plan unaffected by unrelated append" want got
+  Catalog.append_rows catalog "basket" [| row [ iv 9; sv "z" ] |];
+  check_stale "after an unrelated append" catalog p;
+  check_bag "prepared again after an unrelated append"
+    (Core.Runner.run_baseline catalog q)
+    (fst (Core.Runner.run_prepared (Core.Runner.prepare catalog q)))
 
 let suite =
   [
@@ -434,7 +418,7 @@ let suite =
     Alcotest.test_case "delta float sum" `Quick test_delta_float_sum;
     Alcotest.test_case "delta shared views" `Quick test_delta_shared_views;
     Alcotest.test_case "delta keys lossless" `Quick test_delta_keys_lossless;
-    Alcotest.test_case "refresh prepared" `Quick test_refresh_prepared;
-    Alcotest.test_case "refresh prepared unrelated" `Quick
-      test_refresh_prepared_unrelated;
+    Alcotest.test_case "stale prepared plan" `Quick test_stale_prepared;
+    Alcotest.test_case "stale prepared unrelated" `Quick
+      test_stale_prepared_unrelated;
   ]

@@ -12,9 +12,9 @@ let analyze catalog sql left =
 
 let sky k = Workload.Queries.listing2 ~k
 
-let run_config catalog sql config =
+let run_config ?(memo = true) catalog sql config =
   let spec = analyze catalog sql [ "L" ] in
-  match Nljp.build catalog spec config with
+  match Nljp.build ~pruning:true ~memo catalog spec config with
   | Error e -> Alcotest.failf "build: %s" e
   | Ok op -> Nljp.execute op
 
@@ -37,8 +37,8 @@ let ordering =
         let catalog = random_catalog 52 in
         let pruned order =
           let _, stats =
-            run_config catalog (sky 3)
-              { Nljp.default_config with Nljp.memo = false; outer_order = order }
+            run_config ~memo:false catalog (sky 3)
+              { Nljp.default_config with Nljp.outer_order = order }
           in
           stats.Nljp.pruned
         in
@@ -52,8 +52,8 @@ let ordering =
         let catalog = random_catalog 58 in
         let pruned order =
           let _, stats =
-            run_config catalog (sky 3)
-              { Nljp.default_config with Nljp.memo = false; outer_order = order }
+            run_config ~memo:false catalog (sky 3)
+              { Nljp.default_config with Nljp.outer_order = order }
           in
           stats.Nljp.pruned
         in

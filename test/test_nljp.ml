@@ -9,19 +9,24 @@ let analyze catalog sql left =
 
 let skyband_sql k = Workload.Queries.listing2 ~k
 
-let run_nljp ?(config = Nljp.default_config) catalog sql left =
+(* Both techniques on unless a test switches one off. *)
+let build ?(pruning = true) ?(memo = true) ?(config = Nljp.default_config) catalog spec =
+  Nljp.build ~pruning ~memo catalog spec config
+
+let run_nljp ?pruning ?memo ?config catalog sql left =
   let spec = analyze catalog sql left in
-  match Nljp.build catalog spec config with
+  match build ?pruning ?memo ?config catalog spec with
   | Error e -> Alcotest.failf "NLJP build failed: %s" e
   | Ok op -> Nljp.execute op
 
+(* (name, pruning, memo, config) *)
 let configs =
-  [ ("prune+memo", Nljp.default_config);
-    ("prune only", { Nljp.default_config with Nljp.memo = false });
-    ("memo only", { Nljp.default_config with Nljp.pruning = false });
-    ("neither", { Nljp.default_config with Nljp.pruning = false; memo = false });
-    ("no CI", { Nljp.default_config with Nljp.cache_index = false });
-    ("no BT", { Nljp.default_config with Nljp.inner_index = false }) ]
+  [ ("prune+memo", true, true, Nljp.default_config);
+    ("prune only", true, false, Nljp.default_config);
+    ("memo only", false, true, Nljp.default_config);
+    ("neither", false, false, Nljp.default_config);
+    ("no CI", true, true, { Nljp.default_config with Nljp.cache_index = false });
+    ("no BT", true, true, { Nljp.default_config with Nljp.inner_index = false }) ]
 
 let equivalence =
   [ t "skyband: all configurations agree with baseline" (fun () ->
@@ -29,8 +34,8 @@ let equivalence =
         let sql = skyband_sql 5 in
         let base = Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql) in
         List.iter
-          (fun (name, config) ->
-            let r, _ = run_nljp ~config catalog sql [ "L" ] in
+          (fun (name, pruning, memo, config) ->
+            let r, _ = run_nljp ~pruning ~memo ~config catalog sql [ "L" ] in
             check_bag (Printf.sprintf "config %s" name) base r)
           configs);
     t "market basket via NLJP agrees with baseline (G_R non-empty)" (fun () ->
@@ -71,9 +76,7 @@ let behavior =
           objects_catalog [ (1, 1); (1, 1); (1, 1); (2, 2); (2, 2); (9, 9) ]
         in
         let _, stats =
-          run_nljp
-            ~config:{ Nljp.default_config with Nljp.pruning = false }
-            catalog (skyband_sql 50) [ "L" ]
+          run_nljp ~pruning:false catalog (skyband_sql 50) [ "L" ]
         in
         Alcotest.(check bool) "memo on" true stats.Nljp.memo_on;
         Alcotest.(check int) "hits" 3 stats.Nljp.memo_hits;
@@ -87,9 +90,7 @@ let behavior =
         in
         let catalog = objects_catalog points in
         let _, stats =
-          run_nljp
-            ~config:{ Nljp.default_config with Nljp.memo = false }
-            catalog (skyband_sql 3) [ "L" ]
+          run_nljp ~memo:false catalog (skyband_sql 3) [ "L" ]
         in
         Alcotest.(check bool) "pruning on" true stats.Nljp.pruning_on;
         Alcotest.(check bool) "pruned some" true (stats.Nljp.pruned >= 3));
@@ -99,10 +100,7 @@ let behavior =
         let catalog = objects_catalog [ (9, 9); (1, 1); (2, 2); (3, 3) ] in
         let sql = skyband_sql 5 in
         let base = Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql) in
-        let r, _ =
-          run_nljp ~config:{ Nljp.default_config with Nljp.memo = false } catalog sql
-            [ "L" ]
-        in
+        let r, _ = run_nljp ~memo:false catalog sql [ "L" ] in
         check_bag "no over-pruning" base r);
     t "stats cache accounting is consistent" (fun () ->
         let catalog = random_catalog 23 in
@@ -114,7 +112,7 @@ let behavior =
     t "each execution returns its own stats" (fun () ->
         let catalog = random_catalog 23 in
         let spec = analyze catalog (skyband_sql 5) [ "L" ] in
-        match Nljp.build catalog spec Nljp.default_config with
+        match build catalog spec with
         | Error e -> Alcotest.fail e
         | Ok op ->
           let counts () =
@@ -128,7 +126,7 @@ let behavior =
     t "describe mentions the component queries" (fun () ->
         let catalog = random_catalog 3 in
         let spec = analyze catalog (skyband_sql 5) [ "L" ] in
-        match Nljp.build catalog spec Nljp.default_config with
+        match build catalog spec with
         | Error e -> Alcotest.fail e
         | Ok op ->
           let d = Nljp.describe op in
@@ -143,7 +141,7 @@ let behavior =
            GROUP BY L.id HAVING COUNT(L.x) >= 1"
         in
         let spec = analyze catalog sql [ "L" ] in
-        match Nljp.build catalog spec Nljp.default_config with
+        match build catalog spec with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "Φ references the outer side: must be rejected");
     t "memo disabled when J_L determines the outer side" (fun () ->
@@ -154,7 +152,7 @@ let behavior =
            GROUP BY L.id HAVING COUNT(*) >= 1"
         in
         let spec = analyze catalog sql [ "L" ] in
-        match Nljp.build catalog spec Nljp.default_config with
+        match build catalog spec with
         | Error e -> Alcotest.fail e
         | Ok op ->
           let _, stats = Nljp.execute op in
@@ -169,9 +167,9 @@ let random_equivalence =
            let sql = skyband_sql k in
            let base = Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql) in
            List.for_all
-             (fun (_, config) ->
+             (fun (_, pruning, memo, config) ->
                let spec = analyze catalog sql [ "L" ] in
-               match Nljp.build catalog spec config with
+               match build ~pruning ~memo ~config catalog spec with
                | Error _ -> false
                | Ok op -> Relation.equal_bag base (fst (Nljp.execute op)))
              configs));
@@ -190,7 +188,7 @@ let random_equivalence =
            in
            let base = Core.Runner.run_baseline catalog (Sqlfront.Parser.parse sql) in
            let spec = analyze catalog sql [ "L" ] in
-           match Nljp.build catalog spec Nljp.default_config with
+           match build catalog spec with
            | Error _ -> false
            | Ok op -> Relation.equal_bag base (fst (Nljp.execute op)))) ]
 

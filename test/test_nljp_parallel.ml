@@ -103,14 +103,14 @@ let run_grid catalog =
                     (fun (oname, outer_order) ->
                       let config =
                         { Nljp.default_config with
-                          Nljp.pruning; memo; max_cache_rows = cap; workers; outer_order }
+                          Nljp.max_cache_rows = cap; workers; outer_order }
                       in
                       let name =
                         Printf.sprintf "%s %s cap=%s w=%d %s" qname tname
                           (match cap with None -> "-" | Some c -> string_of_int c)
                           workers oname
                       in
-                      match Nljp.build catalog spec config with
+                      match Nljp.build ~pruning ~memo catalog spec config with
                       | Error e -> Alcotest.failf "%s: build failed: %s" name e
                       | Ok op ->
                         let r, s = Nljp.execute op in

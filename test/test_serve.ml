@@ -316,14 +316,20 @@ let test_append_maintenance () =
       Alcotest.(check bool) "append maintained the cached result" true
         (int_field resp "incremental" >= 1);
       Alcotest.(check int) "nothing dropped" 0 (int_field resp "invalidated");
-      Alcotest.(check bool) "cached plan survived the append" true
-        (int_field resp "plans_refreshed" >= 1);
+      let extra1 = [ row [ iv 1; sv "z" ]; row [ iv 1; sv "w" ] ] in
+      (* the append made the cached plan stale: the next engine run
+         prepares it again *)
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool false) ]);
+      let engine = Serve.Client.query c basket_sql in
+      Alcotest.(check string) "first engine run after the append" "miss"
+        (plan_of engine);
+      check_wire_bag "engine run after the append" (basket_expected extra1) engine;
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool true) ]);
       let r3 = Serve.Client.query c basket_sql in
       Alcotest.(check bool) "maintained entry still serves hits" true
         (Serve.Client.cached r3);
       Alcotest.(check string) "payload marks maintenance" "maintained"
         (plan_of r3);
-      let extra1 = [ row [ iv 1; sv "z" ]; row [ iv 1; sv "w" ] ] in
       check_wire_bag "post-append" (basket_expected extra1) r3;
       (* a second append folds into the already-maintained state *)
       ignore
@@ -706,14 +712,91 @@ let test_prepared_statements () =
     if not (Core.Runner.same_result expected r) then
       Alcotest.failf "run_prepared #%d diverged" i
   done;
-  (* NLJP plans carry a shared cache tier that persists across runs *)
-  (match Core.Runner.plan p with
-   | Core.Runner.Optimized { Core.Optimizer.nljp = Some _; _ } ->
-     (match Core.Runner.prepared_shared_rows p with
-      | Some (prune, memo) ->
-        Alcotest.(check bool) "shared tier warmed" true (prune + memo > 0)
-      | None -> Alcotest.fail "NLJP plan without a shared tier")
-   | _ -> ())
+  (* the server's plan cache: a repeat hits, an append makes the plan
+     stale, and the first engine run after it is a miss *)
+  with_server [ (`Row, basket_catalog ()) ] (fun addr ->
+      let c = Serve.Client.connect addr in
+      ignore (Serve.Client.set c [ ("result_cache", Json.Bool false) ]);
+      Alcotest.(check string) "first run" "miss" (plan_of (Serve.Client.query c basket_sql));
+      Alcotest.(check string) "repeat" "hit" (plan_of (Serve.Client.query c basket_sql));
+      ignore (Serve.Client.append c "basket" [ Json.Arr [ Json.Num 2.; Json.Str "z" ] ]);
+      let r = Serve.Client.query c basket_sql in
+      Alcotest.(check string) "first run after the append" "miss" (plan_of r);
+      check_wire_bag "first run after the append"
+        (basket_expected [ row [ iv 2; sv "z" ] ])
+        r;
+      Alcotest.(check string) "repeat after the append" "hit"
+        (plan_of (Serve.Client.query c basket_sql));
+      Serve.Client.close c)
+
+(* ---- one cached plan, two domains ---- *)
+
+(* A prepared plan holds no execution state, so two worker domains may run
+   one cached plan at once.  Two sessions send the same skyband and
+   complex texts with the result cache off, so every repeat runs the
+   engine from a plan-cache hit, at 1 and 2 NLJP workers; every answer
+   must be bag-equal to the baseline. *)
+let test_shared_plan () =
+  let catalog () =
+    let c = Catalog.create () in
+    ignore (Workload.Baseball.register c ~rows:400 ~seed:2017);
+    ignore (Workload.Baseball.register_unpivoted c ~rows:400 ~seed:2017);
+    Workload.Baseball.build_indexes c;
+    c
+  in
+  let queries =
+    [ Workload.Queries.skyband ~k:20 (); Workload.Queries.complex ~threshold:3 ]
+  in
+  let expected =
+    let c = catalog () in
+    List.map
+      (fun sql -> wire_rel (Core.Runner.run_baseline c (Sqlfront.Parser.parse sql)))
+      queries
+  in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) "a non-empty answer" true (Relation.cardinality want > 0))
+    expected;
+  with_server ~pool:2 [ (`Row, catalog ()) ] (fun addr ->
+      List.iter
+        (fun workers ->
+          let failures = Array.make 2 None and hits = Atomic.make 0 in
+          let threads =
+            List.init 2 (fun i ->
+                Thread.create
+                  (fun () ->
+                    try
+                      let c = Serve.Client.connect addr in
+                      ignore
+                        (Serve.Client.set c
+                           [ ("result_cache", Json.Bool false);
+                             ("workers", Json.Num (float_of_int workers)) ]);
+                      for _round = 1 to 4 do
+                        List.iter2
+                          (fun sql want ->
+                            let r = Serve.Client.query c sql in
+                            if plan_of r = "hit" then Atomic.incr hits;
+                            if
+                              not
+                                (Core.Runner.same_result want
+                                   (Serve.Client.relation_of_response r))
+                            then failwith ("diverged: " ^ sql))
+                          queries expected
+                      done;
+                      Serve.Client.close c
+                    with e -> failures.(i) <- Some (Printexc.to_string e))
+                  ())
+          in
+          List.iter Thread.join threads;
+          Array.iter
+            (function
+              | Some m -> Alcotest.failf "workers=%d: %s" workers m
+              | None -> ())
+            failures;
+          Alcotest.(check bool)
+            (Printf.sprintf "workers=%d: repeats ran cached plans" workers)
+            true (Atomic.get hits > 0))
+        [ 1; 2 ])
 
 (* ---- telemetry: metrics op, Prometheus exporter, slow-query log ---- *)
 
@@ -1197,6 +1280,7 @@ let suite =
     Alcotest.test_case "hostile request lines" `Quick test_hostile_lines;
     Alcotest.test_case "concurrent differential fuzz" `Quick test_concurrent_fuzz;
     Alcotest.test_case "prepared statements" `Quick test_prepared_statements;
+    Alcotest.test_case "one plan, two domains" `Quick test_shared_plan;
     Alcotest.test_case "metrics op" `Quick test_metrics_op;
     Alcotest.test_case "prometheus http exporter" `Quick test_metrics_http;
     Alcotest.test_case "slow-query log" `Quick test_slow_log;
