@@ -488,9 +488,12 @@ let exec_baseline ~analyze p ?subquery s query =
   | None -> Binder.run ~workers ?subquery catalog query
   | Some sp ->
     let plan = Binder.bind ~workers ?subquery catalog query in
-    let acts = ref [] in
+    let acts = ref [] and notes = ref [] in
     let recorder =
-      { Exec.rec_rows = (fun path label rows -> acts := (path, (label, rows)) :: !acts) }
+      {
+        Exec.rec_rows = (fun path label rows -> acts := (path, (label, rows)) :: !acts);
+        rec_note = (fun path note -> notes := (path, note) :: !notes);
+      }
     in
     let rel = Exec.run ~workers ~recorder catalog plan in
     let tree = Cost.tree ?on_stats_build:(stats_build s) catalog plan in
@@ -503,6 +506,9 @@ let exec_baseline ~analyze p ?subquery s query =
       (match List.assoc_opt path !acts with
        | Some (_, rows) -> node.Obs.Span.rows_out <- Some rows
        | None -> ());
+      List.iter
+        (fun (p, note) -> if p = path then Obs.Span.note node note)
+        (List.rev !notes);
       List.iteri (fun i c -> attach node (path @ [ i ]) c) t.Cost.t_children
     in
     attach sp [] tree;

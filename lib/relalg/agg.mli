@@ -28,6 +28,10 @@ type compiled = {
 
 val compile : Schema.t -> func -> compiled
 
+(** [pair_step left right f]: [compile]'s [step] over a joined row given
+    as its (left part, right part), read in place. *)
+val pair_step : Schema.t -> Schema.t -> func -> state -> Row.t -> Row.t -> unit
+
 (** Raw state constructors for vectorized aggregation kernels that
     accumulate in unboxed scratch and box once per evaluation.  Each
     constructor builds the state of the corresponding function(s) —

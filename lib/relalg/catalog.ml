@@ -8,6 +8,8 @@ type derived = {
   mu : Mutex.t;
   numeric : bool option array;
       (* per column: every value is an Int, a Float or NULL *)
+  floats : bool option array;
+      (* per column: every value is a Float or NULL, and one is a Float *)
   mutable stats : Stats.t option;
   mutable range_counts : (int list * Index.Range_count.t) list;
       (* by column positions, x first, most recently used first; at most
@@ -39,6 +41,7 @@ let fresh_derived rel =
   {
     mu = Mutex.create ();
     numeric = Array.make (Schema.arity rel.Relation.schema) None;
+    floats = Array.make (Schema.arity rel.Relation.schema) None;
     stats = None;
     range_counts = [];
   }
@@ -144,19 +147,27 @@ let numeric_or_null = function
   | Value.Int _ | Value.Float _ | Value.Null -> true
   | Value.Str _ | Value.Bool _ -> false
 
-(* A grown table's slot: a column known numeric stays so iff every
-   appended value is; the statistics and range counts are rebuilt on their
-   next use. *)
+let float_or_null = function
+  | Value.Float _ | Value.Null -> true
+  | Value.Int _ | Value.Str _ | Value.Bool _ -> false
+
+(* A grown table's slot: a column known numeric (or all Float) stays so
+   iff every appended value is; a column known not all Float stays so.
+   The statistics and range counts are rebuilt on their next use. *)
 let carried d rel fresh =
   let d' = fresh_derived rel in
+  let carry known' known ok =
+    Array.iteri
+      (fun i k ->
+        known'.(i) <-
+          (match k with
+           | Some true -> Some (Array.for_all (fun row -> ok row.(i)) fresh)
+           | Some false | None -> k))
+      known
+  in
   Mutex.protect d.mu (fun () ->
-      Array.iteri
-        (fun i known ->
-          d'.numeric.(i) <-
-            (match known with
-             | Some true -> Some (Array.for_all (fun row -> numeric_or_null row.(i)) fresh)
-             | Some false | None -> known))
-        d.numeric);
+      carry d'.numeric d.numeric numeric_or_null;
+      carry d'.floats d.floats float_or_null);
   d'
 
 (* O(delta) append: the generation survives, so stamps taken before the
@@ -244,6 +255,23 @@ let column_numeric tbl i =
           | None -> Array.for_all (fun row -> numeric_or_null row.(i)) (Relation.rows tbl.rel)
         in
         d.numeric.(i) <- Some known;
+        known)
+
+let column_float tbl i =
+  with_derived tbl (fun d ->
+      match d.floats.(i) with
+      | Some known -> known
+      | None ->
+        Obs.Metrics.incr m_domain_builds;
+        let known =
+          match Relation.cstore_opt tbl.rel with
+          | Some cs -> Column.Cstore.col_kind cs i = Column.Cstore.K_float
+          | None ->
+            let rows = Relation.rows tbl.rel in
+            Array.for_all (fun row -> float_or_null row.(i)) rows
+            && Array.exists (fun row -> row.(i) <> Value.Null) rows
+        in
+        d.floats.(i) <- Some known;
         known)
 
 let stats ?(on_build = fun make -> make ()) tbl =

@@ -128,6 +128,12 @@ val remove_table : t -> string -> unit
     values. *)
 val column_numeric : table -> int -> bool
 
+(** [column_float tbl i]: every value of column [i] is a [Float] or NULL,
+    and one is a [Float] (a column-primary table reads the column's block
+    kind).  Built once per table version like {!column_numeric};
+    {!append_rows} checks only the appended values. *)
+val column_float : table -> int -> bool
+
 (** The table's {!Stats.t}, built once per table version (counted in
     [catalog.stats_builds]).  A missing one is made by [on_build make], so
     the caller can time the build; by default [make ()]. *)

@@ -143,6 +143,68 @@ let binop_fn = function
   | Expr.Mul -> Value.mul
   | Expr.Div -> Value.div
 
+(* ---- IN against a materialized set ---- *)
+
+(* A packed set is probed by coding each key value in turn: no key array
+   per row.  A set that does not pack keeps [Row.Tbl] membership. *)
+let in_set set fs =
+  let n = Array.length fs in
+  match Expr.row_set_keys set with
+  | Some ks when Keys.Set.arity ks <> n -> fun _ -> false
+  | Some ks when n = 1 ->
+    let f = fs.(0) in
+    fun row ->
+      let c = Keys.Set.code ks 0 (f row) in
+      c >= 0 && Keys.Set.mem_key ks c
+  | Some ks ->
+    fun row ->
+      let k = ref 0 and i = ref 0 in
+      while !i < n do
+        let c = Keys.Set.code ks !i (fs.(!i) row) in
+        if c < 0 then i := n + 1
+        else begin
+          k := !k + (c * Keys.Set.mult ks !i);
+          incr i
+        end
+      done;
+      !i = n && Keys.Set.mem_key ks !k
+  | None ->
+    fun row ->
+      let key = Array.make n Value.Null in
+      for i = 0 to n - 1 do
+        key.(i) <- fs.(i) row
+      done;
+      Expr.row_set_mem set key
+
+let in_set_pair set fs =
+  let n = Array.length fs in
+  match Expr.row_set_keys set with
+  | Some ks when Keys.Set.arity ks <> n -> fun _ _ -> false
+  | Some ks when n = 1 ->
+    let f = fs.(0) in
+    fun l r ->
+      let c = Keys.Set.code ks 0 (f l r) in
+      c >= 0 && Keys.Set.mem_key ks c
+  | Some ks ->
+    fun l r ->
+      let k = ref 0 and i = ref 0 in
+      while !i < n do
+        let c = Keys.Set.code ks !i (fs.(!i) l r) in
+        if c < 0 then i := n + 1
+        else begin
+          k := !k + (c * Keys.Set.mult ks !i);
+          incr i
+        end
+      done;
+      !i = n && Keys.Set.mem_key ks !k
+  | None ->
+    fun l r ->
+      let key = Array.make n Value.Null in
+      for i = 0 to n - 1 do
+        key.(i) <- fs.(i) l r
+      done;
+      Expr.row_set_mem set key
+
 (* ---- single-row compiler ---- *)
 
 let rec sc schema (e : Expr.t) : scalar =
@@ -191,15 +253,7 @@ and pr schema (e : Expr.t) : pred =
   | Expr.Not a ->
     let fa = pr schema a in
     fun row -> not (fa row)
-  | Expr.In_set (es, set) ->
-    let fs = Array.of_list (List.map (sc schema) es) in
-    let n = Array.length fs in
-    fun row ->
-      let key = Array.make n Value.Null in
-      for i = 0 to n - 1 do
-        key.(i) <- fs.(i) row
-      done;
-      Expr.row_set_mem set key
+  | Expr.In_set (es, set) -> in_set set (Array.of_list (List.map (sc schema) es))
   | Expr.Const _ | Expr.Col _ | Expr.Binop _ | Expr.Neg _ ->
     let f = sc schema e in
     fun row -> Value.to_bool (f row)
@@ -290,15 +344,7 @@ and pj joined la (e : Expr.t) : Row.t -> Row.t -> bool =
   | Expr.Not a ->
     let fa = pj joined la a in
     fun l r -> not (fa l r)
-  | Expr.In_set (es, set) ->
-    let fs = Array.of_list (List.map (sj joined la) es) in
-    let n = Array.length fs in
-    fun l r ->
-      let key = Array.make n Value.Null in
-      for i = 0 to n - 1 do
-        key.(i) <- fs.(i) l r
-      done;
-      Expr.row_set_mem set key
+  | Expr.In_set (es, set) -> in_set_pair set (Array.of_list (List.map (sj joined la) es))
   | Expr.Const _ | Expr.Col _ | Expr.Binop _ | Expr.Neg _ ->
     let f = sj joined la e in
     fun l r -> Value.to_bool (f l r)
@@ -306,6 +352,10 @@ and pj joined la (e : Expr.t) : Row.t -> Row.t -> bool =
 let join_pred left right e =
   let joined = Schema.append left right in
   pj joined (Schema.arity left) (fold_constants e)
+
+let join_scalar left right e =
+  let joined = Schema.append left right in
+  sj joined (Schema.arity left) (fold_constants e)
 
 (* ---- projections and key builders ---- *)
 

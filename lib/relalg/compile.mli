@@ -39,6 +39,9 @@ val pred : Schema.t -> Expr.t -> pred
     concatenated row. *)
 val join_pred : Schema.t -> Schema.t -> Expr.t -> Row.t -> Row.t -> bool
 
+(** [join_scalar left right e]: {!join_pred}'s scalar counterpart. *)
+val join_scalar : Schema.t -> Schema.t -> Expr.t -> Row.t -> Row.t -> Value.t
+
 (** [row_fn schema es] builds the row [[| e0; e1; … |]] per input row; used
     for hash/merge-join keys, group keys and projections.  All-column lists
     compile to plain index gathers. *)

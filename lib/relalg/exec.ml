@@ -5,9 +5,14 @@
    Blocking operators (grouping, sort, distinct) materialize.
 
    To keep the hot loops allocation-light, a streamed node emits each output
-   row as a (left part, right part) pair; consumers either concatenate
-   (materialization) or blit both parts into a reusable scratch row
-   (aggregation).
+   row as the positions of its (left part, right part) in the two input
+   arrays; consumers either concatenate (materialization) or read both
+   parts in place (aggregation).
+
+   Hash join, hash aggregation and IN filters key their tables by packed
+   ints when the key values allow it, and by [Row.Tbl] otherwise ([Keys]);
+   each such node decides once per execution, counts the decision and
+   notes it for EXPLAIN ANALYZE.
 
    With [workers > 1] (the Vendor A stand-in), joins are parallelized by
    chunking the outer side across domains; under aggregation each domain
@@ -63,15 +68,21 @@ let sorted_index_for catalog table key_col =
 
 type streamed = {
   schema : Schema.t;
-  left_arity : int;  (* output rows are (left part, right part) *)
-  outer : Relation.t;  (* the driving (outer) relation, chunkable *)
-  (* [feed chunk emit] streams the node's output for the given outer chunk;
-     safe to run concurrently on disjoint chunks (it compiles its own
-     predicate state per call). *)
-  feed : Row.t array -> (Row.t -> Row.t -> unit) -> unit;
+  lschema : Schema.t;  (* output rows are (left part, right part) *)
+  rschema : Schema.t;
+  lrows : Row.t array;
+  rrows : Row.t array;  (* [| [||] |] under a materialized node *)
+  outer_n : int;  (* the outer side's row count, chunkable *)
+  (* [feed lo hi emit] streams the node's output for outer rows [lo, hi)
+     as (left position, right position) pairs; safe to run concurrently
+     on disjoint ranges. *)
+  feed : int -> int -> (int -> int -> unit) -> unit;
 }
 
-type recorder = { rec_rows : int list -> string -> int -> unit }
+type recorder = {
+  rec_rows : int list -> string -> int -> unit;
+  rec_note : int list -> string -> unit;
+}
 
 (* Labels match [Cost]'s per-node labels so estimate and actual line up. *)
 let node_label = function
@@ -95,6 +106,150 @@ let node_label = function
 
 let empty_row : Row.t = [||]
 
+let note_keys ~recorder ~path kp =
+  Keys.count kp;
+  match recorder with Some r -> r.rec_note path (Keys.describe kp) | None -> ()
+
+(* IN sets count themselves when built; a node testing one notes its path. *)
+let note_in_sets ~recorder ~path pred =
+  match recorder with
+  | Some r ->
+    List.iter
+      (fun set -> r.rec_note path (Keys.describe (Expr.row_set_path set)))
+      (Expr.in_sets pred)
+  | None -> ()
+
+let col_name schema i = Schema.col_to_string (Schema.nth schema i)
+
+(* The input column each key reads, or the first key that is not a bare
+   column. *)
+let key_cols schema es =
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | Expr.Col c :: rest -> go (Schema.index_of_col schema c :: acc) rest
+    | e :: _ -> Error (Printf.sprintf "key %s is an expression" (Expr.to_string e))
+  in
+  go [] es
+
+(* A hash join's build side: one key chain per distinct key, from
+   [head.(id)] through [next], newest row first as a list cons would keep
+   them, and [lookup prow], the chain id of a probe row's key or -1.  NULL
+   and NaN keys match nothing, so their rows join no chain. *)
+let hash_build ~names brows bschema bkeys pschema pkeys =
+  let nb = Array.length brows in
+  let head = Array.make (max nb 1) (-1) and next = Array.make nb (-1) in
+  let chain i id =
+    next.(i) <- head.(id);
+    head.(id) <- i
+  in
+  let packed =
+    match key_cols bschema bkeys, key_cols pschema pkeys with
+    | Ok bcols, Ok pcols ->
+      let comps =
+        Array.map (fun c -> Keys.column ~name:(col_name bschema c) brows c) bcols
+      in
+      let doms = Array.map (fun (c : Keys.column) -> c.dom) comps in
+      Result.map (fun mult -> (comps, doms, mult, pcols)) (Keys.pack doms)
+    | Error why, _ | _, Error why -> Error why
+  in
+  let path, lookup =
+    match packed with
+    | Ok (comps, doms, mult, pcols) ->
+      let k = Array.length comps in
+      let tbl = Keys.Itbl.create nb in
+      for i = 0 to nb - 1 do
+        let key = ref 0 and c = ref 0 in
+        while !c < k do
+          let code = comps.(!c).codes.(i) in
+          if code < 2 then c := k + 1
+          else begin
+            key := !key + (code * mult.(!c));
+            incr c
+          end
+        done;
+        if !c = k then chain i (Keys.Itbl.intern tbl !key)
+      done;
+      let lookup prow =
+        let key = ref 0 and c = ref 0 in
+        while !c < k do
+          let code = Keys.code doms.(!c) prow.(pcols.(!c)) in
+          if code < 2 then c := k + 1
+          else begin
+            key := !key + (code * mult.(!c));
+            incr c
+          end
+        done;
+        if !c = k then Keys.Itbl.find tbl !key else -1
+      in
+      (Keys.Packed names, lookup)
+    | Error why ->
+      let bkey = Compile.row_fn bschema bkeys and pkey = Compile.row_fn pschema pkeys in
+      let tbl = Row.Tbl.create (max 16 nb) in
+      for i = 0 to nb - 1 do
+        let key = bkey brows.(i) in
+        if not (Row.has_null key) then
+          chain i
+            (match Row.Tbl.find_opt tbl key with
+             | Some id -> id
+             | None ->
+               let id = Row.Tbl.length tbl in
+               Row.Tbl.add tbl key id;
+               id)
+      done;
+      let lookup prow =
+        match Row.Tbl.find_opt tbl (pkey prow) with Some id -> id | None -> -1
+      in
+      (Keys.Generic why, lookup)
+  in
+  (path, head, next, lookup)
+
+(* Groups in first-seen order: each one's representative key row (its
+   first row's values) and aggregate states, found by packed key or by
+   key row. *)
+type index = Packed_index of Keys.Itbl.t | Generic_index of int Row.Tbl.t
+
+type groups = {
+  index : index;
+  mutable n : int;
+  mutable keys : Row.t array;
+  mutable states : Agg.state array array;
+}
+
+let new_groups index = { index; n = 0; keys = Array.make 64 [||]; states = Array.make 64 [||] }
+
+let add_group g key states =
+  if g.n = Array.length g.keys then begin
+    let grow a = Array.append a (Array.make (Array.length a) [||]) in
+    g.keys <- grow g.keys;
+    g.states <- grow g.states
+  end;
+  g.keys.(g.n) <- key;
+  g.states.(g.n) <- states;
+  g.n <- g.n + 1
+
+(* Fold a later chunk's groups into [acc], in the chunk's first-seen
+   order; a group both hold merges its states with the aggregates'
+   [merge]. *)
+let merge_groups compiled acc part =
+  for id = 0 to part.n - 1 do
+    let target =
+      match acc.index, part.index with
+      | Packed_index t, Packed_index pt -> Keys.Itbl.intern t (Keys.Itbl.key pt id)
+      | Generic_index t, _ ->
+        (match Row.Tbl.find_opt t part.keys.(id) with
+         | Some x -> x
+         | None ->
+           Row.Tbl.add t part.keys.(id) acc.n;
+           acc.n)
+      | Packed_index _, Generic_index _ -> invalid_arg "Exec.merge_groups"
+    in
+    if target = acc.n then add_group acc part.keys.(id) part.states.(id)
+    else
+      Array.iteri
+        (fun a (c : Agg.compiled) -> c.Agg.merge acc.states.(target).(a) part.states.(id).(a))
+        compiled
+  done
+
 let rec run ?(workers = 1) ?recorder ?(path = []) ?(filters = []) catalog plan =
   let rel = exec_node ~workers ~recorder ~path ~filters catalog plan in
   (match recorder with
@@ -105,9 +260,13 @@ let rec run ?(workers = 1) ?recorder ?(path = []) ?(filters = []) catalog plan =
 and exec_node ~workers ~recorder ~path ~filters catalog plan =
   let child i p = run ~workers ?recorder ~path:(path @ [ i ]) ~filters catalog p in
   match plan with
-  | Plan.Scan { table; alias; filter } -> scan ~filters catalog table alias filter
+  | Plan.Scan { table; alias; filter } ->
+    Option.iter (note_in_sets ~recorder ~path) filter;
+    scan ~filters catalog table alias filter
   | Plan.Values { name; rel } -> Relation.requalify name rel
-  | Plan.Filter (pred, p) -> Ops.select pred (child 0 p)
+  | Plan.Filter (pred, p) ->
+    note_in_sets ~recorder ~path pred;
+    Ops.select pred (child 0 p)
   | Plan.Project (outs, p) -> Ops.project outs (child 0 p)
   | Plan.Nl_join _ | Plan.Hash_join _ | Plan.Index_nl_join _ ->
     collect ~workers (stream ~workers ~recorder ~path ~filters catalog plan)
@@ -118,8 +277,9 @@ and exec_node ~workers ~recorder ~path ~filters catalog plan =
   | Plan.Limit (n, p) -> Ops.limit n (child 0 p)
   | Plan.Semijoin { keys; sub; input } ->
     let i = child 0 input in
-    let s = child 1 sub in
-    Ops.semijoin keys s i
+    let pred = Expr.In_set (keys, Ops.row_set (child 1 sub)) in
+    note_in_sets ~recorder ~path pred;
+    Ops.select pred i
   | Plan.Rename (alias, p) ->
     let rel = child 0 p in
     Relation.with_schema
@@ -132,70 +292,60 @@ and exec_node ~workers ~recorder ~path ~filters catalog plan =
    recorded by whoever consumes the stream (collect's caller via
    cardinality, or [group] via an emit counter). *)
 and stream ~workers ~recorder ~path ~filters catalog plan : streamed =
+  let sides left right =
+    let l = run ~workers ?recorder ~path:(path @ [ 0 ]) ~filters catalog left in
+    let r = run ~workers ?recorder ~path:(path @ [ 1 ]) ~filters catalog right in
+    (* Force both sides' rows here, on the spawning domain: [feed] runs on
+       worker domains and must not race on a relation's lazy row cache. *)
+    (l.Relation.schema, Relation.rows l, r.Relation.schema, Relation.rows r)
+  in
   match plan with
   | Plan.Nl_join { pred; left; right } ->
-    let l = run ~workers ?recorder ~path:(path @ [ 0 ]) ~filters catalog left in
-    let r = run ~workers ?recorder ~path:(path @ [ 1 ]) ~filters catalog right in
-    let schema = Schema.append l.Relation.schema r.Relation.schema in
-    (* Force the inner rows here, on the spawning domain: [feed] runs on
-       worker domains and must not race on the relation's lazy row cache. *)
-    let rrows = Relation.rows r in
-    let feed chunk emit =
-      let ok = Compile.join_pred l.Relation.schema r.Relation.schema pred in
-      let nr = Array.length rrows in
-      Array.iter
-        (fun lrow ->
-          for j = 0 to nr - 1 do
-            let rrow = rrows.(j) in
-            if ok lrow rrow then emit lrow rrow
-          done)
-        chunk
+    let lschema, lrows, rschema, rrows = sides left right in
+    let ok = Compile.join_pred lschema rschema pred in
+    let nr = Array.length rrows in
+    let feed lo hi emit =
+      for i = lo to hi - 1 do
+        let lrow = lrows.(i) in
+        for j = 0 to nr - 1 do
+          if ok lrow rrows.(j) then emit i j
+        done
+      done
     in
-    { schema; left_arity = Schema.arity l.Relation.schema; outer = l; feed }
+    { schema = Schema.append lschema rschema; lschema; rschema; lrows; rrows;
+      outer_n = Array.length lrows; feed }
   | Plan.Hash_join { keys; residual; left; right } ->
-    let l = run ~workers ?recorder ~path:(path @ [ 0 ]) ~filters catalog left in
-    let r = run ~workers ?recorder ~path:(path @ [ 1 ]) ~filters catalog right in
-    let schema = Schema.append l.Relation.schema r.Relation.schema in
+    let lschema, lrows, rschema, rrows = sides left right in
     (* Build the hash table on the smaller input and stream the larger one.
        Delta-maintenance runs put a tiny append batch on one side of the
        join; hashing that side instead of the full table keeps the build
        O(delta) regardless of which side the planner placed it on. *)
-    let build_left = Relation.cardinality l < Relation.cardinality r in
-    let build, probe =
-      if build_left then (l, r) else (r, l)
+    let build_left = Array.length lrows < Array.length rrows in
+    let lkeys = List.map fst keys and rkeys = List.map snd keys in
+    let names = List.map Expr.to_string lkeys in
+    let brows, prows, (kp, head, next, lookup) =
+      if build_left then (lrows, rrows, hash_build ~names lrows lschema lkeys rschema rkeys)
+      else (rrows, lrows, hash_build ~names rrows rschema rkeys lschema lkeys)
     in
-    let build_cols, probe_cols =
-      if build_left then (List.map fst keys, List.map snd keys)
-      else (List.map snd keys, List.map fst keys)
+    note_keys ~recorder ~path kp;
+    let ok = Compile.join_pred lschema rschema residual in
+    let feed lo hi emit =
+      for p = lo to hi - 1 do
+        let prow = prows.(p) in
+        let id = lookup prow in
+        if id >= 0 then begin
+          let b = ref head.(id) in
+          while !b >= 0 do
+            (* [emit] expects (left, right) in plan order. *)
+            if build_left then (if ok brows.(!b) prow then emit !b p)
+            else if ok prow brows.(!b) then emit p !b;
+            b := next.(!b)
+          done
+        end
+      done
     in
-    let bkey = Compile.row_fn build.Relation.schema build_cols in
-    let tbl = Row.Tbl.create (max 16 (Relation.cardinality build)) in
-    Relation.iter
-      (fun brow ->
-        let key = bkey brow in
-        (* SQL: NULL join keys match nothing; keep them out of the table. *)
-        if not (Row.has_null key) then
-          match Row.Tbl.find_opt tbl key with
-          | Some cell -> cell := brow :: !cell
-          | None -> Row.Tbl.add tbl key (ref [ brow ]))
-      build;
-    let feed chunk emit =
-      let pkey = Compile.row_fn probe.Relation.schema probe_cols in
-      let ok = Compile.join_pred l.Relation.schema r.Relation.schema residual in
-      (* [emit] expects (left row, right row) in plan order. *)
-      let emit_match =
-        if build_left then (fun brow prow -> if ok brow prow then emit brow prow)
-        else fun brow prow -> if ok prow brow then emit prow brow
-      in
-      Array.iter
-        (fun prow ->
-          let key = pkey prow in
-          match Row.Tbl.find_opt tbl key with
-          | None -> ()
-          | Some cell -> List.iter (fun brow -> emit_match brow prow) !cell)
-        chunk
-    in
-    { schema; left_arity = Schema.arity l.Relation.schema; outer = probe; feed }
+    { schema = Schema.append lschema rschema; lschema; rschema; lrows; rrows;
+      outer_n = Array.length prows; feed }
   | Plan.Index_nl_join { pred; left; table; alias; key_col; lo; hi } ->
     (match sorted_index_for catalog table key_col with
      | None ->
@@ -204,44 +354,55 @@ and stream ~workers ~recorder ~path ~filters catalog plan : streamed =
          (Plan.Nl_join { pred; left; right = Plan.Scan { table; alias; filter = None } })
      | Some index ->
        let l = run ~workers ?recorder ~path:(path @ [ 0 ]) ~filters catalog left in
+       let lschema = l.Relation.schema and lrows = Relation.rows l in
        let tbl = Catalog.find catalog table in
        let q = Option.value alias ~default:tbl.Catalog.name in
-       let right_schema = Schema.requalify q tbl.Catalog.rel.Relation.schema in
-       let schema = Schema.append l.Relation.schema right_schema in
-       let make_bound = compile_bound l.Relation.schema lo hi in
-       let feed chunk emit =
-         let ok = Compile.join_pred l.Relation.schema right_schema pred in
-         let bound = make_bound () in
-         Array.iter
-           (fun lrow ->
-             let blo, bhi = bound lrow in
-             Index.Sorted.iter_range index ~lo:blo ~hi:bhi (fun rrow ->
-                 if ok lrow rrow then emit lrow rrow))
-           chunk
+       let rschema = Schema.requalify q tbl.Catalog.rel.Relation.schema in
+       let rrows = Index.Sorted.rows index in
+       let bound = compile_bound lschema lo hi () in
+       let ok = Compile.join_pred lschema rschema pred in
+       let feed lo hi emit =
+         for i = lo to hi - 1 do
+           let lrow = lrows.(i) in
+           let blo, bhi = bound lrow in
+           let start, stop = Index.Sorted.bounds index ~lo:blo ~hi:bhi in
+           for j = start to stop - 1 do
+             if ok lrow rrows.(j) then emit i j
+           done
+         done
        in
-       { schema; left_arity = Schema.arity l.Relation.schema; outer = l; feed })
+       { schema = Schema.append lschema rschema; lschema; rschema; lrows; rrows;
+         outer_n = Array.length lrows; feed })
   | _ ->
     let rel = run ~workers ?recorder ~path ~filters catalog plan in
+    let rows = Relation.rows rel in
     {
       schema = rel.Relation.schema;
-      left_arity = Schema.arity rel.Relation.schema;
-      outer = rel;
-      feed = (fun chunk emit -> Array.iter (fun row -> emit row empty_row) chunk);
+      lschema = rel.Relation.schema;
+      rschema = Schema.of_cols [];
+      lrows = rows;
+      rrows = [| empty_row |];
+      outer_n = Array.length rows;
+      feed =
+        (fun lo hi emit ->
+          for i = lo to hi - 1 do
+            emit i 0
+          done);
     }
 
 (* Materialize a streamed node (possibly in parallel). *)
 and collect ~workers s =
-  let collect_chunk chunk =
+  let whole = Schema.arity s.rschema = 0 in
+  let collect_range lo hi =
     let out = ref [] in
-    s.feed chunk (fun lrow rrow ->
-        out := (if Array.length rrow = 0 then lrow else Row.append lrow rrow) :: !out);
+    s.feed lo hi (fun i j ->
+        out := (if whole then s.lrows.(i) else Row.append s.lrows.(i) s.rrows.(j)) :: !out);
     List.rev !out
   in
-  if workers <= 1 then Relation.of_rows s.schema (collect_chunk (Relation.rows s.outer))
-  else begin
-    let results = Parallel.run_chunks ~workers (Relation.rows s.outer) collect_chunk in
-    Relation.of_rows s.schema (List.concat results)
-  end
+  if workers <= 1 then Relation.of_rows s.schema (collect_range 0 s.outer_n)
+  else
+    Relation.of_rows s.schema
+      (List.concat (Parallel.run_ranges ~workers s.outer_n collect_range))
 
 (* Hash aggregation over a streamed input; parallel chunks build partial
    tables merged via the aggregates' algebraic [merge]. *)
@@ -266,24 +427,22 @@ and group ~workers ~recorder ~path ~filters catalog group_cols aggs input =
   match direct with
   | Some r -> r
   | None ->
-    let compiled, merged =
+    let compiled, g =
       group_states ~workers ~recorder ~path ~filters catalog group_cols aggs input
     in
     let out_schema = Schema.of_cols (List.map snd group_cols @ List.map snd aggs) in
     let finalize key states =
       Array.append key (Array.map2 (fun (c : Agg.compiled) st -> c.Agg.final st) compiled states)
     in
-    if group_cols = [] && Row.Tbl.length merged = 0 then
+    if group_cols = [] && g.n = 0 then
       let states = Array.map (fun (c : Agg.compiled) -> c.Agg.fresh ()) compiled in
       Relation.of_rows out_schema [ finalize [||] states ]
-    else begin
-      let rows = ref [] in
-      Row.Tbl.iter (fun key states -> rows := finalize key states :: !rows) merged;
-      Relation.of_rows out_schema !rows
-    end
+    else Relation.make out_schema (Array.init g.n (fun id -> finalize g.keys.(id) g.states.(id)))
 
-(* Each group's aggregate states, before [final]: parallel chunks build
-   partial tables merged via the aggregates' algebraic [merge]. *)
+(* Each group's aggregate states, before [final], in first-seen order.
+   The group keys are coded once per input row, before the input is split
+   into chunks, so every chunk's packed keys agree; parallel chunks build
+   partial groups merged in chunk order. *)
 and group_states ~workers ~recorder ~path ~filters catalog group_cols aggs input =
   let s = stream ~workers ~recorder ~path:(path @ [ 0 ]) ~filters catalog input in
   (* A join feeding this aggregate never materializes; count its emitted
@@ -294,63 +453,129 @@ and group_states ~workers ~recorder ~path ~filters catalog group_cols aggs input
       Some (Atomic.make 0)
     | _ -> None
   in
-  let arity = Schema.arity s.schema in
-  let build chunk =
-    let gexprs = Array.of_list (List.map (fun (e, _) -> Compile.scalar s.schema e) group_cols) in
-    let compiled = Array.of_list (List.map (fun (f, _) -> Agg.compile s.schema f) aggs) in
-    let nagg = Array.length compiled in
-    let groups = Row.Tbl.create 256 in
-    let scratch = Array.make arity Value.Null in
-    let ng = Array.length gexprs in
-    (* Probe with a reusable key buffer; copy only on first insertion. *)
-    let key_buf = Array.make ng Value.Null in
-    let emitted = ref 0 in
-    s.feed chunk (fun lrow rrow ->
-        incr emitted;
-        let ll = Array.length lrow in
-        Array.blit lrow 0 scratch 0 ll;
-        if Array.length rrow > 0 then Array.blit rrow 0 scratch ll (Array.length rrow);
-        for i = 0 to ng - 1 do
-          key_buf.(i) <- gexprs.(i) scratch
-        done;
-        let states =
-          match Row.Tbl.find_opt groups key_buf with
-          | Some st -> st
-          | None ->
-            let st = Array.map (fun (c : Agg.compiled) -> c.Agg.fresh ()) compiled in
-            Row.Tbl.add groups (Array.copy key_buf) st;
-            st
+  let lrows = s.lrows and rrows = s.rrows in
+  let compiled = Array.of_list (List.map (fun (f, _) -> Agg.compile s.schema f) aggs) in
+  let steps = Array.of_list (List.map (fun (f, _) -> Agg.pair_step s.lschema s.rschema f) aggs) in
+  let nagg = Array.length steps in
+  let fresh () = Array.map (fun (c : Agg.compiled) -> c.Agg.fresh ()) compiled in
+  let step states lrow rrow =
+    for a = 0 to nagg - 1 do
+      steps.(a) states.(a) lrow rrow
+    done
+  in
+  let la = Schema.arity s.lschema in
+  (* Each key column as (reads the left part, position in that part). *)
+  let srcs =
+    Result.map
+      (Array.map (fun i -> if i < la then (true, i) else (false, i - la)))
+      (key_cols s.schema (List.map fst group_cols))
+  in
+  let packed =
+    Result.bind srcs (fun srcs ->
+        let comps =
+          Array.map
+            (fun (left, i) ->
+              Keys.column
+                ~name:(col_name s.schema (if left then i else la + i))
+                (if left then lrows else rrows) i)
+            srcs
         in
-        for i = 0 to nagg - 1 do
-          compiled.(i).Agg.step states.(i) scratch
-        done);
-    (match counted with
-     | Some c -> ignore (Atomic.fetch_and_add c !emitted)
-     | None -> ());
-    (compiled, groups)
+        Result.map
+          (fun mult -> (srcs, comps, mult))
+          (Keys.pack (Array.map (fun (c : Keys.column) -> c.dom) comps)))
+  in
+  let build =
+    match packed with
+    | Ok (srcs, comps, mult) ->
+      if group_cols <> [] then
+        note_keys ~recorder ~path
+          (Keys.Packed (List.map (fun (e, _) -> Expr.to_string e) group_cols));
+      let codes = Array.map (fun (c : Keys.column) -> c.codes) comps in
+      let left = Array.map fst srcs in
+      let key =
+        match codes with
+        | [||] -> fun _ _ -> 0
+        | [| c0 |] -> if left.(0) then fun i _ -> c0.(i) else fun _ j -> c0.(j)
+        | [| c0; c1 |] ->
+          let l0 = left.(0) and l1 = left.(1) and m1 = mult.(1) in
+          fun i j -> c0.(if l0 then i else j) + (m1 * c1.(if l1 then i else j))
+        | _ ->
+          fun i j ->
+            let k = ref 0 in
+            for c = 0 to Array.length codes - 1 do
+              k := !k + (mult.(c) * codes.(c).(if left.(c) then i else j))
+            done;
+            !k
+      in
+      let key_row lrow rrow =
+        Array.map (fun (l, i) -> if l then lrow.(i) else rrow.(i)) srcs
+      in
+      fun lo hi ->
+        let tbl = Keys.Itbl.create 256 in
+        let g = new_groups (Packed_index tbl) in
+        let emitted = ref 0 in
+        s.feed lo hi (fun i j ->
+            incr emitted;
+            let lrow = lrows.(i) and rrow = rrows.(j) in
+            let id = Keys.Itbl.intern tbl (key i j) in
+            if id = g.n then add_group g (key_row lrow rrow) (fresh ());
+            step g.states.(id) lrow rrow);
+        (g, !emitted)
+    | Error why ->
+      note_keys ~recorder ~path (Keys.Generic why);
+      let gexprs =
+        Array.of_list
+          (List.map (fun (e, _) -> Compile.join_scalar s.lschema s.rschema e) group_cols)
+      in
+      let ng = Array.length gexprs in
+      fun lo hi ->
+        let tbl = Row.Tbl.create 256 in
+        let g = new_groups (Generic_index tbl) in
+        (* Probe with a reusable key buffer; copy only on first insertion. *)
+        let key_buf = Array.make ng Value.Null in
+        let emitted = ref 0 in
+        s.feed lo hi (fun i j ->
+            incr emitted;
+            let lrow = lrows.(i) and rrow = rrows.(j) in
+            for k = 0 to ng - 1 do
+              key_buf.(k) <- gexprs.(k) lrow rrow
+            done;
+            let id =
+              match Row.Tbl.find_opt tbl key_buf with
+              | Some id -> id
+              | None ->
+                let key = Array.copy key_buf in
+                Row.Tbl.add tbl key g.n;
+                add_group g key (fresh ());
+                g.n - 1
+            in
+            step g.states.(id) lrow rrow);
+        (g, !emitted)
+  in
+  let build lo hi =
+    let g, emitted = build lo hi in
+    Option.iter (fun c -> ignore (Atomic.fetch_and_add c emitted)) counted;
+    g
   in
   let partials =
-    if workers <= 1 || Relation.cardinality s.outer < 2048 then
-      [ build (Relation.rows s.outer) ]
-    else Parallel.run_chunks ~workers (Relation.rows s.outer) build
+    if workers <= 1 || s.outer_n < 2048 then [ build 0 s.outer_n ]
+    else Parallel.run_ranges ~workers s.outer_n build
   in
   (match recorder, counted with
    | Some r, Some c -> r.rec_rows (path @ [ 0 ]) (node_label input) (Atomic.get c)
    | _ -> ());
   match partials with
-  | [] -> (Array.of_list (List.map (fun (f, _) -> Agg.compile s.schema f) aggs), Row.Tbl.create 1)
-  | (compiled0, merged) :: rest ->
-    List.iter
-      (fun (_, groups) ->
-        Row.Tbl.iter
-          (fun key states ->
-            match Row.Tbl.find_opt merged key with
-            | None -> Row.Tbl.add merged key states
-            | Some acc ->
-              Array.iteri (fun i c -> c.Agg.merge acc.(i) states.(i)) compiled0)
-          groups)
-      rest;
-    (compiled0, merged)
+  | [] -> (compiled, new_groups (Generic_index (Row.Tbl.create 1)))
+  | acc :: rest ->
+    List.iter (merge_groups compiled acc) rest;
+    (compiled, acc)
 
 let group_states catalog ~group_cols ~aggs input =
-  group_states ~workers:1 ~recorder:None ~path:[] ~filters:[] catalog group_cols aggs input
+  let compiled, g =
+    group_states ~workers:1 ~recorder:None ~path:[] ~filters:[] catalog group_cols aggs input
+  in
+  let tbl = Row.Tbl.create (max 16 g.n) in
+  for id = 0 to g.n - 1 do
+    Row.Tbl.replace tbl g.keys.(id) g.states.(id)
+  done;
+  (compiled, tbl)

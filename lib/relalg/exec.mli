@@ -4,12 +4,18 @@
     [workers = 4] parallelizes joins and aggregation across domains ("Vendor
     A" stand-in, cf. Appendix E's Parallelism/Gather plan nodes). *)
 
-type recorder = { rec_rows : int list -> string -> int -> unit }
-(** EXPLAIN ANALYZE hook: called once per plan node with the node's path
-    (child indices from the root, matching [Cost.tree]'s child order), its
-    display label, and the actual number of rows it produced.  Joins that
-    stream straight into an aggregate report their emit count instead of a
-    materialized cardinality.  Callbacks run on the spawning domain only. *)
+type recorder = {
+  rec_rows : int list -> string -> int -> unit;
+  rec_note : int list -> string -> unit;
+}
+(** EXPLAIN ANALYZE hooks.  [rec_rows] is called once per plan node with
+    the node's path (child indices from the root, matching [Cost.tree]'s
+    child order), its display label, and the actual number of rows it
+    produced.  Joins that stream straight into an aggregate report their
+    emit count instead of a materialized cardinality.  [rec_note] attaches
+    a line to the node at a path: each Hash Join, HashAggregate and IN
+    filter notes its key path ({!Keys.describe}).  Callbacks run on the
+    spawning domain only. *)
 
 val node_label : Plan.t -> string
 (** The display label the recorder reports for a node (matches [Cost]). *)
@@ -39,4 +45,5 @@ val group_states :
 (** The groups of a [Group] node with these fields over [input], each key
     with its aggregates' states before [final]: the partial state that
     incremental maintenance merges with the aggregates' own [merge].  Unlike
-    {!run}, a global aggregate over no rows has no group. *)
+    {!run}, a global aggregate over no rows has no group.  Each key is the
+    first key row its group met, as {!run} outputs it. *)

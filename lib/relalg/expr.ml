@@ -1,7 +1,9 @@
 type binop = Add | Sub | Mul | Div
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
-type row_set = unit Row.Tbl.t
+(* Packed when the rows' key values allow it (see [Keys]), else a
+   [Row.Tbl]; either way membership follows [Value.equal_total]. *)
+type row_set = Packed_set of Keys.Set.t * Keys.path | Tbl_set of unit Row.Tbl.t * Keys.path
 
 type t =
   | Const of Value.t
@@ -14,13 +16,37 @@ type t =
   | Not of t
   | In_set of t list * row_set
 
-let row_set_of rows =
-  let tbl = Row.Tbl.create (max 16 (List.length rows)) in
-  List.iter (fun r -> Row.Tbl.replace tbl r ()) rows;
-  tbl
+let row_set_path = function Packed_set (_, p) | Tbl_set (_, p) -> p
 
-let row_set_cardinality = Row.Tbl.length
-let row_set_mem = Row.Tbl.mem
+let row_set_of ?names rows =
+  let rows = Array.of_list rows in
+  let names =
+    match names, rows with
+    | Some names, _ -> Array.of_list names
+    | None, [||] -> [||]
+    | None, _ -> Array.init (Array.length rows.(0)) (Printf.sprintf "$%d")
+  in
+  let set =
+    match Keys.Set.build ~names rows with
+    | Ok s -> Packed_set (s, Keys.Packed (Array.to_list (Array.map (( ^ ) "IN ") names)))
+    | Error why ->
+      let tbl = Row.Tbl.create (max 16 (Array.length rows)) in
+      Array.iter (fun r -> Row.Tbl.replace tbl r ()) rows;
+      Tbl_set (tbl, Keys.Generic why)
+  in
+  Keys.count (row_set_path set);
+  set
+
+let row_set_cardinality = function
+  | Packed_set (s, _) -> Keys.Set.cardinality s
+  | Tbl_set (tbl, _) -> Row.Tbl.length tbl
+
+let row_set_mem set key =
+  match set with
+  | Packed_set (s, _) -> Keys.Set.mem s key
+  | Tbl_set (tbl, _) -> Row.Tbl.mem tbl key
+
+let row_set_keys = function Packed_set (s, _) -> Some s | Tbl_set _ -> None
 
 let tt = Const (Value.Bool true)
 
@@ -54,6 +80,15 @@ let columns e =
   in
   go e;
   List.rev !out
+
+let in_sets e =
+  let rec go acc = function
+    | Const _ | Col _ -> acc
+    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> go (go acc a) b
+    | Neg a | Not a -> go acc a
+    | In_set (es, s) -> List.fold_left go (s :: acc) es
+  in
+  List.rev (go [] e)
 
 let rec bind schema row e =
   match e with
@@ -132,7 +167,7 @@ let rec eval schema row e =
   | Not a -> Value.Bool (not (eval_bool schema row a))
   | In_set (es, set) ->
     let key = Array.of_list (List.map (eval schema row) es) in
-    Value.Bool (Row.Tbl.mem set key)
+    Value.Bool (row_set_mem set key)
 
 and eval_bool schema row e = Value.to_bool (eval schema row e)
 
@@ -166,7 +201,7 @@ let rec compile schema e =
     let fs = List.map (compile schema) es in
     fun row ->
       let key = Array.of_list (List.map (fun f -> f row) fs) in
-      Value.Bool (Row.Tbl.mem set key)
+      Value.Bool (row_set_mem set key)
 
 and compile_bool' schema e =
   (* Direct boolean compilation: predicates never box intermediate
@@ -198,7 +233,7 @@ and compile_bool' schema e =
     let fs = List.map (compile schema) es in
     fun row ->
       let key = Array.of_list (List.map (fun f -> f row) fs) in
-      Row.Tbl.mem set key
+      row_set_mem set key
   | Const _ | Col _ | Binop _ | Neg _ ->
     let f = compile schema e in
     fun row -> Value.to_bool (f row)
@@ -255,7 +290,7 @@ let rec to_string = function
   | In_set (es, set) ->
     Printf.sprintf "(%s) IN <set:%d>"
       (String.concat ", " (List.map to_string es))
-      (Row.Tbl.length set)
+      (row_set_cardinality set)
 
 let rec equal a b =
   match a, b with

@@ -22,9 +22,24 @@ type t =
   | Not of t
   | In_set of t list * row_set  (** tuple-IN against a materialized set *)
 
-val row_set_of : Row.t list -> row_set
+val row_set_of : ?names:string list -> Row.t list -> row_set
+(** The set of the rows, packed into int keys when their values allow
+    ({!Keys.Set}); [names] name its columns in the key path's note.
+    Counts the path taken ({!Keys.count}). *)
+
 val row_set_cardinality : row_set -> int
+
 val row_set_mem : row_set -> Row.t -> bool
+(** Membership under {!Value.equal_total}: NULL matches NULL, NaN matches
+    NaN and [Int n] matches [Float n]. *)
+
+val row_set_keys : row_set -> Keys.Set.t option
+(** The packed set, when the set is packed. *)
+
+val row_set_path : row_set -> Keys.path
+
+val in_sets : t -> row_set list
+(** The IN-subquery sets the expression tests, in order. *)
 
 val tt : t  (** the always-true predicate *)
 

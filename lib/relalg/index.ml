@@ -68,6 +68,7 @@ module Sorted = struct
     { key_idxs; rows = Array.map (fun r -> src.(r)) perm }
 
   let key_idxs t = t.key_idxs
+  let rows t = t.rows
 
   let first_key t row =
     match t.key_idxs with

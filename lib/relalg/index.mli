@@ -34,6 +34,16 @@ module Sorted : sig
     hi:(Value.t * [ `Strict | `Inclusive ]) option ->
     Row.t Seq.t
 
+  (** The rows in key order. *)
+  val rows : t -> Row.t array
+
+  (** The positions [[start, stop)] in {!rows} that [range] walks. *)
+  val bounds :
+    t ->
+    lo:(Value.t * [ `Strict | `Inclusive ]) option ->
+    hi:(Value.t * [ `Strict | `Inclusive ]) option ->
+    int * int
+
   (** Allocation-free variant of [range] for hot loops. *)
   val iter_range :
     t ->

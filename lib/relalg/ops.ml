@@ -43,6 +43,9 @@ let limit n rel =
   let n = min n (Array.length rows) in
   Relation.make rel.Relation.schema (Array.sub rows 0 n)
 
-let semijoin keys sub rel =
-  let set = Expr.row_set_of (Array.to_list (Relation.rows sub)) in
-  select (Expr.In_set (keys, set)) rel
+let row_set sub =
+  Expr.row_set_of
+    ~names:(List.map Schema.col_to_string (Schema.cols sub.Relation.schema))
+    (Array.to_list (Relation.rows sub))
+
+let semijoin keys sub rel = select (Expr.In_set (keys, row_set sub)) rel

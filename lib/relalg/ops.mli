@@ -15,6 +15,9 @@ val distinct : Relation.t -> Relation.t
 val order_by : (Expr.t * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
 val limit : int -> Relation.t -> Relation.t
 
+(** The IN set of [sub]'s rows ({!Expr.row_set_of}), named by its columns. *)
+val row_set : Relation.t -> Expr.row_set
+
 (** [semijoin keys sub rel] keeps rows of [rel] whose [keys] tuple appears in
     [sub] (which must have matching arity) — implements [IN (subquery)]. *)
 val semijoin : Expr.t list -> Relation.t -> Relation.t -> Relation.t

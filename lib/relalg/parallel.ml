@@ -1,6 +1,5 @@
-let split n arr =
-  let len = Array.length arr in
-  if len = 0 || n <= 1 then [ arr ]
+let ranges n len =
+  if len = 0 || n <= 1 then [ (0, len) ]
   else begin
     let n = min n len in
     let base = len / n and extra = len mod n in
@@ -8,16 +7,22 @@ let split n arr =
       if i >= n then List.rev acc
       else begin
         let size = base + if i < extra then 1 else 0 in
-        go (i + 1) (start + size) (Array.sub arr start size :: acc)
+        go (i + 1) (start + size) ((start, start + size) :: acc)
       end
     in
     go 0 0 []
   end
 
-let run_chunks ~workers rows f =
-  let chunks = split workers rows in
-  match chunks with
-  | [ only ] -> [ f only ]
-  | _ ->
-    let domains = List.map (fun chunk -> Domain.spawn (fun () -> f chunk)) chunks in
-    List.map Domain.join domains
+let split n arr =
+  match ranges n (Array.length arr) with
+  | [ _ ] -> [ arr ]
+  | rs -> List.map (fun (lo, hi) -> Array.sub arr lo (hi - lo)) rs
+
+let run_all = function
+  | [ only ] -> [ only () ]
+  | jobs -> List.map Domain.join (List.map Domain.spawn jobs)
+
+let run_chunks ~workers rows f = run_all (List.map (fun chunk () -> f chunk) (split workers rows))
+
+let run_ranges ~workers len f =
+  run_all (List.map (fun (lo, hi) () -> f lo hi) (ranges workers len))

@@ -11,3 +11,11 @@ val split : int -> 'a array -> 'a array list
     must not share mutable state across chunks; with [workers <= 1] it runs
     sequentially in the current domain. *)
 val run_chunks : workers:int -> 'a array -> ('a array -> 'b) -> 'b list
+
+(** [ranges n len]: the index ranges [[lo, hi)] of [split n] over an
+    array of length [len]. *)
+val ranges : int -> int -> (int * int) list
+
+(** [run_ranges ~workers len f]: {!run_chunks} over the index ranges of
+    an array of length [len], [f lo hi] per range. *)
+val run_ranges : workers:int -> int -> (int -> int -> 'b) -> 'b list

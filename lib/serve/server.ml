@@ -749,6 +749,21 @@ let handle_append t conn ~id table rows =
                  | _ -> failwith "append: each row must be a JSON array")
                rows)
         in
+        (* The wire carries 50.0 as the number 50, which decodes as an
+           Int: in a column whose values are all Float it lands as a
+           Float, so the column keeps one kind (its typed blocks, its
+           packed keys).  The fact is the table version's, carried by
+           each append in O(delta). *)
+        let tb = snd (List.hd cats) in
+        for i = 0 to arity - 1 do
+          if Catalog.column_float tb i then
+            Array.iter
+              (fun row ->
+                match row.(i) with
+                | Value.Int n -> row.(i) <- Value.Float (float_of_int n)
+                | _ -> ())
+              fresh
+        done;
         (* O(delta): the rows land in delta blocks ({!Relation.append}),
            never rebuilding the resident prefix. *)
         List.iter (fun (cat, _) -> Catalog.append_rows cat table fresh) cats;

@@ -42,7 +42,7 @@ and pred_expr_env env p =
     in
     if List.length es <> Schema.arity sub.Relation.schema then
       err "IN: arity mismatch between tuple and subquery";
-    Expr.In_set (List.map (scalar_expr_env env) es, Expr.row_set_of (Array.to_list (Relation.rows sub)))
+    Expr.In_set (List.map (scalar_expr_env env) es, Ops.row_set sub)
 
 and agg_func_env env = function
   | A_count_star -> Agg.Count_star

@@ -122,7 +122,8 @@ let value = G.frequency [ (6, num (-3) 8); (2, str "s" 3); (1, G.map (fun b -> V
 let with_nulls n g = G.frequency [ (n, g); (1, G.pure Value.Null) ]
 
 (* The cells of one column, its kind drawn first: Int (now and then an
-   extreme), Int or NULL, Float or NaN, or the mixed [num].  Single-kind
+   extreme), Int or NULL, Float (now and then -0.0 or an Int) or NaN, or
+   the mixed [num].  Single-kind
    columns let Cstore form typed int and float blocks and the range count
    its typed arrays; mixed ones take the fallbacks. *)
 let column lo hi =
@@ -131,7 +132,10 @@ let column lo hi =
     [ ints; with_nulls 5 ints;
       G.frequency
         [ (10, G.map (fun k -> fv (float_of_int k /. 2.)) (G.int_range (2 * lo) (2 * hi)));
-          (1, G.pure (fv Float.nan)) ];
+          (1, G.pure (fv Float.nan));
+          (* -0.0 keys with 0; an Int keys with the integral Float it equals *)
+          (1, G.pure (fv (-0.)));
+          (1, G.map iv (G.int_range lo hi)) ];
       num lo hi ]
 
 (* The row generator of one table, its numeric columns' kinds drawn. *)

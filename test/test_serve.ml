@@ -414,6 +414,30 @@ let test_append_all_or_nothing () =
       check_wire_bag "row after good append" expected1 r_row2;
       Serve.Client.close c)
 
+(* The wire carries 50.0 as the number 50: appended into a column whose
+   values are all Float, it lands as a Float, in both layouts. *)
+let test_append_float_column () =
+  let mk () =
+    let catalog = Catalog.create () in
+    Catalog.add_table catalog "m" (rel [ "k"; "x" ] [ [ iv 1; fv 0.5 ]; [ iv 2; fv 1.5 ] ]);
+    catalog
+  in
+  let row_cat = mk () and col_cat = mk () in
+  Catalog.set_layout col_cat "m" `Column;
+  with_server [ (`Row, row_cat); (`Column, col_cat) ] (fun addr ->
+      let c = Serve.Client.connect addr in
+      ignore (Serve.Client.append c "m" [ Json.Arr [ Json.Num 3.; Json.Num 50. ] ]);
+      let tbl cat = (Catalog.find cat "m").Catalog.rel in
+      Alcotest.(check bool) "row layout stores a Float" true
+        ((Relation.rows (tbl row_cat)).(2).(1) = fv 50.);
+      Alcotest.(check bool) "the column stays Float" true
+        (Column.Cstore.col_kind (Relation.cstore (tbl col_cat)) 1 = Column.Cstore.K_float);
+      let expected = rel [ "k"; "x" ] [ [ iv 1; fv 0.5 ]; [ iv 2; fv 1.5 ]; [ iv 3; fv 50. ] ] in
+      check_wire_bag "row answer" expected (Serve.Client.query c "SELECT k, x FROM m");
+      ignore (Serve.Client.set c [ ("layout", Json.Str "column") ]);
+      check_wire_bag "column answer" expected (Serve.Client.query c "SELECT k, x FROM m");
+      Serve.Client.close c)
+
 (* A cell that is not a scalar (a JSON array or object) is the client's
    error, and is refused before any layout catalog changes. *)
 let test_append_non_scalar () =
@@ -1288,4 +1312,5 @@ let suite =
     Alcotest.test_case "connection churn" `Quick test_connection_churn;
     Alcotest.test_case "partials family" `Quick test_partials_family;
     Alcotest.test_case "partials lossless key" `Quick test_partials_lossless_key;
+    Alcotest.test_case "append float column" `Quick test_append_float_column;
   ]
