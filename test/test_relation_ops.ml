@@ -222,4 +222,129 @@ let props =
            in
            total = Relation.cardinality data)) ]
 
-let suite = select_project @ joins @ grouping @ ordering @ bag_equality @ props
+(* Packed and generic key paths against references that do not run
+   [Exec]'s hash tables: sort-based grouping, a nested-loop join and
+   [Row.Tbl] membership, each at workers 1 and 2 and in both layouts.
+   A key column draws its kind first: numbers (Int, integral Float, -0.0,
+   NaN, NULL, the int extremes), strings with NULL, or anything (also
+   non-integral floats, which keep [Row.Tbl]). *)
+let key_props =
+  let open QCheck2 in
+  let num =
+    Gen.frequency
+      [ (8, Gen.map iv (Gen.int_range (-3) 5));
+        (3, Gen.map (fun k -> fv (float_of_int k)) (Gen.int_range (-3) 5));
+        (1, Gen.oneofl [ fv (-0.); fv 0.; fv Float.nan; Value.Null; iv max_int; iv min_int ]) ]
+  in
+  let str = Gen.frequency [ (6, Gen.map (fun k -> sv (Printf.sprintf "s%d" k)) (Gen.int_range 0 3)); (1, Gen.pure Value.Null) ] in
+  let any = Gen.oneof [ num; str; Gen.map (fun k -> fv (float_of_int k +. 0.5)) (Gen.int_range 0 2) ] in
+  let kind = Gen.oneofl [ num; str; any ] in
+  (* rows of [arity] key columns plus one small dyadic payload, so sums are exact *)
+  let table ~arity size =
+    Gen.(
+      list_repeat arity kind >>= fun kinds ->
+      list_size size
+        (map2
+           (fun ks v -> ks @ [ v ])
+           (flatten_l kinds)
+           (frequency [ (6, map iv (int_range 0 9)); (2, map (fun k -> fv (float_of_int k /. 4.)) (int_range 0 9)); (1, pure Value.Null) ])))
+  in
+  let key_names arity = List.init arity (Printf.sprintf "k%d") in
+  let layouts r = [ r; Relation.to_layout `Column r ] in
+  let print_rows rows = String.concat "; " (List.map (fun r -> Row.to_string (Array.of_list r)) rows) in
+  let group_ok arity rows =
+    let names = key_names arity in
+    let data = rel (names @ [ "v" ]) rows in
+    let key r = Array.sub r 0 arity and v r = r.(arity) in
+    let runs =
+      let sorted = List.stable_sort (fun a b -> Row.compare (key a) (key b)) (List.map Array.of_list rows) in
+      List.fold_left
+        (fun acc r ->
+          match acc with
+          | (r0 :: _ as run) :: rest when Row.compare (key r0) (key r) = 0 -> (r :: run) :: rest
+          | _ -> [ r ] :: acc)
+        [] sorted
+    in
+    let expected =
+      rel (names @ [ "n"; "s"; "a"; "m" ])
+        (List.map
+           (fun run ->
+             let run = List.rev run in
+             let sum = Value.Sum.create () and n = ref 0 and m = ref Value.Null in
+             List.iter
+               (fun r ->
+                 Value.Sum.add sum (v r);
+                 if not (Value.is_null (v r)) then begin
+                   incr n;
+                   if Value.is_null !m || Value.compare_total (v r) !m < 0 then m := v r
+                 end)
+               run;
+             Array.to_list (key (List.hd run))
+             @ [ iv (List.length run); Value.Sum.value sum;
+                 (if !n = 0 then Value.Null else fv (Value.Sum.to_float sum /. float_of_int !n));
+                 !m ])
+           runs)
+    in
+    let plan r =
+      Plan.Group
+        { group_cols = List.map (fun n -> (Expr.col n, Schema.col n)) names;
+          aggs =
+            [ (Agg.Count_star, Schema.col "n"); (Agg.Sum (Expr.col "v"), Schema.col "s");
+              (Agg.Avg (Expr.col "v"), Schema.col "a"); (Agg.Min (Expr.col "v"), Schema.col "m") ];
+          input = values "t" r }
+    in
+    List.for_all
+      (fun r -> List.for_all (fun workers -> Relation.equal_bag expected (exec ~workers (plan r))) [ 1; 2 ])
+      (layouts data)
+  in
+  let matches a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> not (Row.has_null [| x |]) && Value.equal_total x y) a b
+  in
+  let join_ok arity (ls, rs) =
+    let lnames = List.map (( ^ ) "l") (key_names arity) and rnames = List.map (( ^ ) "r") (key_names arity) in
+    let left = rel (lnames @ [ "lv" ]) ls and right = rel (rnames @ [ "rv" ]) rs in
+    let key r = Array.sub (Array.of_list r) 0 arity in
+    let expected =
+      rel (lnames @ [ "lv" ] @ rnames @ [ "rv" ])
+        (List.concat_map (fun l -> List.filter_map (fun r -> if matches (key l) (key r) then Some (l @ r) else None) rs) ls)
+    in
+    let keys = List.map2 (fun a b -> (Expr.col a, Expr.col b)) lnames rnames in
+    List.for_all
+      (fun (l, r) ->
+        List.for_all
+          (fun workers -> Relation.equal_bag expected (hash_join ~workers ~keys ~residual:Expr.tt l r))
+          [ 1; 2 ])
+      (List.combine (layouts left) (layouts right))
+  in
+  let semijoin_ok (subs, rows) =
+    let sub = rel [ "k" ] (List.map (fun r -> [ List.hd r ]) subs) and data = rel [ "k"; "v" ] rows in
+    let members = Row.Tbl.create 16 in
+    List.iter (fun r -> Row.Tbl.replace members [| List.hd r |] ()) subs;
+    let expected = rel [ "k"; "v" ] (List.filter (fun r -> Row.Tbl.mem members [| List.hd r |]) rows) in
+    List.for_all (fun d -> Relation.equal_bag expected (Ops.semijoin [ Expr.col "k" ] sub d)) (layouts data)
+  in
+  let to_alcotest = QCheck_alcotest.to_alcotest in
+  [ to_alcotest
+      (Test.make ~name:"grouping on packed and generic keys agrees with a sort-based reference"
+         ~count:150 ~print:(fun (_, rows) -> print_rows rows)
+         Gen.(int_range 1 3 >>= fun a -> map (fun rows -> (a, rows)) (table ~arity:a (int_range 0 60)))
+         (fun (arity, rows) -> group_ok arity rows));
+    to_alcotest
+      (Test.make ~name:"grouping over 2048+ rows merges parallel chunks like the reference"
+         ~count:6 ~print:(fun (_, rows) -> print_rows rows)
+         Gen.(int_range 1 2 >>= fun a -> map (fun rows -> (a, rows)) (table ~arity:a (int_range 2048 2300)))
+         (fun (arity, rows) -> group_ok arity rows));
+    to_alcotest
+      (Test.make ~name:"hash join on mixed key domains agrees with a nested-loop reference"
+         ~count:150 ~print:(fun (_, (l, r)) -> print_rows l ^ " | " ^ print_rows r)
+         Gen.(int_range 1 3 >>= fun a ->
+              map2 (fun l r -> (a, (l, r))) (table ~arity:a (int_range 0 30)) (table ~arity:a (int_range 0 30)))
+         (fun (arity, sides) -> join_ok arity sides && join_ok arity (snd sides, fst sides)));
+    to_alcotest
+      (Test.make ~name:"semijoin agrees with Row.Tbl membership" ~count:150
+         ~print:(fun (s, r) -> print_rows s ^ " | " ^ print_rows r)
+         Gen.(pair (table ~arity:1 (int_range 0 20)) (table ~arity:1 (int_range 0 40)))
+         semijoin_ok) ]
+
+let suite = select_project @ joins @ grouping @ ordering @ bag_equality @ props @ key_props
